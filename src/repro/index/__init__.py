@@ -16,11 +16,7 @@ from repro.index.cluster_index import (
     ClusteredTDAMIndex,
     IndexTopKResult,
 )
-from repro.index.service import (
-    IndexSearchResponse,
-    IndexSearchService,
-    IndexTopKResponse,
-)
+from repro.index.service import IndexSearchService
 from repro.index.store import (
     BitPlaneStore,
     BitPlaneStoreError,
@@ -36,9 +32,7 @@ __all__ = [
     "BitPlaneStoreError",
     "ClusteredTDAMIndex",
     "DEFAULT_NPROBE",
-    "IndexSearchResponse",
     "IndexSearchService",
-    "IndexTopKResponse",
     "IndexTopKResult",
     "StoreCorruptionError",
     "StoreManifestError",

@@ -20,74 +20,23 @@ asked for".
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.encoding import validate_levels
 from repro.index.cluster_index import ClusteredTDAMIndex
 from repro.service.errors import DeadlineExceededError, InvalidRequestError
+from repro.service.response import ServiceResponse
 from repro.telemetry.profile import emit_probe as _emit_probe
 from repro.telemetry.state import STATE as _TM
 from repro.telemetry.trace import span as _span
 
-__all__ = [
-    "IndexSearchResponse",
-    "IndexSearchService",
-    "IndexTopKResponse",
-]
+__all__ = ["IndexSearchService"]
 
 #: Default per-request deadline (generous: a routed probe of a
 #: million-row corpus completes in a few milliseconds per query block).
 DEFAULT_INDEX_DEADLINE_S = 0.25
-
-
-@dataclass(frozen=True)
-class IndexSearchResponse:
-    """The index's answer to one nearest-row request.
-
-    Field names follow the serving layer's response conventions
-    (``outcome``, ``degraded``, ``elapsed_s`` ...), so frontend
-    accounting treats index answers like any shard answer.
-    """
-
-    best_row: int
-    best_distance: int
-    approximate: bool
-    nprobe: int
-    rows_probed: int
-    degraded: bool
-    pruned: bool
-    shard_id: str
-    attempts: int
-    retries: int
-    elapsed_s: float
-    outcome: str
-
-
-@dataclass(frozen=True)
-class IndexTopKResponse:
-    """The index's answer to a batched top-k request.
-
-    ``rows`` / ``distances`` are (Q, k) with ``-1`` pads when fewer
-    than ``k`` rows were reachable in the probed shards; the
-    coalescing frontend slices per-query views out of it via
-    ``dataclasses.replace``.
-    """
-
-    rows: np.ndarray
-    distances: np.ndarray
-    approximate: bool
-    nprobe: int
-    rows_probed: int
-    degraded: bool
-    pruned: bool
-    shard_id: str
-    attempts: int
-    retries: int
-    elapsed_s: float
-    outcome: str
 
 
 class IndexSearchService:
@@ -203,7 +152,7 @@ class IndexSearchService:
         k: int,
         deadline_s: Optional[float] = None,
         nprobe: Optional[int] = None,
-    ) -> IndexTopKResponse:
+    ) -> ServiceResponse:
         """Routed batched top-k under one shared deadline.
 
         Raises:
@@ -228,25 +177,15 @@ class IndexSearchService:
             nprobe=nprobe_eff,
         ):
             result = self.index.top_k(qs, k, nprobe=nprobe_eff)
-        elapsed = self._finish(start, deadline)
-        return IndexTopKResponse(
+        return ServiceResponse(
             rows=result.rows,
             distances=result.distances,
-            approximate=result.nprobe < self.index.n_clusters,
-            nprobe=result.nprobe,
-            rows_probed=result.rows_probed,
-            degraded=False,
-            pruned=True,
-            shard_id="index",
-            attempts=1,
-            retries=0,
-            elapsed_s=elapsed,
-            outcome="ok",
+            **self._meta(result, self._finish(start, deadline)),
         )
 
     def search(
         self, query: Sequence[int], deadline_s: Optional[float] = None
-    ) -> IndexSearchResponse:
+    ) -> ServiceResponse:
         """Serve one nearest-row query within a deadline."""
         q = self.validate_query(query)
         return self.search_batch(q[None, :], deadline_s=deadline_s)[0]
@@ -256,7 +195,7 @@ class IndexSearchService:
         queries: Sequence[Sequence[int]],
         deadline_s: Optional[float] = None,
         nprobe: Optional[int] = None,
-    ) -> "list[IndexSearchResponse]":
+    ) -> List[ServiceResponse]:
         """Serve a query batch; one nearest-row response per query."""
         qs = self._admit_matrix(queries)
         deadline = self._resolve_deadline(deadline_s)
@@ -267,22 +206,21 @@ class IndexSearchService:
             nprobe=nprobe_eff,
         ):
             result = self.index.top_k(qs, 1, nprobe=nprobe_eff)
-        elapsed = self._finish(start, deadline)
-        approximate = result.nprobe < self.index.n_clusters
+        meta = self._meta(result, self._finish(start, deadline))
         return [
-            IndexSearchResponse(
-                best_row=int(result.rows[i, 0]),
-                best_distance=int(result.distances[i, 0]),
-                approximate=approximate,
-                nprobe=result.nprobe,
-                rows_probed=result.rows_probed,
-                degraded=False,
-                pruned=True,
-                shard_id="index",
-                attempts=1,
-                retries=0,
-                elapsed_s=elapsed,
-                outcome="ok",
+            ServiceResponse(best_row=row, best_distance=float(dist), **meta)
+            for row, dist in zip(
+                result.rows[:, 0].tolist(), result.distances[:, 0].tolist()
             )
-            for i in range(qs.shape[0])
         ]
+
+    def _meta(self, result, elapsed: float) -> dict:
+        """Response fields every index answer shares: healthy, and
+        approximate exactly when fewer than all clusters were probed."""
+        return dict(
+            degraded=False,
+            approximate=result.nprobe < self.index.n_clusters,
+            pruned=True,
+            shard_id="index",
+            elapsed_s=elapsed,
+        )

@@ -6,8 +6,9 @@ The pieces, bottom-up:
   version/feature handshake, and a lossless typed-error envelope: the
   whole :mod:`repro.service.errors` taxonomy crosses the wire intact
   (``retry_after_s``, ``reason``, shard lists and all), and responses
-  keep their full honesty metadata (``degraded``, ``coverage``,
-  ``partitions_skipped``).
+  decode to the one :class:`~repro.service.response.ServiceResponse`
+  with their full honesty metadata (``degraded``, ``coverage``,
+  ``partitions_skipped``, ``approximate``).
 - :mod:`repro.net.server` -- an asyncio server adopting a
   :class:`~repro.service.frontend.CoalescingFrontend`: per-connection
   bounded in-flight windows (TCP backpressure, not unbounded buffers),
@@ -42,8 +43,6 @@ from repro.net.wire import (
     FrameTimeoutError,
     FrameTooLargeError,
     HandshakeError,
-    RemoteSearchResponse,
-    RemoteTopKResponse,
     WireProtocolError,
     decode_error,
     decode_response,
@@ -73,6 +72,4 @@ __all__ = [
     "decode_error",
     "encode_response",
     "decode_response",
-    "RemoteSearchResponse",
-    "RemoteTopKResponse",
 ]

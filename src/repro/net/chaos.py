@@ -42,19 +42,17 @@ from repro.core.config import TDAMConfig
 from repro.net.client import RemoteFrontend
 from repro.net.faults import WireFaultPlan
 from repro.net.server import TDAMSocketServer
-from repro.net.wire import WireProtocolError, encode_frame, hello_message
+from repro.net.wire import encode_frame, hello_message
 from repro.service.chaos import (
     ChaosScenarioResult,
     _build_shards,
-    _ideal_best,
+    _Outcomes,
+    _result,
 )
 from repro.service.coalesce import CoalescePolicy
-from repro.service.errors import ServiceError
 from repro.service.frontend import CoalescingFrontend
 from repro.service.retry import RetryBudget, RetryPolicy
 from repro.service.server import TDAMSearchService
-from repro.telemetry.profile import emit_probe as _emit_probe
-from repro.telemetry.state import STATE as _TM
 
 __all__ = [
     "ServerHarness",
@@ -168,73 +166,8 @@ def _build_stack(
     return stored, frontend
 
 
-class _RemoteOutcomes:
-    """Tallies remote answers against the ideal-Hamming oracle."""
-
-    def __init__(self, stored: np.ndarray) -> None:
-        self.stored = stored
-        self.ok = 0
-        self.degraded = 0
-        self.typed_errors = 0
-        self.wrong_unflagged = 0
-        self.untyped = 0
-        self.n = 0
-
-    def serve(self, client: RemoteFrontend, query: np.ndarray) -> None:
-        self.n += 1
-        try:
-            response = client.search(query, deadline_s=2.0)
-        except (WireProtocolError, ServiceError):
-            # Everything the taxonomy names -- transport or serving --
-            # is an honest, typed "no answer".
-            self.typed_errors += 1
-            return
-        except Exception:
-            self.untyped += 1
-            return
-        if response.degraded:
-            self.degraded += 1
-            return
-        self.ok += 1
-        if response.best_row != _ideal_best(self.stored, query):
-            self.wrong_unflagged += 1
-
-    @property
-    def hit_rate(self) -> float:
-        answered = self.ok + self.degraded
-        return answered / self.n if self.n else 1.0
-
-
-def _net_result(
-    name: str,
-    outcomes: _RemoteOutcomes,
-    passed: bool,
-    notes: str,
-) -> ChaosScenarioResult:
-    result = ChaosScenarioResult(
-        name=name,
-        n_requests=outcomes.n,
-        ok=outcomes.ok,
-        degraded=outcomes.degraded,
-        deadline_misses=0,
-        unavailable=0,
-        wrong_unflagged=outcomes.wrong_unflagged,
-        retries=0,
-        breaker_opens=0,
-        deadline_hit_rate=outcomes.hit_rate,
-        passed=passed,
-        notes=notes,
-    )
-    if _TM.enabled:
-        _emit_probe(
-            "chaos.scenario",
-            name=name,
-            requests=outcomes.n,
-            deadline_hit_rate=outcomes.hit_rate,
-            wrong_unflagged=outcomes.wrong_unflagged,
-            passed=passed,
-        )
-    return result
+#: Remote request budget: generous, the SLOs here are about honesty.
+_DEADLINE_S = 2.0
 
 
 # ----------------------------------------------------------------------
@@ -260,7 +193,7 @@ def scenario_net_flaky_link(
             p_bit_flip=0.08,
         )
 
-    outcomes = _RemoteOutcomes(stored)
+    outcomes = _Outcomes(stored)
     try:
         with RemoteFrontend(
             "127.0.0.1",
@@ -280,18 +213,16 @@ def scenario_net_flaky_link(
                 outcomes.serve(
                     client,
                     rng.integers(0, config.levels, config.n_stages),
+                    deadline_s=_DEADLINE_S,
                 )
     finally:
         harness.stop()
-    passed = (
-        outcomes.wrong_unflagged == 0
-        and outcomes.untyped == 0
-        and outcomes.ok > 0
-    )
-    return _net_result(
-        "net_flaky_link", outcomes, passed,
-        f"{outcomes.ok} exact, {outcomes.typed_errors} typed errors, "
-        f"{outcomes.untyped} untyped (must be 0) under seeded "
+    passed = outcomes.wrong_unflagged == 0 and outcomes.ok > 0
+    return _result(
+        "net_flaky_link", outcomes, None, passed,
+        f"{outcomes.ok} exact, "
+        f"{outcomes.n - outcomes.answered - outcomes.untyped} typed "
+        f"errors, {outcomes.untyped} untyped (must be 0) under seeded "
         f"disconnect/truncate/corrupt/bit-flip faults",
     )
 
@@ -304,7 +235,7 @@ def scenario_net_slow_loris(
     stored, frontend = _build_stack(config, n_rows, seed)
     # Tight frame timeout so the eviction happens within the scenario.
     harness = ServerHarness(frontend, frame_timeout_s=0.2).start()
-    outcomes = _RemoteOutcomes(stored)
+    outcomes = _Outcomes(stored)
     evicted = False
     try:
         # The loris: a valid handshake, then 4 bytes of a frame header
@@ -319,6 +250,7 @@ def scenario_net_slow_loris(
                 outcomes.serve(
                     client,
                     rng.integers(0, config.levels, config.n_stages),
+                    deadline_s=_DEADLINE_S,
                 )
         deadline = time.monotonic() + 5.0
         loris.settimeout(5.0)
@@ -338,11 +270,10 @@ def scenario_net_slow_loris(
     passed = (
         evicted
         and outcomes.wrong_unflagged == 0
-        and outcomes.untyped == 0
         and outcomes.ok == outcomes.n
     )
-    return _net_result(
-        "net_slow_loris", outcomes, passed,
+    return _result(
+        "net_slow_loris", outcomes, None, passed,
         f"stalled peer evicted: {evicted}; healthy client exact "
         f"{outcomes.ok}/{outcomes.n} throughout",
     )
@@ -361,7 +292,7 @@ def scenario_net_server_kill(
         for _ in range(n_requests)
     ]
     split = max(1, n_requests // 3)
-    outcomes = _RemoteOutcomes(stored)
+    outcomes = _Outcomes(stored)
     notes: List[str] = []
     client = RemoteFrontend(
         "127.0.0.1",
@@ -376,15 +307,16 @@ def scenario_net_server_kill(
     try:
         # Phase 1: healthy traffic.
         for query in queries[:split]:
-            outcomes.serve(client, query)
+            outcomes.serve(client, query, deadline_s=_DEADLINE_S)
         healthy_ok = outcomes.ok == outcomes.n
         # Phase 2: kill mid-stream; requests must fail *typed*.
         harness.kill()
         before = outcomes.n
+        answered_before = outcomes.answered
         for query in queries[split:2 * split]:
-            outcomes.serve(client, query)
+            outcomes.serve(client, query, deadline_s=_DEADLINE_S)
         killed_typed = (
-            outcomes.typed_errors == outcomes.n - before
+            outcomes.answered == answered_before
             and outcomes.untyped == 0
         )
         notes.append(
@@ -400,7 +332,7 @@ def scenario_net_server_kill(
         try:
             recovered_before_ok = outcomes.ok
             for query in queries[2 * split:]:
-                outcomes.serve(client, query)
+                outcomes.serve(client, query, deadline_s=_DEADLINE_S)
             recovered = (
                 outcomes.ok - recovered_before_ok
                 == n_requests - 2 * split
@@ -415,8 +347,7 @@ def scenario_net_server_kill(
         and killed_typed
         and recovered
         and outcomes.wrong_unflagged == 0
-        and outcomes.untyped == 0
     )
-    return _net_result(
-        "net_server_kill", outcomes, passed, "; ".join(notes)
+    return _result(
+        "net_server_kill", outcomes, None, passed, "; ".join(notes)
     )

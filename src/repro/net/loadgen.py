@@ -1,21 +1,22 @@
 """Open-loop load generation over the socket transport.
 
 The wall-clock sibling of :func:`repro.service.loadgen.run_load`: the
-same seeded traffic (arrival times, tenants, query choices), the same
-honesty scoring, the same :class:`~repro.service.loadgen.LoadReport`
-artifact -- but offered through :class:`~repro.net.client
-.RemoteFrontend` against a real server across a real socket.
+same seeded traffic (:func:`~repro.service.loadgen.derive_traffic`),
+the same reference answers, outcome tally and
+:class:`~repro.service.loadgen.LoadReport` -- but offered through
+:class:`~repro.net.client.RemoteFrontend` against a real server across
+a real socket.
 
 Determinism across two processes comes from one invariant: **both
 sides derive the corpus from the seed, in the same rng order**.
-``repro serve --seed N`` builds its stored matrix with
-:func:`derive_corpus`; ``repro loadtest --remote --seed N`` derives
-the identical matrix, replays the reference answers through a private
-seeded in-process service, and scores every remote ``degraded=False``
-answer bit-exactly against them.  A transport that flips a bit, drops
-a frame, or reorders a response can therefore never be graded
-"healthy" by accident -- any silent corruption lands in
-``wrong_unflagged`` and fails the honesty SLO.
+``repro serve --seed N`` stores the matrix ``derive_traffic`` yields;
+``repro loadtest --remote --seed N`` derives the identical traffic,
+replays the reference answers through a private seeded in-process
+service, and scores every remote ``degraded=False`` answer against
+them.  A transport that flips a bit, drops a frame, or reorders a
+response can therefore never be graded "healthy" by accident -- any
+silent corruption lands in ``wrong_unflagged`` and fails the honesty
+SLO.
 
 The run stays open-loop on the wall clock: nominal arrival times are
 fixed up front; a scheduler offers each request at its nominal time
@@ -28,55 +29,34 @@ the in-process generator's.
 
 from __future__ import annotations
 
+import queue
 import threading
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from repro.core.config import TDAMConfig
 from repro.net.client import RemoteFrontend
-from repro.net.wire import WireProtocolError
 from repro.service.admission import AdmissionController, TenantQuotas
 from repro.service.chaos import FakeClock, _build_shards
 from repro.service.coalesce import CoalescePolicy
-from repro.service.errors import (
-    AdmissionRejectedError,
-    AllShardsUnavailableError,
-    DeadlineExceededError,
-    QuotaExceededError,
-    ServiceError,
-)
+from repro.service.errors import AdmissionRejectedError, ServiceError
 from repro.service.frontend import CoalescingFrontend
-from repro.service.loadgen import LoadConfig, LoadReport, TenantReport
+from repro.service.loadgen import (
+    LoadConfig,
+    LoadReport,
+    _build_service,
+    _prepare,
+    _Tally,
+    derive_traffic,
+)
 from repro.service.server import TDAMSearchService
-from repro.telemetry.sketch import QuantileSketch
 
 __all__ = [
-    "derive_corpus",
     "build_server_stack",
-    "compute_reference",
     "run_remote_load",
 ]
-
-
-def derive_corpus(config: LoadConfig) -> Tuple[np.ndarray, np.ndarray]:
-    """The seeded (stored matrix, query pool) both sides agree on.
-
-    Consumes the seed's rng in exactly the order
-    :func:`~repro.service.loadgen.run_load` does (stored first, pool
-    second), so a server and a load generator in different processes
-    derive identical corpora from the seed alone.
-    """
-    tdam = TDAMConfig(n_stages=config.n_stages)
-    rng = np.random.default_rng(config.seed)
-    stored = rng.integers(
-        0, tdam.levels, (config.n_rows, tdam.n_stages)
-    )
-    pool = rng.integers(
-        0, tdam.levels, (config.pool_size, tdam.n_stages)
-    )
-    return stored, pool
 
 
 def build_server_stack(
@@ -107,8 +87,7 @@ def build_server_stack(
             )
 
         service.add_interceptor(cost)
-    stored, _ = derive_corpus(config)
-    service.write_all(stored)
+    service.write_all(derive_traffic(config, service).stored)
     quotas = TenantQuotas(
         default_rate_per_s=config.quota_rate_per_s,
         default_burst=config.quota_burst,
@@ -131,44 +110,6 @@ def build_server_stack(
     return service, frontend
 
 
-def compute_reference(config: LoadConfig) -> Tuple[np.ndarray, list]:
-    """The query pool and its direct seeded in-process answers.
-
-    The honesty oracle: a private fake-clock service (identical seed,
-    identical stored matrix) answers every pool query directly, and
-    remote ``degraded=False`` answers must match these bit-for-bit.
-    """
-    from repro.service.loadgen import _build_service
-
-    clock = FakeClock()
-    service = _build_service(config, clock)
-    stored, pool = derive_corpus(config)
-    service.write_all(stored)
-    if config.kind == "search":
-        reference = [
-            service.search(pool[i], deadline_s=10.0)
-            for i in range(config.pool_size)
-        ]
-    else:
-        reference = [
-            service.top_k(pool[i][None, :], config.k, deadline_s=10.0)
-            for i in range(config.pool_size)
-        ]
-    return pool, reference
-
-
-def _matches_remote(config: LoadConfig, response, reference) -> bool:
-    if config.kind == "search":
-        if response.best_row != reference.best_row:
-            return False
-        if response.best_row < 0:
-            return True
-        return response.best_distance == float(
-            reference.result.hamming_distances[response.best_row]
-        )
-    return np.array_equal(response.rows, reference.rows[0])
-
-
 def run_remote_load(
     config: Optional[LoadConfig] = None,
     host: str = "127.0.0.1",
@@ -181,8 +122,9 @@ def run_remote_load(
     Args:
         config: The same knobs as the in-process generator; the server
             must have been started from the same ``seed`` / ``n_rows``
-            / ``n_stages`` (``repro serve`` enforces this by building
-            from one shared :func:`derive_corpus`).
+            / ``n_stages`` (``repro serve`` enforces this by storing the
+            matrix :func:`~repro.service.loadgen.derive_traffic`
+            yields).
         host / port: The running server.
         n_workers: Client worker threads (the in-flight ceiling; an
             arrival with no free worker waits, its budget burning,
@@ -192,31 +134,9 @@ def run_remote_load(
             :class:`~repro.net.client.RemoteFrontend`.
     """
     config = config if config is not None else LoadConfig()
-    pool, reference = compute_reference(config)
-
-    # Arrival schedule: continue the SAME rng stream the corpus came
-    # from, mirroring run_load's draw order exactly.
-    rng = np.random.default_rng(config.seed)
-    tdam = TDAMConfig(n_stages=config.n_stages)
-    rng.integers(0, tdam.levels, (config.n_rows, tdam.n_stages))
-    rng.integers(0, tdam.levels, (config.pool_size, tdam.n_stages))
-    arrivals: List[float] = []
-    t = 0.0
-    while True:
-        t += rng.exponential(1.0 / config.rate_per_s)
-        if t >= config.duration_s:
-            break
-        arrivals.append(t)
-    weights = (
-        np.asarray(config.tenant_weights, dtype=float)
-        if config.tenant_weights is not None
-        else np.ones(config.n_tenants)
-    )
-    weights = weights / weights.sum()
-    tenant_ids = rng.choice(
-        config.n_tenants, size=len(arrivals), p=weights
-    )
-    query_ids = rng.integers(0, config.pool_size, size=len(arrivals))
+    # The honesty oracle: a private fake-clock service with the
+    # identical seed and stored matrix answers every pool query.
+    traffic, reference = _prepare(config, _build_service(config, FakeClock()))
 
     if client_factory is None:
         def client_factory() -> RemoteFrontend:
@@ -224,91 +144,46 @@ def run_remote_load(
                 host, port, default_deadline_s=config.deadline_s
             )
 
-    tenants: Dict[str, TenantReport] = {
-        f"t{i}": TenantReport() for i in range(config.n_tenants)
-    }
+    tally = _Tally(config)
     lock = threading.Lock()
-    counts = {
-        "ok": 0, "degraded": 0, "deadline": 0, "unavailable": 0,
-        "errors": 0, "wrong_unflagged": 0, "shed_quota": 0,
-        "shed_queue_full": 0, "shed_queue_deadline": 0, "admitted": 0,
-    }
-    latencies: List[float] = []
-    sketch = QuantileSketch(relative_accuracy=0.01)
-
-    import queue as _queue
-
-    work: "_queue.Queue[Optional[int]]" = _queue.Queue()
+    work: "queue.Queue[Optional[int]]" = queue.Queue()
     start = time.monotonic()
 
     def offer(client: RemoteFrontend, idx: int) -> None:
-        t_nominal = arrivals[idx]
-        tenant = f"t{int(tenant_ids[idx])}"
-        qi = int(query_ids[idx])
-        nominal_at = start + t_nominal
+        tenant = traffic.tenants[idx]
+        qi = traffic.query_ids[idx]
+        nominal_at = start + traffic.arrivals[idx]
         budget_s = (nominal_at + config.deadline_s) - time.monotonic()
         if budget_s <= 0:
             # Every worker was busy past this request's whole budget: a
             # client-side dead-on-arrival -- shed, not miss (no byte of
             # it ever reached the server).
             with lock:
-                counts["shed_queue_deadline"] += 1
-                tenants[tenant].shed_overload += 1
+                tally.shed(tenant, "queue_deadline")
             return
         try:
             if config.kind == "search":
                 response = client.search(
-                    pool[qi], tenant=tenant, deadline_s=budget_s
+                    traffic.pool[qi], tenant=tenant, deadline_s=budget_s
                 )
             else:
                 response = client.top_k(
-                    pool[qi], config.k, tenant=tenant,
+                    traffic.pool[qi], config.k, tenant=tenant,
                     deadline_s=budget_s,
                 )
-        except QuotaExceededError:
-            with lock:
-                counts["shed_quota"] += 1
-                tenants[tenant].shed_quota += 1
-            return
         except AdmissionRejectedError as exc:
             with lock:
-                if exc.reason == "queue_deadline":
-                    counts["shed_queue_deadline"] += 1
-                else:
-                    counts["shed_queue_full"] += 1
-                tenants[tenant].shed_overload += 1
+                tally.shed(tenant, exc.reason)
             return
-        except DeadlineExceededError:
+        except (ServiceError, OSError) as exc:
             with lock:
-                counts["admitted"] += 1
-                counts["deadline"] += 1
-            return
-        except AllShardsUnavailableError:
-            with lock:
-                counts["admitted"] += 1
-                counts["unavailable"] += 1
-            return
-        except (WireProtocolError, ServiceError, OSError):
-            with lock:
-                counts["admitted"] += 1
-                counts["errors"] += 1
+                tally.admit(tenant)
+                tally.fail(tenant, exc)
             return
         latency = time.monotonic() - nominal_at
         with lock:
-            counts["admitted"] += 1
-            tenants[tenant].admitted += 1
-            tenants[tenant].answered += 1
-            latencies.append(latency)
-            sketch.add(max(latency, 0.0))
-            if response.degraded:
-                counts["degraded"] += 1
-            elif _matches_remote(config, response, reference[qi]):
-                counts["ok"] += 1
-            else:
-                # Goodput claimed exact but disagreed with the oracle:
-                # the one number the honesty SLO exists to keep at 0.
-                counts["ok"] += 1
-                counts["wrong_unflagged"] += 1
+            tally.admit(tenant)
+            tally.answer(tenant, latency, response, reference[qi])
 
     def worker() -> None:
         client = client_factory()
@@ -323,7 +198,7 @@ def run_remote_load(
                     # Whatever slipped past the typed handlers, the
                     # worker must survive to drain the queue.
                     with lock:
-                        counts["errors"] += 1
+                        tally.errors += 1
                 finally:
                     work.task_done()
         finally:
@@ -335,10 +210,11 @@ def run_remote_load(
     ]
     for th in threads:
         th.start()
-    for idx, t_nominal in enumerate(arrivals):
-        tenant = f"t{int(tenant_ids[idx])}"
+    for idx, (t_nominal, tenant) in enumerate(
+        zip(traffic.arrivals, traffic.tenants)
+    ):
         with lock:
-            tenants[tenant].offered += 1
+            tally.tenants[tenant].offered += 1
         # Open loop: enqueue at the nominal time no matter how the
         # service (or the worker pool) is doing.
         delay = (start + t_nominal) - time.monotonic()
@@ -350,36 +226,6 @@ def run_remote_load(
         work.put(None)
     for th in threads:
         th.join(timeout=10.0)
-    elapsed = time.monotonic() - start
-
-    lat = np.asarray(latencies) if latencies else np.asarray([0.0])
-    import math
-
-    return LoadReport(
-        config=config,
-        offered=len(arrivals),
-        admitted=counts["admitted"],
-        shed_quota=counts["shed_quota"],
-        shed_queue_full=counts["shed_queue_full"],
-        shed_queue_deadline=counts["shed_queue_deadline"],
-        ok=counts["ok"],
-        degraded=counts["degraded"],
-        deadline_misses=counts["deadline"],
-        unavailable=counts["unavailable"],
-        errors=counts["errors"],
-        wrong_unflagged=counts["wrong_unflagged"],
-        p50_s=float(np.percentile(lat, 50)),
-        p99_s=float(np.percentile(lat, 99)),
-        mean_batch_size=0.0,
-        batches=0,
-        simulated_s=elapsed,
-        tenants=tenants,
-        p95_s=float(np.percentile(lat, 95)),
-        p99_rank_s=float(
-            np.sort(lat)[int(math.floor(0.99 * (lat.size - 1)))]
-        ),
-        sketch_p50_s=sketch.quantile(0.50),
-        sketch_p95_s=sketch.quantile(0.95),
-        sketch_p99_s=sketch.quantile(0.99),
-        sketch_relative_accuracy=sketch.relative_accuracy,
+    return tally.report(
+        time.monotonic() - start, mean_batch_size=0.0, batches=0
     )

@@ -35,8 +35,13 @@ The error envelope is **lossless** for the whole serving taxonomy: a
 front end reaches the caller as a ``QuotaExceededError`` carrying the
 exact ``retry_after_s``/``reason``/``tenant`` the in-process caller
 would have seen -- the network must not weaken the overload contract.
-Responses likewise carry the full honesty metadata (``degraded``,
-``outcome``, ``coverage``, ``partitions_skipped``) bit-for-bit.
+Responses likewise carry every field of the
+:class:`~repro.service.response.ServiceResponse` except the shard-level
+``result`` -- the full honesty metadata (``degraded``, ``coverage``,
+``partitions_skipped``, ``approximate``) bit-for-bit -- and decoding
+rebuilds the one response type, whose construction re-checks the
+honesty contract: a dishonest payload is a typed
+:class:`FrameCorruptError`, never an answer.
 """
 
 from __future__ import annotations
@@ -44,7 +49,6 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Type
 
 import numpy as np
@@ -65,6 +69,7 @@ from repro.service.errors import (
     ShardTimeoutError,
     TransientServiceError,
 )
+from repro.service.response import ServiceResponse
 from repro.telemetry import metrics as _metrics
 from repro.telemetry.profile import emit_probe as _emit_probe
 from repro.telemetry.state import STATE as _TM
@@ -93,13 +98,12 @@ __all__ = [
     "decode_error",
     "encode_response",
     "decode_response",
-    "RemoteSearchResponse",
-    "RemoteTopKResponse",
     "note_frame",
 ]
 
-#: Protocol version both sides must agree on at handshake.
-PROTOCOL_VERSION = 1
+#: Protocol version both sides must agree on at handshake (2: responses
+#: carry ``approximate`` and the index's top-k ``distances``).
+PROTOCOL_VERSION = 2
 
 #: Features this implementation speaks (advertised in the handshake;
 #: a future version can negotiate down instead of breaking).
@@ -511,133 +515,79 @@ def error_message(
 # ----------------------------------------------------------------------
 # Responses
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class RemoteSearchResponse:
-    """A search answer as seen across the wire.
+def encode_response(kind: str, response: ServiceResponse) -> Dict[str, object]:
+    """One :class:`ServiceResponse` as a wire payload.
 
-    Field-for-field what the serving layer promised: ``degraded`` is
-    the honesty flag (``False`` is a correctness promise, exactly as
-    in-process), ``coverage``/``partitions_skipped`` carry the
-    partitioned service's honest-partial metadata (``1.0``/empty for a
-    monolithic backend).
-    """
-
-    best_row: int
-    best_distance: float
-    degraded: bool
-    outcome: str
-    coverage: float
-    partitions_skipped: Tuple[str, ...]
-    shard_id: str
-    attempts: int
-    retries: int
-    elapsed_s: float
-
-
-@dataclass(frozen=True)
-class RemoteTopKResponse:
-    """A top-k answer as seen across the wire.
-
-    ``rows`` are global row ids, ``-1``-padded exactly as the
-    partitioned gather pads unreachable rows -- padded, never invented.
-    """
-
-    rows: np.ndarray
-    k: int
-    degraded: bool
-    outcome: str
-    coverage: float
-    partitions_skipped: Tuple[str, ...]
-    pruned: bool
-    shard_id: str
-    attempts: int
-    retries: int
-    elapsed_s: float
-
-
-def _search_best_distance(response) -> float:
-    """The winning row's distance, whatever response class produced it."""
-    best_distance = getattr(response, "best_distance", None)
-    if best_distance is not None:
-        return float(best_distance)
-    best_row = int(response.best_row)
-    if best_row < 0:
-        return -1.0
-    return float(response.result.hamming_distances[best_row])
-
-
-def encode_response(kind: str, response) -> Dict[str, object]:
-    """One serving-layer response as a wire payload.
-
-    Accepts every response class the front end can produce
-    (``ServiceResponse``, ``TopKServiceResponse``,
-    ``PartitionedSearchResponse``, ``PartitionedTopKResponse``) and
-    keeps the full honesty metadata; fields a class does not define
-    take their honest defaults (``coverage=1.0``, no skipped
-    partitions).
+    Every field crosses except ``result`` (the shard-level distance and
+    delay vectors stay in process); a top-k answer's ``rows`` (and
+    ``distances``, when the backend set them) travel flattened.
     """
     payload: Dict[str, object] = {
         "degraded": bool(response.degraded),
-        "outcome": str(response.outcome),
-        "coverage": float(getattr(response, "coverage", 1.0)),
-        "partitions_skipped": [
-            str(p) for p in getattr(response, "partitions_skipped", ())
-        ],
-        "shard_id": str(getattr(response, "shard_id", "")),
-        "attempts": int(getattr(response, "attempts", 0)),
-        "retries": int(getattr(response, "retries", 0)),
+        "coverage": float(response.coverage),
+        "partitions_skipped": [str(p) for p in response.partitions_skipped],
+        "approximate": bool(response.approximate),
+        "pruned": bool(response.pruned),
+        "shard_id": str(response.shard_id),
+        "attempts": int(response.attempts),
+        "retries": int(response.retries),
         "elapsed_s": float(response.elapsed_s),
     }
     if kind == "search":
         payload["best_row"] = int(response.best_row)
-        payload["best_distance"] = _search_best_distance(response)
+        payload["best_distance"] = float(response.best_distance)
     else:
-        rows = np.asarray(response.rows).ravel()
-        payload["rows"] = [int(r) for r in rows]
-        payload["pruned"] = bool(getattr(response, "pruned", False))
+        payload["rows"] = np.asarray(response.rows).ravel().tolist()
+        if response.distances is not None:
+            payload["distances"] = (
+                np.asarray(response.distances).ravel().tolist()
+            )
     return payload
 
 
-def decode_response(kind: str, payload: Dict[str, object]):
-    """The typed client-side response for one ``response`` payload.
+def decode_response(kind: str, payload: Dict[str, object]) -> ServiceResponse:
+    """The :class:`ServiceResponse` one ``response`` payload carries.
 
     Raises:
-        FrameCorruptError: The payload is missing required fields or
-            holds the wrong types -- a malformed response is a
-            transport failure, never a half-decoded answer.
+        FrameCorruptError: The payload is missing required fields,
+            holds the wrong types, or breaks the honesty contract -- a
+            malformed response is a transport failure, never a
+            half-decoded answer.
     """
     try:
         common = dict(
             degraded=bool(payload["degraded"]),
-            outcome=str(payload["outcome"]),
             coverage=float(payload["coverage"]),
             partitions_skipped=tuple(
                 str(p) for p in payload["partitions_skipped"]
             ),
+            approximate=bool(payload["approximate"]),
+            pruned=bool(payload["pruned"]),
             shard_id=str(payload["shard_id"]),
             attempts=int(payload["attempts"]),
             retries=int(payload["retries"]),
             elapsed_s=float(payload["elapsed_s"]),
         )
         if kind == "search":
-            return RemoteSearchResponse(
+            return ServiceResponse(
                 best_row=int(payload["best_row"]),
                 best_distance=float(payload["best_distance"]),
                 **common,
             )
-        rows = np.asarray(
-            [int(r) for r in payload["rows"]], dtype=np.int64
-        )
-        return RemoteTopKResponse(
-            rows=rows,
-            k=int(rows.size),
-            pruned=bool(payload["pruned"]),
+        distances = payload.get("distances")
+        return ServiceResponse(
+            rows=_int_array(payload["rows"]),
+            distances=None if distances is None else _int_array(distances),
             **common,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise FrameCorruptError(
             f"malformed {kind} response payload: {exc!r}"
         ) from exc
+
+
+def _int_array(values) -> np.ndarray:
+    return np.asarray([int(v) for v in values], dtype=np.int64)
 
 
 def response_message(

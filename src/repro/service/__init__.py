@@ -25,6 +25,9 @@ behind a single request surface with the standard reliability toolkit:
 - **degraded mode** -- when no healthy replica remains, an explicit
   best-effort answer carrying the ``degraded`` flag rather than a
   silent wrong one;
+- **one answer type** -- every backend answers with a
+  :class:`ServiceResponse`, which checks the honesty contract when it
+  is built (:mod:`repro.service.response`);
 - **crash-safe checkpoints** -- atomic, checksummed snapshots of a
   shard's full physical + repair state, optionally triggered by
   repair/refresh probe events (:mod:`repro.service.checkpoint`);
@@ -90,19 +93,10 @@ from repro.service.loadgen import (
     format_load_report,
     run_load,
 )
-from repro.service.partition import (
-    PartitionedSearchResponse,
-    PartitionedTDAMService,
-    PartitionedTopKResponse,
-)
+from repro.service.partition import PartitionedTDAMService
 from repro.service.retry import BackoffSchedule, RetryBudget, RetryPolicy
-from repro.service.server import (
-    Interceptor,
-    ServiceResponse,
-    Shard,
-    TDAMSearchService,
-    TopKServiceResponse,
-)
+from repro.service.response import ServiceResponse
+from repro.service.server import Interceptor, Shard, TDAMSearchService
 
 __all__ = [
     "AdmissionController",
@@ -133,9 +127,7 @@ __all__ = [
     "LoadConfig",
     "LoadReport",
     "OverloadError",
-    "PartitionedSearchResponse",
     "PartitionedTDAMService",
-    "PartitionedTopKResponse",
     "PendingRequest",
     "QuotaExceededError",
     "ReadyBatch",
@@ -153,7 +145,6 @@ __all__ = [
     "TenantReport",
     "TenantQuotas",
     "TokenBucket",
-    "TopKServiceResponse",
     "TransientServiceError",
     "format_load_report",
     "is_retryable",

@@ -41,11 +41,13 @@ from repro.service.errors import (
     AllShardsUnavailableError,
     CheckpointCorruptError,
     DeadlineExceededError,
+    ServiceError,
     ShardTimeoutError,
 )
 from repro.service.retry import RetryBudget, RetryPolicy
 from repro.service.server import TDAMSearchService
 from repro.telemetry.flight import FlightRecorder
+from repro.telemetry.log import get_logger
 from repro.telemetry.profile import ProbeRecorder, register_probe
 from repro.telemetry.state import STATE as _TM, enabled_scope
 from repro.telemetry.profile import emit_probe as _emit_probe
@@ -59,6 +61,8 @@ __all__ = [
     "run_chaos_suite",
     "last_flight_recorder",
 ]
+
+_log = get_logger(__name__)
 
 #: The overload scenario's tail-sampling recorder from the most recent
 #: :func:`run_chaos_suite` call (``None`` before the first run) -- the
@@ -196,7 +200,11 @@ def _ideal_best(stored: np.ndarray, query: np.ndarray) -> int:
 
 
 class _Outcomes:
-    """Tallies one scenario's request stream against the oracle."""
+    """Tallies one scenario's request stream against the oracle.
+
+    ``service`` is anything with ``search(query, deadline_s=...)``: an
+    in-process service, or a remote client in the network scenarios.
+    """
 
     def __init__(self, stored: np.ndarray) -> None:
         self.stored = stored
@@ -204,12 +212,14 @@ class _Outcomes:
         self.degraded = 0
         self.deadline_misses = 0
         self.unavailable = 0
+        self.typed_errors = 0
+        self.untyped = 0
         self.wrong_unflagged = 0
         self.n = 0
 
     def serve(
         self,
-        service: TDAMSearchService,
+        service,
         query: np.ndarray,
         deadline_s: Optional[float] = None,
     ) -> None:
@@ -222,6 +232,16 @@ class _Outcomes:
         except AllShardsUnavailableError:
             self.unavailable += 1
             return
+        except ServiceError:
+            # Everything else the taxonomy names -- transport or
+            # serving -- is an honest, typed "no answer".
+            self.typed_errors += 1
+            return
+        except Exception:
+            # A scorecard failure, not a crash: the scenario fails.
+            _log.warning("untyped failure serving a request", exc_info=True)
+            self.untyped += 1
+            return
         if response.degraded:
             self.degraded += 1
         else:
@@ -230,45 +250,72 @@ class _Outcomes:
                 self.wrong_unflagged += 1
 
     @property
+    def answered(self) -> int:
+        """Requests that got an answer (exact or flagged degraded)."""
+        return self.ok + self.degraded
+
+    @property
     def hit_rate(self) -> float:
-        answered = self.n - self.deadline_misses - self.unavailable
-        return answered / self.n if self.n else 1.0
+        return self.answered / self.n if self.n else 1.0
 
 
 def _result(
     name: str,
     outcomes: _Outcomes,
-    recorder: ProbeRecorder,
+    recorder: Optional[ProbeRecorder],
     passed: bool,
     notes: str,
 ) -> ChaosScenarioResult:
-    retries = len(recorder.payloads("service.retry"))
-    opens = sum(
-        1
-        for p in recorder.payloads("service.breaker")
-        if p.get("to_state") == "open"
-    )
-    result = ChaosScenarioResult(
-        name=name,
+    """The scenario's scorecard from its request tally.  An untyped
+    failure fails any scenario: every way a request can end must be
+    typed."""
+    if outcomes.untyped:
+        passed = False
+        notes += f"; {outcomes.untyped} untyped failures"
+    return _scorecard(
+        name, recorder, passed, notes,
         n_requests=outcomes.n,
         ok=outcomes.ok,
         degraded=outcomes.degraded,
         deadline_misses=outcomes.deadline_misses,
         unavailable=outcomes.unavailable,
         wrong_unflagged=outcomes.wrong_unflagged,
+        deadline_hit_rate=outcomes.hit_rate,
+    )
+
+
+def _scorecard(
+    name: str,
+    recorder: Optional[ProbeRecorder],
+    passed: bool,
+    notes: str,
+    **counts,
+) -> ChaosScenarioResult:
+    """One scorecard, announced on the ``chaos.scenario`` probe; retry
+    and breaker counts come from ``recorder`` (zero without one)."""
+    retries = opens = 0
+    if recorder is not None:
+        retries = len(recorder.payloads("service.retry"))
+        opens = sum(
+            1
+            for p in recorder.payloads("service.breaker")
+            if p.get("to_state") == "open"
+        )
+    result = ChaosScenarioResult(
+        name=name,
         retries=retries,
         breaker_opens=opens,
-        deadline_hit_rate=outcomes.hit_rate,
         passed=passed,
         notes=notes,
+        **counts,
     )
     if _TM.enabled:
         _emit_probe(
             "chaos.scenario",
             name=name,
-            requests=outcomes.n,
-            deadline_hit_rate=outcomes.hit_rate,
-            wrong_unflagged=outcomes.wrong_unflagged,
+            requests=result.n_requests,
+            deadline_hit_rate=result.deadline_hit_rate,
+            wrong_unflagged=result.wrong_unflagged,
             passed=passed,
         )
     return result
@@ -627,39 +674,18 @@ def _load_result(
     notes: str,
 ) -> ChaosScenarioResult:
     """A scenario scorecard built from a load-generator report."""
-    retries = len(recorder.payloads("service.retry"))
-    opens = sum(
-        1
-        for p in recorder.payloads("service.breaker")
-        if p.get("to_state") == "open"
-    )
-    answered = report.goodput
-    result = ChaosScenarioResult(
-        name=name,
+    return _scorecard(
+        name, recorder, passed, notes,
         n_requests=report.offered,
         ok=report.ok,
         degraded=report.degraded,
         deadline_misses=report.deadline_misses,
         unavailable=report.unavailable,
         wrong_unflagged=report.wrong_unflagged,
-        retries=retries,
-        breaker_opens=opens,
         deadline_hit_rate=(
-            answered / report.admitted if report.admitted else 1.0
+            report.goodput / report.admitted if report.admitted else 1.0
         ),
-        passed=passed,
-        notes=notes,
     )
-    if _TM.enabled:
-        _emit_probe(
-            "chaos.scenario",
-            name=name,
-            requests=report.offered,
-            deadline_hit_rate=result.deadline_hit_rate,
-            wrong_unflagged=report.wrong_unflagged,
-            passed=passed,
-        )
-    return result
 
 
 def _load_recorder() -> ProbeRecorder:

@@ -25,11 +25,8 @@ import numpy as np
 from repro.core.mvm import MVMCost
 from repro.hdc.pipeline import EncodePipeline
 from repro.service.errors import InvalidRequestError
-from repro.service.server import (
-    ServiceResponse,
-    TDAMSearchService,
-    TopKServiceResponse,
-)
+from repro.service.response import ServiceResponse
+from repro.service.server import TDAMSearchService
 
 __all__ = ["EncodeSearchService"]
 
@@ -116,7 +113,7 @@ class EncodeSearchService:
         features: Sequence[Sequence[float]],
         k: int,
         deadline_s: Optional[float] = None,
-    ) -> TopKServiceResponse:
+    ) -> ServiceResponse:
         """Encode a feature batch and serve its batched top-k."""
         return self.service.top_k(
             self._levels(features), k, deadline_s=deadline_s

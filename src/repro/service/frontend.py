@@ -66,6 +66,7 @@ from repro.service.errors import (
     OverloadError,
     ServiceError,
 )
+from repro.service.response import ServiceResponse
 from repro.telemetry import metrics as _metrics
 from repro.telemetry.flight import FlightRecorder
 from repro.telemetry.log import get_logger
@@ -684,9 +685,7 @@ class CoalescingFrontend:
                                 queries, batch.k, deadline_s=deadline_s
                             )
                             responses = [
-                                dataclasses.replace(
-                                    grouped, rows=grouped.rows[i]
-                                )
+                                grouped.for_query(i)
                                 for i in range(len(live))
                             ]
                     except ServiceError as exc:
@@ -708,14 +707,14 @@ class CoalescingFrontend:
     def _complete_ok(
         self,
         request: PendingRequest,
-        response,
+        response: ServiceResponse,
         done: float,
         batch: int,
         batch_span=None,
     ) -> None:
-        outcome = getattr(response, "outcome", "ok")
+        outcome = response.outcome
         with self._lock:
-            if outcome == "degraded":
+            if response.degraded:
                 self._stats.degraded += 1
             else:
                 self._stats.ok += 1

@@ -19,6 +19,11 @@ Honesty is scored the way the chaos harness scores it: every goodput
 response claiming ``degraded=False`` is checked bit-exactly against a
 direct (uncoalesced) call recorded before the run; any disagreement
 counts as ``wrong_unflagged`` and fails the run's honesty SLO.
+
+The seeded traffic (:func:`derive_traffic`), the reference answers, the
+outcome tally and the report assembly are shared with the socket
+generator in :mod:`repro.net.loadgen`, which differs only in how a
+request reaches the front end.
 """
 
 from __future__ import annotations
@@ -38,10 +43,9 @@ from repro.service.errors import (
     AdmissionRejectedError,
     AllShardsUnavailableError,
     DeadlineExceededError,
-    OverloadError,
-    QuotaExceededError,
 )
 from repro.service.frontend import CoalescingFrontend
+from repro.service.response import ServiceResponse
 from repro.service.server import TDAMSearchService
 from repro.telemetry import metrics as _metrics
 from repro.telemetry.flight import FlightRecorder
@@ -53,6 +57,8 @@ __all__ = [
     "LoadConfig",
     "LoadReport",
     "TenantReport",
+    "Traffic",
+    "derive_traffic",
     "run_load",
     "format_load_report",
 ]
@@ -304,6 +310,61 @@ class LoadReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
+@dataclass(frozen=True)
+class Traffic:
+    """One seeded run's corpus and open-loop arrival schedule.
+
+    Attributes:
+        stored: The stored matrix, (n_rows, n_stages).
+        pool: Distinct queries requests draw from, (pool_size, n_stages).
+        arrivals: Nominal arrival times in ``[0, duration_s)``.
+        tenants: Each arrival's tenant (``t0`` ..).
+        query_ids: Each arrival's pool index.
+    """
+
+    stored: np.ndarray
+    pool: np.ndarray
+    arrivals: List[float]
+    tenants: List[str]
+    query_ids: List[int]
+
+
+def derive_traffic(config: LoadConfig, service) -> Traffic:
+    """The run's corpus and arrivals, derived from the seed alone.
+
+    One rng in one draw order (stored matrix, query pool, arrival gaps,
+    tenants, pool picks), sized by ``service``'s geometry, so a server
+    and a load generator in different processes derive identical
+    traffic from the same seed.
+    """
+    levels, n_stages = service.config.levels, service.config.n_stages
+    rng = np.random.default_rng(config.seed)
+    stored = rng.integers(0, levels, (service.n_rows, n_stages))
+    pool = rng.integers(0, levels, (config.pool_size, n_stages))
+    arrivals: List[float] = []
+    t = 0.0
+    while True:
+        t += rng.exponential(1.0 / config.rate_per_s)
+        if t >= config.duration_s:
+            break
+        arrivals.append(t)
+    weights = (
+        np.asarray(config.tenant_weights, dtype=float)
+        if config.tenant_weights is not None
+        else np.ones(config.n_tenants)
+    )
+    weights = weights / weights.sum()
+    tenant_ids = rng.choice(config.n_tenants, size=len(arrivals), p=weights)
+    query_ids = rng.integers(0, config.pool_size, size=len(arrivals))
+    return Traffic(
+        stored=stored,
+        pool=pool,
+        arrivals=arrivals,
+        tenants=[f"t{i}" for i in tenant_ids.tolist()],
+        query_ids=query_ids.tolist(),
+    )
+
+
 def _build_service(
     config: LoadConfig, clock: FakeClock
 ) -> TDAMSearchService:
@@ -330,6 +391,156 @@ def _build_service(
 
     service.add_interceptor(cost)
     return service
+
+
+def _prepare(
+    config: LoadConfig, service
+) -> Tuple[Traffic, List[ServiceResponse]]:
+    """Store the seeded corpus in ``service``; return the traffic and
+    each pool query's direct (uncoalesced) reference answer.
+
+    The batched engine makes coalesced answers bit-exact against these
+    references, so any honest ``degraded=False`` answer must match.
+    """
+    traffic = derive_traffic(config, service)
+    service.write_all(traffic.stored)
+    if config.kind == "search":
+        reference = [
+            service.search(query, deadline_s=10.0) for query in traffic.pool
+        ]
+    else:
+        reference = [
+            service.top_k(query[None, :], config.k, deadline_s=10.0)
+            .for_query(0)
+            for query in traffic.pool
+        ]
+    return traffic, reference
+
+
+def _matches_reference(
+    response: ServiceResponse, reference: ServiceResponse
+) -> bool:
+    """Whether an answer claiming ``degraded=False`` equals the direct one.
+
+    Top-k compares ``rows``; search compares ``best_row`` and
+    ``best_distance``, plus the whole distance vector when the answer
+    carries the shard-level ``result`` (in process; the wire drops it).
+    """
+    if reference.rows is not None:
+        return np.array_equal(response.rows, reference.rows)
+    if (response.best_row, response.best_distance) != (
+        reference.best_row, reference.best_distance
+    ):
+        return False
+    return response.result is None or np.array_equal(
+        response.result.hamming_distances,
+        reference.result.hamming_distances,
+    )
+
+
+class _Tally:
+    """One run's outcomes, overall and per tenant, and its report."""
+
+    def __init__(self, config: LoadConfig) -> None:
+        self.config = config
+        self.tenants: Dict[str, TenantReport] = {
+            f"t{i}": TenantReport() for i in range(config.n_tenants)
+        }
+        self.admitted = 0
+        self.shed_quota = self.shed_queue_full = self.shed_queue_deadline = 0
+        self.ok = self.degraded = self.deadline_misses = 0
+        self.unavailable = self.errors = self.wrong_unflagged = 0
+        self.latencies: List[float] = []
+        self.sketch = QuantileSketch(relative_accuracy=0.01)
+
+    def shed(self, tenant: str, reason: str) -> None:
+        """A request refused before admission, by shed reason."""
+        report = self.tenants[tenant]
+        if reason == "quota":
+            self.shed_quota += 1
+            report.shed_quota += 1
+            return
+        if reason == "queue_deadline":
+            self.shed_queue_deadline += 1
+        else:
+            self.shed_queue_full += 1
+        report.shed_overload += 1
+
+    def admit(self, tenant: str) -> None:
+        """A request that passed admission."""
+        self.admitted += 1
+        self.tenants[tenant].admitted += 1
+
+    def fail(self, tenant: str, exc: BaseException) -> None:
+        """An admitted request that ended without an answer."""
+        if isinstance(exc, DeadlineExceededError):
+            self.deadline_misses += 1
+        elif isinstance(exc, AllShardsUnavailableError):
+            self.unavailable += 1
+        elif (
+            isinstance(exc, AdmissionRejectedError)
+            and exc.reason == "queue_deadline"
+        ):
+            # Admitted, then shed in queue: its deadline expired
+            # before dispatch and no shard time was spent on it.
+            self.shed_queue_deadline += 1
+            self.tenants[tenant].shed_overload += 1
+        else:
+            self.errors += 1
+
+    def answer(
+        self,
+        tenant: str,
+        latency: float,
+        response: ServiceResponse,
+        reference: ServiceResponse,
+    ) -> str:
+        """Score one answer; returns its honesty verdict."""
+        self.tenants[tenant].answered += 1
+        self.latencies.append(latency)
+        self.sketch.add(max(latency, 0.0))
+        if response.degraded:
+            self.degraded += 1
+            return "degraded_flagged"
+        self.ok += 1
+        if _matches_reference(response, reference):
+            return "exact"
+        # Goodput claimed exact but disagreed with the oracle: the one
+        # number the honesty SLO exists to keep at 0.
+        self.wrong_unflagged += 1
+        return "wrong_unflagged"
+
+    def report(self, simulated_s: float, **extra) -> LoadReport:
+        """The scored :class:`LoadReport` (``extra``: batching stats
+        and tail ids, which only the in-process run observes)."""
+        lat = np.asarray(self.latencies or [0.0])
+        return LoadReport(
+            config=self.config,
+            offered=sum(t.offered for t in self.tenants.values()),
+            admitted=self.admitted,
+            shed_quota=self.shed_quota,
+            shed_queue_full=self.shed_queue_full,
+            shed_queue_deadline=self.shed_queue_deadline,
+            ok=self.ok,
+            degraded=self.degraded,
+            deadline_misses=self.deadline_misses,
+            unavailable=self.unavailable,
+            errors=self.errors,
+            wrong_unflagged=self.wrong_unflagged,
+            p50_s=float(np.percentile(lat, 50)),
+            p99_s=float(np.percentile(lat, 99)),
+            simulated_s=simulated_s,
+            tenants=self.tenants,
+            p95_s=float(np.percentile(lat, 95)),
+            p99_rank_s=float(
+                np.sort(lat)[int(math.floor(0.99 * (lat.size - 1)))]
+            ),
+            sketch_p50_s=self.sketch.quantile(0.50),
+            sketch_p95_s=self.sketch.quantile(0.95),
+            sketch_p99_s=self.sketch.quantile(0.99),
+            sketch_relative_accuracy=self.sketch.relative_accuracy,
+            **extra,
+        )
 
 
 def run_load(
@@ -367,31 +578,7 @@ def run_load(
         service = _build_service(config, clock)
     elif clock is None:
         raise ValueError("a service injection requires its fake clock")
-
-    rng = np.random.default_rng(config.seed)
-    stored = rng.integers(
-        0, service.config.levels, (service.n_rows, service.config.n_stages)
-    )
-    service.write_all(stored)
-
-    # Query pool + direct (uncoalesced) reference answers for the
-    # honesty check; PR 2's batched-engine guarantee makes coalesced
-    # answers bit-exact against these.
-    pool = rng.integers(
-        0,
-        service.config.levels,
-        (config.pool_size, service.config.n_stages),
-    )
-    if config.kind == "search":
-        reference = [
-            service.search(pool[i], deadline_s=10.0)
-            for i in range(config.pool_size)
-        ]
-    else:
-        reference = [
-            service.top_k(pool[i][None, :], config.k, deadline_s=10.0)
-            for i in range(config.pool_size)
-        ]
+    traffic, reference = _prepare(config, service)
 
     quotas = TenantQuotas(
         default_rate_per_s=config.quota_rate_per_s,
@@ -415,29 +602,9 @@ def run_load(
         flight_recorder=flight_recorder,
     )
 
-    # The whole arrival schedule, fixed up front (open loop).
-    arrivals: List[float] = []
-    t = 0.0
-    while True:
-        t += rng.exponential(1.0 / config.rate_per_s)
-        if t >= config.duration_s:
-            break
-        arrivals.append(t)
-    weights = (
-        np.asarray(config.tenant_weights, dtype=float)
-        if config.tenant_weights is not None
-        else np.ones(config.n_tenants)
-    )
-    weights = weights / weights.sum()
-    tenant_ids = rng.choice(config.n_tenants, size=len(arrivals), p=weights)
-    query_ids = rng.integers(0, config.pool_size, size=len(arrivals))
-
-    tenants: Dict[str, TenantReport] = {
-        f"t{i}": TenantReport() for i in range(config.n_tenants)
-    }
+    tally = _Tally(config)
     # (pool id, nominal arrival, tenant, future)
     inflight: List[Tuple[int, float, str, object]] = []
-    shed_quota = shed_queue_full = shed_queue_deadline = 0
 
     # SLO snapshots on the *simulated* clock: enough ticks that every
     # rolling window spans several samples, few enough to stay cheap.
@@ -463,137 +630,64 @@ def run_load(
             frontend.pump()
             slo_tick()
 
-    for idx, t_nominal in enumerate(arrivals):
+    for t_nominal, tenant, qi in zip(
+        traffic.arrivals, traffic.tenants, traffic.query_ids
+    ):
         pump_until(t_nominal)
         if t_nominal > clock.now():
             clock.advance(t_nominal - clock.now())
-        tenant = f"t{int(tenant_ids[idx])}"
-        report = tenants[tenant]
-        report.offered += 1
-        qi = int(query_ids[idx])
+        tally.tenants[tenant].offered += 1
         try:
             if config.kind == "search":
                 future = frontend.submit(
-                    pool[qi],
+                    traffic.pool[qi],
                     tenant=tenant,
                     deadline_at=t_nominal + config.deadline_s,
                 )
             else:
                 future = frontend.submit_top_k(
-                    pool[qi],
+                    traffic.pool[qi],
                     config.k,
                     tenant=tenant,
                     deadline_at=t_nominal + config.deadline_s,
                 )
-        except QuotaExceededError:
-            shed_quota += 1
-            report.shed_quota += 1
+        except AdmissionRejectedError as exc:
+            tally.shed(tenant, exc.reason)
             continue
-        except OverloadError as exc:
-            if exc.reason == "queue_deadline":
-                shed_queue_deadline += 1
-            else:
-                shed_queue_full += 1
-            report.shed_overload += 1
-            continue
-        report.admitted += 1
+        tally.admit(tenant)
         inflight.append((qi, t_nominal, tenant, future))
     pump_until(None)
     frontend.drain()
 
-    ok = degraded = deadline_misses = unavailable = errors = 0
-    wrong_unflagged = 0
-    latencies: List[float] = []
-    sketch = QuantileSketch(relative_accuracy=0.01)
     tail_ids: List[str] = []
-
-    def count_answer(verdict: str) -> None:
-        if _TM.enabled:
-            _ANSWERS.inc(verdict=verdict)
-
     for qi, t_nominal, tenant, future in inflight:
         exc = future.exception()
         if exc is not None:
             if future.request_id is not None:
                 tail_ids.append(future.request_id)
-            if isinstance(exc, DeadlineExceededError):
-                deadline_misses += 1
-            elif isinstance(exc, AllShardsUnavailableError):
-                unavailable += 1
-            elif (
-                isinstance(exc, AdmissionRejectedError)
-                and exc.reason == "queue_deadline"
-            ):
-                # Admitted, then shed in queue: its deadline expired
-                # before dispatch and no shard time was spent on it.
-                shed_queue_deadline += 1
-                tenants[tenant].shed_overload += 1
-            else:
-                errors += 1
+            tally.fail(tenant, exc)
             continue
-        response = future.result(timeout=0)
-        tenants[tenant].answered += 1
-        latency = future.completed_at - t_nominal
-        latencies.append(latency)
-        sketch.add(max(latency, 0.0))
-        if response.degraded:
-            degraded += 1
-            count_answer("degraded_flagged")
-        else:
-            ok += 1
-            if not _matches_reference(config, response, reference[qi]):
-                wrong_unflagged += 1
-                count_answer("wrong_unflagged")
-            else:
-                count_answer("exact")
+        verdict = tally.answer(
+            tenant,
+            future.completed_at - t_nominal,
+            future.result(timeout=0),
+            reference[qi],
+        )
+        if _TM.enabled:
+            _ANSWERS.inc(verdict=verdict)
 
     # Final SLO snapshot *after* scoring so the honesty verdicts
     # (counted above) land in the cumulative window.
     if slo_engine is not None:
         slo_engine.sample(clock.now())
 
-    lat = np.asarray(latencies) if latencies else np.asarray([0.0])
-    return LoadReport(
-        config=config,
-        offered=len(arrivals),
-        admitted=len(inflight),
-        shed_quota=shed_quota,
-        shed_queue_full=shed_queue_full,
-        shed_queue_deadline=shed_queue_deadline,
-        ok=ok,
-        degraded=degraded,
-        deadline_misses=deadline_misses,
-        unavailable=unavailable,
-        errors=errors,
-        wrong_unflagged=wrong_unflagged,
-        p50_s=float(np.percentile(lat, 50)),
-        p99_s=float(np.percentile(lat, 99)),
-        mean_batch_size=frontend.stats().mean_batch_size,
-        batches=frontend.stats().batches,
-        simulated_s=clock.now(),
-        tenants=tenants,
-        p95_s=float(np.percentile(lat, 95)),
-        p99_rank_s=float(
-            np.sort(lat)[int(math.floor(0.99 * (lat.size - 1)))]
-        ),
-        sketch_p50_s=sketch.quantile(0.50),
-        sketch_p95_s=sketch.quantile(0.95),
-        sketch_p99_s=sketch.quantile(0.99),
-        sketch_relative_accuracy=sketch.relative_accuracy,
+    stats = frontend.stats()
+    return tally.report(
+        clock.now(),
+        mean_batch_size=stats.mean_batch_size,
+        batches=stats.batches,
         tail_request_ids=tuple(tail_ids),
     )
-
-
-def _matches_reference(config: LoadConfig, response, reference) -> bool:
-    if config.kind == "search":
-        return (
-            response.best_row == reference.best_row
-            and np.array_equal(
-                response.result.hamming_distances,
-                reference.result.hamming_distances,
-            )
-        )
-    return np.array_equal(response.rows, reference.rows[0])
 
 
 def format_load_report(report: LoadReport) -> str:

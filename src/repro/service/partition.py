@@ -38,6 +38,7 @@ from repro.service.errors import (
     InvalidRequestError,
     ServiceError,
 )
+from repro.service.response import ServiceResponse
 from repro.service.server import TDAMSearchService
 from repro.telemetry import metrics as _metrics
 from repro.telemetry.log import get_logger
@@ -45,11 +46,7 @@ from repro.telemetry.profile import emit_probe as _emit_probe
 from repro.telemetry.state import STATE as _TM
 from repro.telemetry.trace import span as _span
 
-__all__ = [
-    "PartitionedTDAMService",
-    "PartitionedSearchResponse",
-    "PartitionedTopKResponse",
-]
+__all__ = ["PartitionedTDAMService"]
 
 _log = get_logger(__name__)
 
@@ -64,60 +61,6 @@ _COVERAGE = _REG.histogram(
     "Fraction of stored rows reachable per gathered request",
     buckets=(0.25, 0.5, 0.75, 0.9, 0.99, 1.0),
 )
-
-
-@dataclass(frozen=True)
-class PartitionedSearchResponse:
-    """One query's answer gathered across partitions.
-
-    Attributes:
-        best_row: Most similar stored row as a **global** row id
-            (``-1`` when no searched partition held a live row).
-        best_distance: Its decoded distance (``-1`` with no winner).
-        degraded: ``True`` when any searched partition served degraded
-            *or* any partition was skipped -- the answer may omit
-            stored rows.
-        coverage: Fraction of stored rows actually searched.
-        partitions_searched: Partition ids that answered.
-        partitions_skipped: Partition ids that could not.
-        elapsed_s: Scatter+gather latency on the service clock.
-        outcome: ``"ok"`` or ``"degraded"``.
-    """
-
-    best_row: int
-    best_distance: float
-    degraded: bool
-    coverage: float
-    partitions_searched: Tuple[str, ...]
-    partitions_skipped: Tuple[str, ...]
-    elapsed_s: float
-    outcome: str
-
-
-@dataclass(frozen=True)
-class PartitionedTopKResponse:
-    """A batched top-k answer gathered across partitions.
-
-    Attributes:
-        rows: Per-query global top-k row ids, shape (Q, k); tail
-            entries are ``-1`` when fewer than ``k`` stored rows were
-            reachable (partitions skipped) -- padded, never invented.
-        degraded: ``True`` when any searched partition served degraded
-            or any partition was skipped.
-        coverage: Fraction of stored rows actually searched.
-        partitions_searched: Partition ids that answered.
-        partitions_skipped: Partition ids that could not.
-        elapsed_s: Scatter+gather latency on the service clock.
-        outcome: ``"ok"`` or ``"degraded"``.
-    """
-
-    rows: np.ndarray
-    degraded: bool
-    coverage: float
-    partitions_searched: Tuple[str, ...]
-    partitions_skipped: Tuple[str, ...]
-    elapsed_s: float
-    outcome: str
 
 
 @dataclass
@@ -245,7 +188,7 @@ class PartitionedTDAMService:
     # ------------------------------------------------------------------
     def search(
         self, query: Sequence[int], deadline_s: Optional[float] = None
-    ) -> PartitionedSearchResponse:
+    ) -> ServiceResponse:
         """Serve one query across all partitions; gathered best match."""
         return self.search_batch([query], deadline_s=deadline_s)[0]
 
@@ -253,7 +196,7 @@ class PartitionedTDAMService:
         self,
         queries: Sequence[Sequence[int]],
         deadline_s: Optional[float] = None,
-    ) -> List[PartitionedSearchResponse]:
+    ) -> List[ServiceResponse]:
         """Serve a query batch across all partitions.
 
         Scatter under a shared deadline, gather per-query winners under
@@ -265,24 +208,16 @@ class PartitionedTDAMService:
             AllShardsUnavailableError: No partition answered at all.
         """
         scatter = self._scatter(queries, deadline_s)
-        n_q = scatter.n_queries
         rows = self._merge_top_k(scatter, k=1)[:, 0]
         responses = []
-        for q in range(n_q):
-            best = int(rows[q])
-            best_distance = -1.0
-            if best >= 0:
-                best_distance = float(scatter.distance_of(q, best))
+        for q, best in enumerate(rows.tolist()):
             responses.append(
-                PartitionedSearchResponse(
+                ServiceResponse(
                     best_row=best,
-                    best_distance=best_distance,
-                    degraded=scatter.degraded,
-                    coverage=scatter.coverage,
-                    partitions_searched=scatter.searched,
-                    partitions_skipped=scatter.skipped,
-                    elapsed_s=scatter.elapsed_s,
-                    outcome=scatter.outcome,
+                    best_distance=(
+                        scatter.distance_of(q, best) if best >= 0 else -1.0
+                    ),
+                    **scatter.meta,
                 )
             )
         return responses
@@ -292,7 +227,7 @@ class PartitionedTDAMService:
         queries: Sequence[Sequence[int]],
         k: int,
         deadline_s: Optional[float] = None,
-    ) -> PartitionedTopKResponse:
+    ) -> ServiceResponse:
         """Serve a batched top-k across all partitions.
 
         The gather merges every searched partition's distances through
@@ -304,15 +239,8 @@ class PartitionedTDAMService:
                 f"k must be in [1, {self.n_rows}], got {k}"
             )
         scatter = self._scatter(queries, deadline_s)
-        rows = self._merge_top_k(scatter, k=k)
-        return PartitionedTopKResponse(
-            rows=rows,
-            degraded=scatter.degraded,
-            coverage=scatter.coverage,
-            partitions_searched=scatter.searched,
-            partitions_skipped=scatter.skipped,
-            elapsed_s=scatter.elapsed_s,
-            outcome=scatter.outcome,
+        return ServiceResponse(
+            rows=self._merge_top_k(scatter, k=k), **scatter.meta
         )
 
     # ------------------------------------------------------------------
@@ -337,6 +265,11 @@ class PartitionedTDAMService:
     def _scatter_inner(
         self, queries, deadline_s: Optional[float]
     ) -> "_Scatter":
+        # Admitted once, up front: a malformed batch is the caller's
+        # error, not an outage of every partition it would fail in.
+        queries = self.partitions[0].service._admit_matrix(
+            queries, name="query batch"
+        )
         deadline_s = (
             deadline_s if deadline_s is not None else self.default_deadline_s
         )
@@ -398,9 +331,8 @@ class PartitionedTDAMService:
         elapsed = self._clock() - start
         coverage = rows_covered / self.n_rows
         degraded = any_degraded or bool(skipped)
-        outcome = "degraded" if degraded else "ok"
         if _TM.enabled:
-            _GATHERS.inc(outcome=outcome)
+            _GATHERS.inc(outcome="degraded" if degraded else "ok")
             _COVERAGE.observe(coverage)
             _emit_probe(
                 "partition.gather",
@@ -415,11 +347,9 @@ class PartitionedTDAMService:
             distances=np.concatenate(distance_blocks, axis=1),
             delays=np.concatenate(delay_blocks, axis=1),
             row_ids=np.concatenate(row_id_blocks),
-            searched=tuple(searched),
             skipped=tuple(skipped),
             coverage=coverage,
             degraded=degraded,
-            outcome=outcome,
             elapsed_s=elapsed,
         )
 
@@ -459,13 +389,21 @@ class _Scatter:
     distances: np.ndarray          # (Q, reachable rows)
     delays: np.ndarray             # (Q, reachable rows)
     row_ids: np.ndarray            # (reachable rows,) global, ascending
-    searched: Tuple[str, ...]
     skipped: Tuple[str, ...]
     coverage: float
     degraded: bool
-    outcome: str
     elapsed_s: float
     _row_pos: dict = field(default_factory=dict, repr=False)
+
+    @property
+    def meta(self) -> dict:
+        """The gather's honesty metadata as response fields."""
+        return dict(
+            degraded=self.degraded,
+            coverage=self.coverage,
+            partitions_skipped=self.skipped,
+            elapsed_s=self.elapsed_s,
+        )
 
     def distance_of(self, query: int, global_row: int) -> float:
         """Decoded distance of one (query, global row) pair."""

@@ -33,12 +33,11 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.core.encoding import validate_levels
-from repro.core.topk import top_k_indices
 from repro.resilience.resilient import (
     ResilientBatchSearchResult,
     ResilientSearchResult,
@@ -53,6 +52,7 @@ from repro.service.errors import (
     ReplicaDivergenceError,
     TransientServiceError,
 )
+from repro.service.response import ServiceResponse
 from repro.service.retry import RetryBudget, RetryPolicy
 from repro.telemetry import metrics as _metrics
 from repro.telemetry.log import get_logger
@@ -63,7 +63,6 @@ from repro.telemetry.trace import span as _span
 __all__ = [
     "TDAMSearchService",
     "ServiceResponse",
-    "TopKServiceResponse",
     "Shard",
 ]
 
@@ -102,75 +101,6 @@ class Shard:
     array: ResilientTDAMArray
     breaker: CircuitBreaker
     interceptors: List[Interceptor] = field(default_factory=list)
-
-
-@dataclass(frozen=True)
-class ServiceResponse:
-    """The service's answer to one search request.
-
-    Attributes:
-        best_row: Most similar stored row (``-1`` if none is live).
-        result: The shard-level search result (distances, delays,
-            energy, health metadata).
-        degraded: ``True`` whenever the answer may be incomplete: the
-            serving shard had retired rows, or the request was served
-            through the degraded fallback path.  A ``False`` flag is a
-            correctness promise.
-        shard_id: The replica that produced the answer.
-        attempts: Shard attempts made (1 = first try succeeded).
-        retries: Retries among those attempts.
-        elapsed_s: Request latency on the service clock.
-        outcome: ``"ok"`` or ``"degraded"``.
-        batch_result: For batch-served requests, the shard's whole
-            batched result (``None`` on single-query responses).
-    """
-
-    best_row: int
-    result: ResilientSearchResult
-    degraded: bool
-    shard_id: str
-    attempts: int
-    retries: int
-    elapsed_s: float
-    outcome: str
-    batch_result: Optional[ResilientBatchSearchResult] = field(
-        default=None, repr=False, compare=False
-    )
-
-    def top_k(self, k: int) -> np.ndarray:
-        """Best-effort top-k rows (distance, then delay, then index)."""
-        return top_k_indices(
-            self.result.hamming_distances,
-            k,
-            delays_s=self.result.delays_s,
-        )
-
-
-@dataclass(frozen=True)
-class TopKServiceResponse:
-    """The service's answer to one top-k request.
-
-    Attributes:
-        rows: Per-query top-k logical row indices, shape (Q, k).
-        degraded: ``True`` whenever the answer may be incomplete (the
-            serving shard had retired rows, or the degraded fallback
-            path served the request).
-        pruned: Whether the shard's pruned top-k cascade served it.
-        shard_id: The replica that produced the answer.
-        attempts: Shard attempts made (1 = first try succeeded).
-        retries: Retries among those attempts.
-        elapsed_s: Request latency on the service clock.
-        outcome: ``"ok"`` or ``"degraded"``.
-    """
-
-    rows: np.ndarray
-    degraded: bool
-    pruned: bool
-    shard_id: str
-    attempts: int
-    retries: int
-    elapsed_s: float
-    outcome: str
 
 
 class TDAMSearchService:
@@ -438,35 +368,20 @@ class TDAMSearchService:
         """Serve a query batch under one shared deadline.
 
         The batch is routed (and retried) as a unit through the shard's
-        vectorized kernel; per-query :class:`ServiceResponse` objects
-        are reconstructed from the batch result.
+        vectorized kernel; the answer is one :class:`ServiceResponse`
+        per query.
         """
         qs = self._admit_matrix(queries, name="query batch")
-        response = self._serve(
+        return self._serve(
             qs, deadline_s, lambda shard: shard.array.search_batch(qs)
         )
-        batch = response.batch_result
-        assert batch is not None
-        return [
-            ServiceResponse(
-                best_row=int(batch.best_rows[i]),
-                result=batch.result(i),
-                degraded=response.degraded,
-                shard_id=response.shard_id,
-                attempts=response.attempts,
-                retries=response.retries,
-                elapsed_s=response.elapsed_s,
-                outcome=response.outcome,
-            )
-            for i in range(len(batch))
-        ]
 
     def top_k(
         self,
         queries: Sequence[Sequence[int]],
         k: int,
         deadline_s: Optional[float] = None,
-    ) -> TopKServiceResponse:
+    ) -> ServiceResponse:
         """Serve a batched top-k request under one shared deadline.
 
         The cheap path: a pristine shard answers through its pruned
@@ -482,39 +397,24 @@ class TDAMSearchService:
                 f"k must be in [1, {self.n_rows}], got {k}"
             )
         return self._serve(
-            qs,
-            deadline_s,
-            lambda shard: shard.array.top_k_batch(qs, k),
-            respond=self._respond_top_k,
+            qs, deadline_s, lambda shard: shard.array.top_k_batch(qs, k)
         )
 
     # The serving core, shared by single, batched, and top-k entry
-    # points; ``respond`` shapes the winning shard result into the
-    # endpoint's response type.  The span inherits the active request
-    # (or batch) context, so routing/retry work is attributable to the
+    # points; :meth:`_respond` shapes the winning shard result into the
+    # endpoint's answer.  The span inherits the active request (or
+    # batch) context, so routing/retry work is attributable to the
     # request ids it serves.
-    def _serve(
-        self,
-        queries: np.ndarray,
-        deadline_s: Optional[float],
-        run,
-        respond=None,
-    ):
+    def _serve(self, queries: np.ndarray, deadline_s: Optional[float], run):
         if not (_TM.enabled and _TM.tracing):
-            return self._serve_inner(queries, deadline_s, run, respond)
+            return self._serve_inner(queries, deadline_s, run)
         n_queries = int(queries.shape[0]) if queries.ndim == 2 else 1
         with _span("service.serve", queries=n_queries):
-            return self._serve_inner(queries, deadline_s, run, respond)
+            return self._serve_inner(queries, deadline_s, run)
 
     def _serve_inner(
-        self,
-        queries: np.ndarray,
-        deadline_s: Optional[float],
-        run,
-        respond=None,
+        self, queries: np.ndarray, deadline_s: Optional[float], run
     ):
-        if respond is None:
-            respond = self._respond
         deadline_s = (
             deadline_s if deadline_s is not None else self.default_deadline_s
         )
@@ -575,13 +475,12 @@ class TDAMSearchService:
             shard.breaker.record_success()
             if self._clock() > deadline:
                 self._miss(start, deadline_s, attempts)
-            return respond(
+            return self._respond(
                 shard, result, start, attempts, retries, fallback=False
             )
         # No healthy shard answered: explicit degraded best-effort.
         return self._degraded_fallback(
-            queries, run, deadline, start, attempts, retries, last_error,
-            respond=respond,
+            queries, run, deadline, start, attempts, retries, last_error
         )
 
     def _attempt(self, shard: Shard, queries: np.ndarray, run):
@@ -615,7 +514,6 @@ class TDAMSearchService:
         attempts: int,
         retries: int,
         last_error: Optional[BaseException],
-        respond=None,
     ):
         """Best-effort answer with the degraded flag set.
 
@@ -625,8 +523,6 @@ class TDAMSearchService:
         and is marked degraded; only if every shard fails does the typed
         error surface.
         """
-        if respond is None:
-            respond = self._respond
         for shard in self.shards:
             if self._clock() >= deadline:
                 self._miss(start, deadline - start, attempts)
@@ -638,7 +534,7 @@ class TDAMSearchService:
                 continue
             if self._clock() > deadline:
                 self._miss(start, deadline - start, attempts)
-            return respond(
+            return self._respond(
                 shard, result, start, attempts, retries, fallback=True
             )
         self._count_request("unavailable")
@@ -650,58 +546,38 @@ class TDAMSearchService:
     def _respond(
         self,
         shard: Shard,
-        result,
+        result: Union[
+            ResilientSearchResult, ResilientBatchSearchResult, TopKResult
+        ],
         start: float,
         attempts: int,
         retries: int,
         fallback: bool,
-    ) -> ServiceResponse:
+    ) -> Union[ServiceResponse, List[ServiceResponse]]:
+        """The endpoint's answer: one response, or one per batch query."""
         elapsed = self._clock() - start
         degraded = bool(result.degraded) or fallback
-        batched = isinstance(result, ResilientBatchSearchResult)
-        if batched:
-            best = int(result.best_rows[0])
-            single = result.result(0)
-        else:
-            best = int(result.best_row)
-            single = result
-        outcome = "degraded" if degraded else "ok"
-        self._count_request(outcome, elapsed, shard.shard_id, attempts)
-        return ServiceResponse(
-            best_row=best,
-            result=single,
+        self._count_request(
+            "degraded" if degraded else "ok", elapsed, shard.shard_id,
+            attempts,
+        )
+        meta = dict(
             degraded=degraded,
             shard_id=shard.shard_id,
             attempts=attempts,
             retries=retries,
             elapsed_s=elapsed,
-            outcome=outcome,
-            batch_result=result if batched else None,
         )
-
-    def _respond_top_k(
-        self,
-        shard: Shard,
-        result: TopKResult,
-        start: float,
-        attempts: int,
-        retries: int,
-        fallback: bool,
-    ) -> TopKServiceResponse:
-        elapsed = self._clock() - start
-        degraded = bool(result.degraded) or fallback
-        outcome = "degraded" if degraded else "ok"
-        self._count_request(outcome, elapsed, shard.shard_id, attempts)
-        return TopKServiceResponse(
-            rows=result.rows,
-            degraded=degraded,
-            pruned=result.pruned,
-            shard_id=shard.shard_id,
-            attempts=attempts,
-            retries=retries,
-            elapsed_s=elapsed,
-            outcome=outcome,
-        )
+        if isinstance(result, TopKResult):
+            return ServiceResponse(
+                rows=result.rows, pruned=result.pruned, **meta
+            )
+        if isinstance(result, ResilientBatchSearchResult):
+            return [
+                _search_response(result.result(i), meta)
+                for i in range(len(result))
+            ]
+        return _search_response(result, meta)
 
     def _miss(self, start: float, deadline_s: float, attempts: int) -> None:
         elapsed = self._clock() - start
@@ -743,3 +619,17 @@ class TDAMSearchService:
     def __repr__(self) -> str:
         states = {s.shard_id: s.breaker.state.value for s in self.shards}
         return f"TDAMSearchService({len(self.shards)} shards, {states})"
+
+
+def _search_response(
+    result: ResilientSearchResult, meta: dict
+) -> ServiceResponse:
+    best = int(result.best_row)
+    return ServiceResponse(
+        best_row=best,
+        best_distance=(
+            float(result.hamming_distances[best]) if best >= 0 else -1.0
+        ),
+        result=result,
+        **meta,
+    )

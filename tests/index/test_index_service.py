@@ -146,3 +146,30 @@ class TestFrontendCompatibility:
         want = index.top_k(queries[:1], 3)
         assert np.array_equal(got.rows, want.rows[0])
         assert single.best_row == int(index.top_k(queries[1:2], 1).rows[0, 0])
+
+    def test_coalesced_top_k_members_get_their_own_distances(
+        self, service, queries
+    ):
+        # Four top-k requests coalesce into one index call; each member
+        # must get its own query's rows *and* distances, never the
+        # whole batch's.
+        clock = FakeClock()
+        frontend = CoalescingFrontend(
+            service,
+            policy=CoalescePolicy(window_s=0.01, max_batch=8),
+            clock=clock,
+            auto_dispatch=False,
+        )
+        futures = [
+            frontend.submit_top_k(queries[i], 3, deadline_s=1.0)
+            for i in range(4)
+        ]
+        clock.now = 0.05
+        frontend.pump()
+        assert frontend.stats().max_batch_size == 4
+        for i, future in enumerate(futures):
+            got = future.result(timeout=0)
+            want = service.top_k(queries[i:i + 1], 3)
+            assert got.rows.shape == got.distances.shape == (3,)
+            assert np.array_equal(got.rows, want.rows[0])
+            assert np.array_equal(got.distances, want.distances[0])

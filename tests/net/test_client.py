@@ -8,7 +8,6 @@ errors never do.
 
 import socket
 import threading
-import types
 
 import pytest
 
@@ -29,16 +28,15 @@ from repro.service.errors import (
     QuotaExceededError,
     RetryBudgetExhaustedError,
 )
+from repro.service.response import ServiceResponse
 from repro.service.retry import RetryBudget, RetryPolicy
 
 
 def _fake_search_response(best_row=2, best_distance=3.0):
-    """A response-shaped object for ``response_message``."""
-    return types.SimpleNamespace(
+    """A scripted answer for ``response_message``."""
+    return ServiceResponse(
         best_row=best_row, best_distance=best_distance,
-        degraded=False, outcome="ok", coverage=1.0,
-        partitions_skipped=(), shard_id="s0", attempts=1, retries=0,
-        elapsed_s=0.001,
+        degraded=False, shard_id="s0", elapsed_s=0.001,
     )
 
 

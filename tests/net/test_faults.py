@@ -12,7 +12,6 @@ import struct
 import numpy as np
 import pytest
 
-from repro.net.chaos import _RemoteOutcomes
 from repro.net.client import RemoteFrontend
 from repro.net.faults import (
     FAULT_KINDS,
@@ -28,6 +27,7 @@ from repro.net.wire import (
     encode_frame,
     hello_message,
 )
+from repro.service.chaos import _Outcomes
 from repro.service.retry import RetryBudget, RetryPolicy
 
 
@@ -194,7 +194,7 @@ class TestSeededSweepHonesty:
                 stall_s=base.stall_s,
             )
 
-        outcomes = _RemoteOutcomes(stored)
+        outcomes = _Outcomes(stored)
         with RemoteFrontend(
             "127.0.0.1", harness.port,
             retry_policy=RetryPolicy(
@@ -210,6 +210,7 @@ class TestSeededSweepHonesty:
                 outcomes.serve(
                     client,
                     rng.integers(0, config.levels, config.n_stages),
+                    deadline_s=2.0,
                 )
         assert outcomes.n == 12
         assert outcomes.wrong_unflagged == 0

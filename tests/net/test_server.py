@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro import telemetry
+from repro.index import ClusteredTDAMIndex, IndexSearchService
 from repro.net.chaos import ServerHarness, _build_stack
 from repro.net.client import RemoteFrontend
 from repro.net.wire import (
@@ -23,6 +24,7 @@ from repro.net.wire import (
     hello_message,
     request_message,
 )
+from repro.service import CoalescePolicy, CoalescingFrontend
 from repro.service.errors import ServiceError
 from repro.service.retry import RetryPolicy
 from repro.telemetry.request import RequestContext, request_scope
@@ -49,6 +51,24 @@ def _raw_conversation(port, frames, max_wait_s=5.0):
                 replies.extend(decoder.feed(chunk))
             except WireProtocolError:
                 break
+    finally:
+        sock.close()
+    return replies
+
+
+def _raw_hello(port, hello, max_wait_s=5.0):
+    """Send one hello frame; return the server's first reply frames."""
+    sock = socket.create_connection(("127.0.0.1", port), timeout=max_wait_s)
+    decoder = FrameDecoder()
+    replies = []
+    try:
+        sock.sendall(encode_frame(hello))
+        sock.settimeout(max_wait_s)
+        while not replies:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            replies.extend(decoder.feed(chunk))
     finally:
         sock.close()
     return replies
@@ -103,25 +123,53 @@ class TestRemoteBitExactness:
 
 
 @pytest.mark.timeout(60)
+class TestApproximateOverTheWire:
+    """An index probing fewer than all clusters answers approximate by
+    request; that flag must survive the wire, or the answer would
+    arrive looking exact."""
+
+    def test_partial_probe_arrives_approximate(self, tmp_path, config):
+        rng = np.random.default_rng(5)
+        index = ClusteredTDAMIndex.build(
+            tmp_path / "idx",
+            rng.integers(0, config.levels, size=(120, config.n_stages)),
+            config,
+            n_clusters=4,
+            seed=3,
+        )
+        queries = rng.integers(0, config.levels, size=(4, config.n_stages))
+        frontend = CoalescingFrontend(
+            IndexSearchService(index, default_deadline_s=2.0, nprobe=1),
+            policy=CoalescePolicy(window_s=0.001, max_batch=8),
+        )
+        harness = ServerHarness(frontend).start()
+        try:
+            with RemoteFrontend("127.0.0.1", harness.port) as client:
+                for query in queries:
+                    want = index.top_k(query[None, :], 3, nprobe=1)
+                    got = client.top_k(query, 3, deadline_s=2.0)
+                    assert got.approximate is True
+                    assert got.degraded is False
+                    assert np.array_equal(got.rows, want.rows[0])
+                    assert np.array_equal(got.distances, want.distances[0])
+                    found = client.search(query, deadline_s=2.0)
+                    assert found.approximate is True
+                    assert found.best_row == want.rows[0, 0]
+            # A protocol-v1 peer would drop ``approximate``: it must be
+            # refused at the handshake, typed.
+            old_hello = dict(hello_message(), version=1)
+            replies = _raw_hello(harness.port, old_hello)
+            assert replies and replies[0]["code"] == "handshake"
+        finally:
+            harness.stop()
+
+
+@pytest.mark.timeout(60)
 class TestTypedFailures:
     def test_version_mismatch_is_typed_handshake_error(self, harness):
         bad_hello = dict(hello_message())
         bad_hello["version"] = 99
-        sock = socket.create_connection(
-            ("127.0.0.1", harness.port), timeout=5.0
-        )
-        decoder = FrameDecoder()
-        try:
-            sock.sendall(encode_frame(bad_hello))
-            sock.settimeout(5.0)
-            replies = []
-            while not replies:
-                chunk = sock.recv(65536)
-                if not chunk:
-                    break
-                replies.extend(decoder.feed(chunk))
-        finally:
-            sock.close()
+        replies = _raw_hello(harness.port, bad_hello)
         assert replies and replies[0]["type"] == "error"
         assert replies[0]["code"] == "handshake"
 

@@ -7,6 +7,7 @@ every malformed byte stream must surface as a typed
 partial decode.
 """
 
+import dataclasses
 import struct
 import zlib
 
@@ -22,8 +23,6 @@ from repro.net.wire import (
     FrameTimeoutError,
     FrameTooLargeError,
     HandshakeError,
-    RemoteSearchResponse,
-    RemoteTopKResponse,
     WireProtocolError,
     decode_error,
     decode_response,
@@ -50,6 +49,7 @@ from repro.service.errors import (
     ShardTimeoutError,
     TransientServiceError,
 )
+from repro.service.response import ServiceResponse
 
 _HEADER = struct.Struct("!4sII")
 
@@ -243,39 +243,52 @@ class TestErrorEnvelope:
 # Response payloads: full honesty metadata, bit-for-bit (satellite)
 # ----------------------------------------------------------------------
 _SEARCH_CASES = [
-    RemoteSearchResponse(
-        best_row=3, best_distance=7.0, degraded=False, outcome="ok",
+    ServiceResponse(
+        best_row=3, best_distance=7.0, degraded=False,
         coverage=1.0, partitions_skipped=(), shard_id="s0",
         attempts=1, retries=0, elapsed_s=0.0031,
     ),
-    RemoteSearchResponse(
+    ServiceResponse(
         best_row=0, best_distance=2.0, degraded=True,
-        outcome="degraded", coverage=0.5,
+        coverage=0.5,
         partitions_skipped=("p1", "p3"), shard_id="s1",
         attempts=3, retries=2, elapsed_s=0.0482,
     ),
-    RemoteSearchResponse(
+    ServiceResponse(
         best_row=-1, best_distance=-1.0, degraded=True,
-        outcome="degraded", coverage=0.0,
+        coverage=0.0,
         partitions_skipped=("p0", "p1"), shard_id="",
         attempts=2, retries=1, elapsed_s=0.05,
     ),
 ]
 
 _TOPK_CASES = [
-    RemoteTopKResponse(
-        rows=np.asarray([4, 1, 7], dtype=np.int64), k=3,
-        degraded=False, outcome="ok", coverage=1.0,
+    ServiceResponse(
+        rows=np.asarray([4, 1, 7], dtype=np.int64),
+        degraded=False, coverage=1.0,
         partitions_skipped=(), pruned=False, shard_id="s0",
         attempts=1, retries=0, elapsed_s=0.002,
     ),
-    RemoteTopKResponse(
-        rows=np.asarray([2, -1, -1], dtype=np.int64), k=3,
-        degraded=True, outcome="degraded", coverage=0.25,
+    ServiceResponse(
+        rows=np.asarray([2, -1, -1], dtype=np.int64),
+        degraded=True, coverage=0.25,
         partitions_skipped=("p1", "p2", "p3"), pruned=True,
         shard_id="s1", attempts=2, retries=1, elapsed_s=0.031,
     ),
 ]
+
+
+def _assert_same_answer(decoded, response):
+    """Every field but the in-process ``result`` survived exactly."""
+    for field in dataclasses.fields(ServiceResponse):
+        if field.name == "result":
+            continue
+        want = getattr(response, field.name)
+        got = getattr(decoded, field.name)
+        if isinstance(want, np.ndarray):
+            assert np.array_equal(got, want), field.name
+        else:
+            assert got == want, field.name
 
 
 class TestResponsePayloads:
@@ -301,13 +314,43 @@ class TestResponsePayloads:
              encode_response("topk", response)}
         )["payload"]
         decoded = decode_response("topk", payload)
-        assert np.array_equal(decoded.rows, response.rows)
-        for field in (
-            "k", "degraded", "outcome", "coverage",
-            "partitions_skipped", "pruned", "shard_id", "attempts",
-            "retries", "elapsed_s",
+        _assert_same_answer(decoded, response)
+
+    def test_approximate_answer_survives_round_trip(self):
+        # An index answer at nprobe < n_clusters: healthy, not
+        # degraded, but approximate by request -- with -1 pads and the
+        # index's distances.  Protocol v1 dropped ``approximate``, so
+        # this answer arrived looking exact.
+        response = ServiceResponse(
+            rows=np.asarray([5, 9, -1], dtype=np.int64),
+            distances=np.asarray([2, 4, -1], dtype=np.int64),
+            degraded=False, approximate=True, pruned=True,
+            shard_id="index", elapsed_s=0.004,
+        )
+        payload = _frame_round_trip(
+            {"type": "response", "payload":
+             encode_response("topk", response)}
+        )["payload"]
+        decoded = decode_response("topk", payload)
+        assert decoded.approximate is True
+        assert decoded.degraded is False
+        _assert_same_answer(decoded, response)
+
+    def test_dishonest_payload_is_typed(self):
+        # Each one breaks the honesty contract; none may decode as an
+        # answer.
+        honest = encode_response("search", _SEARCH_CASES[0])
+        for change in (
+            {"coverage": 0.5},
+            {"partitions_skipped": ["p1"]},
+            {"best_row": -1},
+            {"coverage": 1.5, "degraded": True},
         ):
-            assert getattr(decoded, field) == getattr(response, field)
+            with pytest.raises(FrameCorruptError):
+                decode_response("search", {**honest, **change})
+        pad = encode_response("topk", _TOPK_CASES[0])
+        with pytest.raises(FrameCorruptError):
+            decode_response("topk", {**pad, "rows": [4, -1, -1]})
 
     def test_malformed_response_payload_is_typed(self):
         with pytest.raises(FrameCorruptError):

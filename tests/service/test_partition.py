@@ -156,8 +156,8 @@ class TestDegradedGather:
             lambda shard_id, qs: attempted.append(shard_id)
         )
         response = partitioned.top_k(queries, 4, deadline_s=0.4)
-        assert response.partitions_searched == ("part0",)
-        assert set(response.partitions_skipped) == {"part1", "part2"}
+        # Only part0 answered: every other partition is reported.
+        assert response.partitions_skipped == ("part1", "part2")
         assert response.degraded
         assert attempted == []
 
@@ -194,3 +194,21 @@ class TestContentAndValidation:
     def test_validate_query_delegates(self, partitioned):
         with pytest.raises(InvalidRequestError):
             partitioned.validate_query(np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("defect", ["levels", "width"])
+    @pytest.mark.parametrize("op", ["search_batch", "top_k"])
+    def test_malformed_batch_is_invalid_not_unavailable(
+        self, partitioned, queries, config, op, defect
+    ):
+        # A bad batch fails in every partition alike; that is the
+        # caller's error, not an outage of the whole corpus.
+        bad = queries.copy()
+        if defect == "levels":
+            bad[0, 0] = config.levels
+        else:
+            bad = bad[:, :-1]
+        with pytest.raises(InvalidRequestError):
+            if op == "search_batch":
+                partitioned.search_batch(bad)
+            else:
+                partitioned.top_k(bad, 3)

@@ -84,12 +84,11 @@ class TestServing:
         assert all(not r.degraded for r in responses)
 
     def test_top_k_orders_by_distance(self, service, stored):
-        response = service.search(stored[2])
-        top = response.top_k(3)
+        top = service.top_k(stored[2][None, :], 3).rows[0]
         assert top[0] == 2
         assert len(set(top.tolist())) == 3
         with pytest.raises(ValueError, match="k must be"):
-            response.top_k(0)
+            service.top_k(stored[2][None, :], 0)
 
     def test_degraded_shard_flags_responses(self, config, stored, clock):
         shards = [
