@@ -37,7 +37,6 @@ from repro.core.bitplane import (
     pack_level_planes,
     pack_query_masks,
     packed_mismatch_counts,
-    packed_pair_counts,
     packed_xor_counts,
 )
 from repro.core.chain import ChainResult, DelayChain
@@ -45,7 +44,7 @@ from repro.core.config import TDAMConfig
 from repro.core.encoding import LevelEncoding, validate_levels
 from repro.core.energy import TimingEnergyModel
 from repro.core.sensing import CounterTDC
-from repro.core.topk import grouped_top_k, prune_survivors, top_k_indices
+from repro.core.topk import top_k_indices
 from repro.devices.fefet import FeFET, FeFETParams
 from repro.devices.variation import VariationModel
 from repro.telemetry import metrics as _metrics
@@ -752,8 +751,8 @@ class FastTDAMArray:
         self._mism_gemm = np.ascontiguousarray(
             mism.transpose(0, 2, 1).astype(float)
         )
-        # (L, M, B) uint8 bit-planes for the packed-popcount kernel and
-        # the pruned top-k cascade (see repro.core.bitplane).
+        # (L, M, B) uint8 bit-planes for the packed-popcount kernel
+        # (see repro.core.bitplane).
         self._mism_packed = pack_level_planes(mism)
         self._xor_planes_cache = _XOR_UNSET
         self._tables_valid = True
@@ -1339,34 +1338,37 @@ class FastTDAMArray:
             queries=int(np.atleast_2d(np.asarray(queries)).shape[0]),
         ):
             result = self._search_batch_impl(queries, chunk)
-        _record_search_telemetry(
-            self, result, mode="batch", n_queries=len(result)
-        )
+        if len(result):
+            _record_search_telemetry(
+                self, result, mode="batch", n_queries=len(result)
+            )
         return result
 
     def _search_batch_impl(
         self, queries: np.ndarray, chunk: Optional[int] = None
     ) -> BatchSearchResult:
         q = self._validate_queries(queries)
+        if q.shape[0] == 0:
+            # Before kernel and chunk selection: timing an empty sample
+            # would cache (and persist) a meaningless winner.
+            return self.batch_result_from_mismatch_counts(
+                np.zeros((0, self.n_rows), dtype=np.int64)
+            )
         chunk = self._resolve_batch_chunk(chunk, q)
         counts, adders = self._batch_kernel(q, chunk)
         return self.batch_result_from_mismatch_counts(
             counts, delay_adders_s=adders
         )
 
-    # ------------------------------------------------------------------
-    # Pruned top-k path
-    # ------------------------------------------------------------------
     def _delay_strictly_monotone(self) -> bool:
         """Whether delay strictly increases with the mismatch count.
 
-        The pruned cascade drops rows whose count lower bound exceeds
-        the k-th upper bound; that is safe under full distance ties
-        only if a strictly larger count also implies a strictly larger
-        delay (the tie-breaker).  True for any physical design point
-        (``d_C > 0`` well above the ulp of the base delay); checked
-        explicitly so a degenerate config falls back to the exhaustive
-        path instead of silently mispruning.
+        Then, under nominal timing, (distance, delay, row) order equals
+        (count, row) order: the TDC decode is monotone in the delay, so
+        ranking exact counts is ranking the search result.  True for
+        any physical design point (``d_C > 0`` well above the ulp of
+        the base delay); checked explicitly so a degenerate config
+        ranks the full search instead of silently misordering ties.
         """
         ladder = self._base_delay + (
             np.arange(self.config.n_stages + 1) * self._d_c
@@ -1383,15 +1385,11 @@ class FastTDAMArray:
         """Per-query top-k row indices without a full search, (Q, k).
 
         Bit-identical to ``search_batch(queries).top_k(k)`` (restricted
-        to ``rows`` when given) -- an exactness suite asserts it -- but
-        served through the **pruned top-k cascade** when timing is
-        nominal: mismatch counts over a stage prefix lower-bound each
-        row's final count, rows that cannot enter the top-k are pruned,
-        and only the survivors are refined and ranked.  The cascade
-        skips the full TDC decode, energy accounting, and winner
-        resolution of the exhaustive path.  Under variation (or a
-        degenerate delay ladder) it falls back to the exhaustive
-        search transparently.
+        to ``rows`` when given) -- an exactness suite asserts it.  Under
+        nominal timing the dispatched count kernel's exact counts are
+        ranked directly, skipping the TDC decode, energy accounting,
+        and winner resolution of the full search; under variation (or
+        a degenerate delay ladder) the full search is ranked.
 
         Args:
             queries: Query levels, shape (Q, n_stages).
@@ -1419,7 +1417,6 @@ class FastTDAMArray:
         rows: Optional[np.ndarray],
         chunk: Optional[int],
     ) -> np.ndarray:
-        chunk = self._resolve_batch_chunk(chunk, q)
         rows_arr: Optional[np.ndarray] = None
         m = self.n_rows
         if rows is not None:
@@ -1438,8 +1435,14 @@ class FastTDAMArray:
             m = rows_arr.shape[0]
         if not 1 <= k <= m:
             raise ValueError(f"k must be in [1, {m}], got {k}")
+        if q.shape[0] == 0:
+            return np.empty((0, k), dtype=np.int64)
+        chunk = self._resolve_batch_chunk(chunk, q)
         if self._timing_is_nominal() and self._delay_strictly_monotone():
-            return self._top_k_pruned(q, k, rows_arr, chunk)
+            counts, _ = self._batch_kernel(q, chunk)
+            if rows_arr is not None:
+                counts = counts[:, rows_arr]
+            return top_k_indices(counts, k, row_ids=rows_arr)
         batch = self._search_batch_impl(q, chunk)
         if rows_arr is None:
             return batch.top_k(k)
@@ -1449,75 +1452,6 @@ class FastTDAMArray:
             delays_s=batch.delays_s[:, rows_arr],
             row_ids=rows_arr,
         )
-
-    def _top_k_pruned(
-        self,
-        q: np.ndarray,
-        k: int,
-        rows_arr: Optional[np.ndarray],
-        chunk: int,
-    ) -> np.ndarray:
-        """The prefix-count / prune / refine cascade (nominal timing).
-
-        Exactness argument: over the prefix, ``prefix <= final <=
-        prefix + rem`` bounds every row's final count, so rows pruned
-        by :func:`~repro.core.topk.prune_survivors` final-count
-        strictly above at least ``k`` others -- and with a strictly
-        monotone delay ladder they also lose every delay tie-break.
-        Survivor refinement then uses the *exact* keys of the
-        exhaustive path: the same delay floats (``base + count *
-        d_C``), the same TDC decode, the same (distance, delay, row)
-        ordering.
-        """
-        self._level_tables()
-        planes = self._mism_packed
-        if rows_arr is not None:
-            planes = np.ascontiguousarray(planes[:, rows_arr, :])
-        n = self.config.n_stages
-        b_pad = planes.shape[2]
-        # Prefix = the first half of the padded words (>= 1 word); a
-        # one-word plane is covered entirely and refinement is a no-op.
-        pb = 8 * max(1, (b_pad // 8) // 2)
-        rem = max(0, n - pb * 8)
-        levels = self.config.levels
-        n_q = q.shape[0]
-        out = np.empty((n_q, k), dtype=np.int64)
-        survivors = 0
-        for start in range(0, n_q, chunk):
-            block = q[start:start + chunk]
-            masks = pack_query_masks(block, levels)
-            prefix = packed_mismatch_counts(
-                planes[:, :, :pb], masks[:, :, :pb]
-            )
-            q_idx, r_idx = prune_survivors(prefix, k, rem)
-            survivors += q_idx.shape[0]
-            totals = prefix[q_idx, r_idx]
-            if rem:
-                totals = totals + packed_pair_counts(
-                    planes[:, :, pb:], masks[:, :, pb:], q_idx, r_idx
-                )
-            delays = self._base_delay + totals * self._d_c
-            distances = self.tdc.decode_array(delays)
-            out[start:start + chunk] = grouped_top_k(
-                q_idx,
-                r_idx,
-                distances,
-                k,
-                block.shape[0],
-                secondary=delays,
-            )
-        if rows_arr is not None:
-            out = rows_arr[out]
-        if _TM.enabled:
-            _emit_probe(
-                "topk.pruned",
-                rows=int(planes.shape[1]),
-                queries=int(n_q),
-                k=int(k),
-                survivors=int(survivors),
-                prefix_stages=int(min(n, pb * 8)),
-            )
-        return out
 
     def ideal_hamming(self, query: Sequence[int]) -> np.ndarray:
         """Variation-free per-row Hamming distances."""

@@ -233,8 +233,7 @@ def packed_mismatch_counts(
     Args:
         planes: uint8 bit-planes, shape ``(L, M, B)``
             (:func:`pack_level_planes`); byte slices ``[:, :, a:b]``
-            with word-aligned bounds are accepted, which is what the
-            pruned top-k cascade feeds it.
+            with word-aligned bounds are accepted.
         masks: uint8 query masks, shape ``(Q, L, B)`` with the same
             byte width.
 
@@ -251,7 +250,7 @@ def packed_mismatch_counts(
             f"planes {planes.shape} and masks {masks.shape} disagree on "
             f"levels or byte width"
         )
-    if masks.shape[2] == 0:
+    if masks.shape[2] == 0 or masks.shape[0] == 0:
         return np.zeros(
             (masks.shape[0], planes.shape[1]), dtype=np.int64
         )
@@ -314,7 +313,7 @@ def packed_xor_counts(
         )
     n_rows = stored_bits.shape[1]
     n_q = query_bits.shape[1]
-    if stored_bits.shape[2] == 0:
+    if stored_bits.shape[2] == 0 or n_q == 0:
         return np.zeros((n_q, n_rows), dtype=np.int64)
     if _use_native:
         s = _as_words(stored_bits)
@@ -351,11 +350,11 @@ def packed_pair_counts(
 ) -> np.ndarray:
     """Mismatch counts of explicit ``(query, row)`` pairs.
 
-    The refinement kernel of the pruned top-k cascade: instead of the
-    full ``(Q, M)`` cross product, only the surviving pairs are counted
-    -- ``counts[p] = sum_l popcount(masks[query_idx[p], l] &
-    planes[l, row_idx[p]])``.  Callers typically pass word-aligned byte
-    slices (the stage *suffix* not covered by the pruning prefix).
+    Instead of the full ``(Q, M)`` cross product, only the given pairs
+    are counted -- ``counts[p] = sum_l popcount(masks[query_idx[p], l]
+    & planes[l, row_idx[p]])``.  No search path calls it any more; the
+    benchmark ledger (``bench/ledger.py``) still binds it by name, so
+    it stays until that binding goes.
 
     Args:
         planes: uint8 bit-planes, shape ``(L, M, B)``.

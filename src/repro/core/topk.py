@@ -5,20 +5,17 @@ winner resolution does: smallest decoded distance first, delay breaking
 ties, then the lowest row index.  This module is the single home of
 that ordering (:func:`top_k_indices`), previously copied across
 ``SearchResult.top_k``, ``BatchSearchResult.top_k``, and the serving
-layer, plus the two building blocks of the **pruned top-k cascade**:
+layer.  It is built from two vectorized steps, also used on their own
+by the clustered index and the partitioned service:
 
-- :func:`prune_survivors` -- given mismatch counts over a stage
-  *prefix*, keep only the rows whose lower-bound final count can still
-  enter the top-k (the bound keeps every tie, so refinement over the
-  survivors is exact);
+- :func:`prune_survivors` -- keep, per query, the rows whose distance
+  ties or beats the k-th smallest (every possible winner, ties kept);
 - :func:`grouped_top_k` -- rank flattened ``(query, row)`` candidate
-  pairs per query and take the first ``k`` of each group, fully
-  vectorized.
+  pairs per query and take the first ``k`` of each group.
 
-The :func:`top_k_indices` fast path uses ``argpartition`` to shrink the
-sort to the candidate set when ``k << M``; the final ordering is always
-the exact lexicographic rule, so the fast path is bit-identical to a
-full lexsort.
+Neither step loops over queries in Python, and the final ordering is
+always the exact lexicographic rule, so :func:`top_k_indices` is
+bit-identical to a full lexsort.
 """
 
 from __future__ import annotations
@@ -28,28 +25,6 @@ from typing import Optional
 import numpy as np
 
 __all__ = ["grouped_top_k", "prune_survivors", "top_k_indices"]
-
-
-def _top_k_1d(
-    distances: np.ndarray,
-    k: int,
-    delays_s: Optional[np.ndarray],
-    row_ids: Optional[np.ndarray],
-) -> np.ndarray:
-    m = distances.shape[0]
-    if k < m:
-        # argpartition narrows the exact sort to rows whose distance
-        # ties or beats the k-th smallest (every potential winner).
-        part = np.argpartition(distances, k - 1)[:k]
-        cand = np.flatnonzero(distances <= distances[part].max())
-    else:
-        cand = np.arange(m)
-    if delays_s is None:
-        order = np.lexsort((cand, distances[cand]))
-    else:
-        order = np.lexsort((cand, delays_s[cand], distances[cand]))
-    top = cand[order[:k]]
-    return top if row_ids is None else row_ids[top]
 
 
 def top_k_indices(
@@ -77,6 +52,10 @@ def top_k_indices(
         int64 indices, shape ``(k,)`` for 1-D input or ``(Q, k)``.
     """
     distances = np.asarray(distances)
+    if distances.ndim not in (1, 2):
+        raise ValueError(
+            f"distances must be 1-D or 2-D, got shape {distances.shape}"
+        )
     m = distances.shape[-1]
     if not 1 <= k <= m:
         raise ValueError(f"k must be in [1, {m}], got {k}")
@@ -88,59 +67,45 @@ def top_k_indices(
             )
         if m > 1 and not np.all(np.diff(row_ids) > 0):
             raise ValueError("row_ids must be strictly increasing")
-    if distances.ndim == 1:
-        return _top_k_1d(distances, k, delays_s, row_ids)
-    if distances.ndim != 2:
-        raise ValueError(
-            f"distances must be 1-D or 2-D, got shape {distances.shape}"
-        )
-    out = np.empty((distances.shape[0], k), dtype=np.int64)
-    for i in range(distances.shape[0]):
-        out[i] = _top_k_1d(
-            distances[i],
-            k,
-            delays_s[i] if delays_s is not None else None,
-            row_ids,
-        )
-    return out
+    dist = distances.reshape(-1, m)
+    q_idx, r_idx = prune_survivors(dist, k)
+    secondary = None
+    if delays_s is not None:
+        secondary = np.asarray(delays_s).reshape(-1, m)[q_idx, r_idx]
+    top = grouped_top_k(
+        q_idx, r_idx, dist[q_idx, r_idx], k, dist.shape[0],
+        secondary=secondary,
+    )
+    if row_ids is not None:
+        top = row_ids[top]
+    return top[0] if distances.ndim == 1 else top
 
 
 def prune_survivors(
-    prefix_counts: np.ndarray, k: int, remaining_stages: int
+    distances: np.ndarray, k: int
 ) -> "tuple[np.ndarray, np.ndarray]":
-    """Candidate ``(query, row)`` pairs that can still enter the top-k.
+    """Candidate ``(query, row)`` pairs that can enter the top-k.
 
-    Given mismatch counts over a stage *prefix*, a row's final count is
-    bounded by ``prefix <= final <= prefix + remaining_stages``.  The
-    k-th smallest upper bound is ``(k-th smallest prefix) +
-    remaining_stages``; any row whose lower bound exceeds it final-counts
-    strictly above at least ``k`` rows and can never enter the top-k --
-    even under full ties, since a strictly larger count also means a
-    strictly larger delay.  The bound keeps ties, so the surviving set
-    always contains the true top-k (and at least ``k`` rows per query).
+    A row can rank among a query's ``k`` best only if its distance ties
+    or beats the query's k-th smallest distance, so exactly those rows
+    are kept.  Ties are kept, so the surviving set always contains the
+    true top-k under any tie-break (and at least ``k`` rows per query).
 
     Args:
-        prefix_counts: int mismatch counts over the prefix, shape (Q, M).
+        distances: Distances or mismatch counts, shape (Q, M).
         k: Top-k size, ``1 <= k <= M``.
-        remaining_stages: Stages not covered by the prefix (``>= 0``);
-            ``0`` makes the bound exact.
 
     Returns:
         ``(query_idx, row_idx)`` int64 arrays of the surviving pairs,
         grouped by query in ascending row order.
     """
-    prefix_counts = np.asarray(prefix_counts)
-    if not 1 <= k <= prefix_counts.shape[1]:
+    distances = np.asarray(distances)
+    if not 1 <= k <= distances.shape[1]:
         raise ValueError(
-            f"k must be in [1, {prefix_counts.shape[1]}], got {k}"
+            f"k must be in [1, {distances.shape[1]}], got {k}"
         )
-    if remaining_stages < 0:
-        raise ValueError(
-            f"remaining_stages must be >= 0, got {remaining_stages}"
-        )
-    kth_prefix = np.partition(prefix_counts, k - 1, axis=1)[:, k - 1]
-    keep = prefix_counts <= (kth_prefix + remaining_stages)[:, None]
-    query_idx, row_idx = np.nonzero(keep)
+    kth = np.partition(distances, k - 1, axis=1)[:, k - 1]
+    query_idx, row_idx = np.nonzero(distances <= kth[:, None])
     return query_idx.astype(np.int64), row_idx.astype(np.int64)
 
 
@@ -155,11 +120,12 @@ def grouped_top_k(
 ) -> np.ndarray:
     """Per-query top-k rows from flattened candidate pairs.
 
-    The refinement step of the pruned cascade -- and the scatter/gather
-    merge of the partitioned service: candidates arrive as parallel
-    ``(query_idx, row_idx)`` arrays with their exact ranking keys.
-    Ranking per query follows the shared rule -- ``primary``, then
-    ``secondary`` when given, then ``row_idx``.
+    The ranking step of :func:`top_k_indices` -- and the scatter/gather
+    merge of the clustered index and the partitioned service:
+    candidates arrive as parallel ``(query_idx, row_idx)`` arrays with
+    their exact ranking keys.  Ranking per query follows the shared
+    rule -- ``primary``, then ``secondary`` when given, then
+    ``row_idx``.
 
     By default each query must hold at least ``k`` candidates (which
     :func:`prune_survivors` guarantees).  A partitioned corpus serving
@@ -188,19 +154,17 @@ def grouped_top_k(
     else:
         order = np.lexsort((row_idx, secondary, primary, query_idx))
     counts = np.bincount(query_idx, minlength=n_queries)
-    if n_queries > 0 and counts.min() < k:
-        if pad is None:
-            raise ValueError(
-                f"every query needs >= {k} candidates, "
-                f"got min {counts.min()}"
-            )
-        out = np.full((n_queries, k), int(pad), dtype=np.int64)
-        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        ranked = row_idx[order]
-        for q in range(n_queries):
-            take = min(k, int(counts[q]))
-            out[q, :take] = ranked[starts[q]:starts[q] + take]
-        return out
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    take = starts[:, None] + np.arange(k)[None, :]
-    return row_idx[order[take]].astype(np.int64)
+    if pad is None and (counts < k).any():
+        raise ValueError(
+            f"every query needs >= {k} candidates, got min {counts.min()}"
+        )
+    starts = np.cumsum(counts) - counts
+    rank = np.arange(k)
+    # Full and short groups share one gather: a slot is filled only
+    # when its group holds that many candidates.
+    valid = rank[None, :] < counts[:, None]
+    out = np.full(
+        (n_queries, k), -1 if pad is None else int(pad), dtype=np.int64
+    )
+    out[valid] = row_idx[order[(starts[:, None] + rank[None, :])[valid]]]
+    return out

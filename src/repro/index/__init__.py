@@ -4,11 +4,11 @@ The scale-out layer above the single in-RAM array:
 :class:`BitPlaneStore` persists packed level bit-planes on disk
 (crash-safe atomic publish, lazy memmapped shards, checksummed
 components), and :class:`ClusteredTDAMIndex` routes each query batch
-through a coarse quantizer to its ``nprobe`` nearest clusters, running
-the exact prefix-count -> prune -> refine cascade inside only those
-shards.  :class:`IndexSearchService` adapts the index to the serving
-layer's backend contract (deadlines, typed admission, coalescing
-frontend compatibility).
+through a coarse quantizer to its ``nprobe`` nearest clusters and
+ranks exact mismatch counts inside only those shards.
+:class:`IndexSearchService` adapts the index to the serving layer's
+backend contract (deadlines, typed admission, coalescing frontend
+compatibility).
 """
 
 from repro.index.cluster_index import (

@@ -1,22 +1,23 @@
 """Cluster-routed approximate top-k over a memmapped bit-plane store.
 
 The scale-out shape of Kazemi et al. (arXiv 2011.07095): a coarse
-quantizer routes each query to its ``nprobe`` nearest clusters, and the
-exact prefix-count -> prune -> refine cascade of
-:meth:`FastTDAMArray.top_k_batch` then runs *inside only those shards*,
-directly on the store's memmapped plane slices.  Survivors get exact
-Hamming re-ranking under the shared (distance, delay, row) ordering and
-a :func:`grouped_top_k` gather merges the shards.
+quantizer routes each query to its ``nprobe`` nearest clusters, and
+exact mismatch counts are then computed *inside only those shards*,
+directly on the store's memmapped planes.  Each shard keeps its
+tie-inclusive top-k candidates (:func:`prune_survivors`), and a
+:func:`grouped_top_k` gather merges the shards under the shared
+(distance, delay, row) ordering.
 
 Exactness ladder:
 
-- **Within probed shards the cascade is exact** -- the same prefix
-  lower-bound, the same refinement popcounts, the same delay-law
-  floats, the same TDC decode as the in-RAM array.
+- **Within probed shards the ranking is exact** -- the same packed
+  popcounts, the same delay-law floats, the same TDC decode as the
+  in-RAM array.
 - **With ``nprobe = n_clusters`` the result is bit-identical to
-  exhaustive ``top_k_batch``**: every global top-k row survives its own
-  shard's local pruning (it is within that shard's top-k a fortiori),
-  and identical per-pair keys make the global merge order identical.
+  exhaustive ``top_k_batch``**: every global top-k row is within its
+  own shard's top-k a fortiori, so it survives the shard's candidate
+  cut, and identical per-pair keys make the global merge order
+  identical.
 - **With ``nprobe < n_clusters`` recall is tunable**: only rows in
   unprobed clusters can be missed, so recall@k vs. queries/s is set by
   the corpus's cluster structure and ``nprobe`` (measured by the
@@ -35,7 +36,6 @@ from repro.core.bitplane import (
     pack_level_planes,
     pack_query_masks,
     packed_mismatch_counts,
-    packed_pair_counts,
 )
 from repro.core.config import TDAMConfig
 from repro.core.encoding import validate_levels
@@ -71,7 +71,7 @@ _QUERIES = _REG.counter(
 )
 _ROWS_PROBED = _REG.counter(
     "index_rows_probed_total",
-    "Rows scanned by the prefix counter across all probes",
+    "Rows counted across all probes",
 )
 _PROBE_FRACTION = _REG.histogram(
     "index_probe_fraction",
@@ -92,7 +92,7 @@ class IndexTopKResult:
         delays_s: Modeled chain delays of ``rows`` (``inf`` on pads).
         clusters: Probed cluster ids per query, shape (Q, nprobe).
         nprobe: Clusters probed per query.
-        rows_probed: Rows prefix-scanned across the whole batch
+        rows_probed: Rows counted across the whole batch
             (query-weighted: a shard probed by two queries counts its
             rows twice).
         rows_total: Corpus size, for probe-fraction accounting.
@@ -330,11 +330,6 @@ class ClusteredTDAMIndex:
         cand_t: list = []
         rows_probed = 0
         n = self.config.n_stages
-        b_pad = self.store.byte_width
-        # Same prefix rule as FastTDAMArray._top_k_pruned: the first
-        # half of the padded words; one-word planes are covered whole.
-        pb = 8 * max(1, (b_pad // 8) // 2)
-        rem = max(0, n - pb * 8)
         for s in range(self.store.n_shards):
             qs = flat_q[bounds[s]:bounds[s + 1]]
             if qs.shape[0] == 0:
@@ -349,19 +344,11 @@ class ClusteredTDAMIndex:
             )
             for start in range(0, qs.shape[0], chunk):
                 block = qs[start:start + chunk]
-                bmasks = masks[block]
-                prefix = packed_mismatch_counts(
-                    planes[:, :, :pb], bmasks[:, :, :pb]
-                )
-                q_idx, r_idx = prune_survivors(prefix, kk, rem)
-                totals = prefix[q_idx, r_idx]
-                if rem:
-                    totals = totals + packed_pair_counts(
-                        planes[:, :, pb:], bmasks[:, :, pb:], q_idx, r_idx
-                    )
+                counts = packed_mismatch_counts(planes, masks[block])
+                q_idx, r_idx = prune_survivors(counts, kk)
                 cand_q.append(block[q_idx])
                 cand_r.append(np.asarray(shard.row_ids)[r_idx])
-                cand_t.append(totals)
+                cand_t.append(counts[q_idx, r_idx])
         q_all = np.concatenate(cand_q) if cand_q else np.empty(0, np.int64)
         r_all = np.concatenate(cand_r) if cand_r else np.empty(0, np.int64)
         t_all = np.concatenate(cand_t) if cand_t else np.empty(0, np.int64)

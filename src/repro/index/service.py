@@ -220,7 +220,6 @@ class IndexSearchService:
         return dict(
             degraded=False,
             approximate=result.nprobe < self.index.n_clusters,
-            pruned=True,
             shard_id="index",
             elapsed_s=elapsed,
         )

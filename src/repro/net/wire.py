@@ -102,8 +102,9 @@ __all__ = [
 ]
 
 #: Protocol version both sides must agree on at handshake (2: responses
-#: carry ``approximate`` and the index's top-k ``distances``).
-PROTOCOL_VERSION = 2
+#: carry ``approximate`` and the index's top-k ``distances``; 3: they
+#: no longer carry ``pruned``).
+PROTOCOL_VERSION = 3
 
 #: Features this implementation speaks (advertised in the handshake;
 #: a future version can negotiate down instead of breaking).
@@ -527,7 +528,6 @@ def encode_response(kind: str, response: ServiceResponse) -> Dict[str, object]:
         "coverage": float(response.coverage),
         "partitions_skipped": [str(p) for p in response.partitions_skipped],
         "approximate": bool(response.approximate),
-        "pruned": bool(response.pruned),
         "shard_id": str(response.shard_id),
         "attempts": int(response.attempts),
         "retries": int(response.retries),
@@ -562,7 +562,6 @@ def decode_response(kind: str, payload: Dict[str, object]) -> ServiceResponse:
                 str(p) for p in payload["partitions_skipped"]
             ),
             approximate=bool(payload["approximate"]),
-            pruned=bool(payload["pruned"]),
             shard_id=str(payload["shard_id"]),
             attempts=int(payload["attempts"]),
             retries=int(payload["retries"]),

@@ -214,14 +214,11 @@ class TopKResult:
         rows: Per-query top-k logical row indices, shape (Q, k).
         degraded: Whether retired rows existed while serving (the
             ranking may omit stored vectors).
-        pruned: Whether the pruned cascade served the request (pristine
-            arrays only); ``False`` means the exhaustive fallback ran.
         retired_rows: Logical rows without a physical home.
     """
 
     rows: np.ndarray
     degraded: bool
-    pruned: bool
     retired_rows: Tuple[int, ...]
 
 
@@ -471,8 +468,8 @@ class ResilientTDAMArray:
         raw = self._physical.batch_result_from_mismatch_counts(counts)
         return self._logical_view_batch(raw)
 
-    def _pruned_topk_eligible(self) -> bool:
-        """Whether the physical pruned cascade answers for logical rows.
+    def _is_pristine(self) -> bool:
+        """Whether the physical array answers verbatim for logical rows.
 
         True only for a *pristine* array: no retired rows, no masked
         stages, no injected faults, the identity logical-to-physical
@@ -498,11 +495,12 @@ class ResilientTDAMArray:
         """Per-query top-k logical rows, served as cheaply as health allows.
 
         A pristine array (no faults, repairs, masking, or drift) is
-        served by the physical array's pruned top-k cascade; any
-        degradation falls back to the full batched logical search and
-        ranks its result.  Both produce the rows that
-        ``search_batch(queries).top_k(k)`` would -- an exactness suite
-        asserts it -- and the automatic BIST due-check still runs.
+        served by the physical array's :meth:`FastTDAMArray.top_k_batch`,
+        which ranks exact counts; any degradation falls back to the
+        full batched logical search and ranks its result.  Both produce
+        the rows that ``search_batch(queries).top_k(k)`` would -- an
+        exactness suite asserts it -- and the automatic BIST due-check
+        still runs.
         """
         if not 1 <= k <= self.n_rows:
             raise ValueError(
@@ -526,7 +524,7 @@ class ResilientTDAMArray:
             and self._searches_since_bist >= self.bist_interval
         ):
             self.self_test_and_repair()
-        if self._pruned_topk_eligible():
+        if self._is_pristine():
             rows = self._physical.top_k_batch(
                 queries,
                 k,
@@ -534,17 +532,11 @@ class ResilientTDAMArray:
                 chunk=chunk,
             )
             self._searches_since_bist += rows.shape[0]
-            return TopKResult(
-                rows=rows,
-                degraded=False,
-                pruned=True,
-                retired_rows=(),
-            )
+            return TopKResult(rows=rows, degraded=False, retired_rows=())
         batch = self._search_batch_impl(queries, chunk)
         return TopKResult(
             rows=batch.top_k(k),
             degraded=batch.degraded,
-            pruned=False,
             retired_rows=batch.retired_rows,
         )
 

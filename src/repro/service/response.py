@@ -61,7 +61,6 @@ class ServiceResponse:
         coverage: Fraction of stored rows actually searched.
         partitions_skipped: Partitions that could not answer.
         approximate: Whether the client asked for a partial probe.
-        pruned: Whether a pruned top-k cascade served the request.
     """
 
     degraded: bool
@@ -79,7 +78,6 @@ class ServiceResponse:
     coverage: float = 1.0
     partitions_skipped: Tuple[str, ...] = ()
     approximate: bool = False
-    pruned: bool = False
 
     def __post_init__(self) -> None:
         self.check_honesty()

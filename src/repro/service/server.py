@@ -384,11 +384,11 @@ class TDAMSearchService:
     ) -> ServiceResponse:
         """Serve a batched top-k request under one shared deadline.
 
-        The cheap path: a pristine shard answers through its pruned
-        top-k cascade (no full distance matrix, decode, or energy
-        accounting); a degraded shard falls back to ranking its full
-        batched search.  Same admission, deadline, retry, breaker, and
-        degraded-fallback semantics as :meth:`search_batch`.
+        The cheap path: a pristine shard ranks exact mismatch counts
+        (no full distance matrix, decode, or energy accounting); a
+        degraded shard falls back to ranking its full batched search.
+        Same admission, deadline, retry, breaker, and degraded-fallback
+        semantics as :meth:`search_batch`.
         """
         qs = self._admit_matrix(queries, name="query batch")
         if not 1 <= k <= self.n_rows:
@@ -569,9 +569,7 @@ class TDAMSearchService:
             elapsed_s=elapsed,
         )
         if isinstance(result, TopKResult):
-            return ServiceResponse(
-                rows=result.rows, pruned=result.pruned, **meta
-            )
+            return ServiceResponse(rows=result.rows, **meta)
         if isinstance(result, ResilientBatchSearchResult):
             return [
                 _search_response(result.result(i), meta)

@@ -52,10 +52,6 @@ PROBE_EVENTS: Dict[str, str] = {
         "one in-fabric HDC encode served: n_samples, dimension, "
         "weight_bits, activation_bits, modeled latency_s and energy_j"
     ),
-    "topk.pruned": (
-        "pruned top-k cascade served: rows, queries, k, survivors, "
-        "prefix_stages"
-    ),
     "cache.threshold": (
         "threshold/level-table cache event: op in "
         "{hit, rebuild, invalidate}"
@@ -132,7 +128,7 @@ PROBE_EVENTS: Dict[str, str] = {
     ),
     "index.probe": (
         "clustered-index probe served: queries, k, nprobe, rows_probed, "
-        "rows_total, candidates (pairs surviving the prune)"
+        "rows_total, candidates (tie-inclusive per-shard top-k pairs)"
     ),
     "net.frame": (
         "one wire frame processed: direction in {in, out}, type "

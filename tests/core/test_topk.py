@@ -1,20 +1,37 @@
-"""Exactness tests of the shared top-k helpers and the pruned cascade.
+"""Exactness tests of the shared top-k helpers and the top-k entry points.
 
 ``top_k_indices`` is the single home of the (distance, delay, row)
-ranking rule, so its fast path must be bit-identical to a plain lexsort;
+ranking rule, so it must be bit-identical to a plain lexsort;
 ``FastTDAMArray.top_k_batch`` promises the exact rows of
-``search_batch(queries).top_k(k)`` whether the pruned cascade or the
-exhaustive fallback serves it.  These tests pin both contracts,
-including the tie-heavy inputs where a sloppy prune bound would differ.
+``search_batch(queries).top_k(k)`` whether it ranks exact counts
+(nominal timing) or the full search (variation); the clustered index at
+full probe promises the exhaustive answer.  These tests pin all three,
+including tie-heavy inputs and empty query batches.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.array import FastTDAMArray
+from repro.core.bitplane import (
+    pack_bit_planes,
+    pack_level_planes,
+    pack_query_masks,
+    packed_mismatch_counts,
+    packed_xor_counts,
+)
 from repro.core.config import TDAMConfig
+from repro.core.kernels import (
+    autotune_decisions,
+    chunk_decisions,
+    clear_autotune_cache,
+)
 from repro.core.topk import grouped_top_k, prune_survivors, top_k_indices
 from repro.devices.variation import VariationModel
+from repro.index import ClusteredTDAMIndex
+from repro.telemetry.state import enabled_scope
 
 
 def naive_top_k(distances, k, delays_s=None):
@@ -80,36 +97,16 @@ class TestTopKIndices:
 
 
 class TestPruneSurvivors:
-    def test_bound_keeps_every_possible_winner(self):
-        # Brute force: for every completion of the prefix within
-        # [prefix, prefix + rem], the true top-k must be a subset of
-        # the surviving rows.
-        rng = np.random.default_rng(11)
-        prefix = rng.integers(0, 10, (4, 8))
-        rem = 3
-        q_idx, r_idx = prune_survivors(prefix, 2, rem)
-        for q in range(4):
-            kept = set(r_idx[q_idx == q])
-            assert len(kept) >= 2
-            # A pruned row's lower bound strictly exceeds k rows' upper
-            # bounds, so it can never reach (or even tie) the top-k.
-            for trial in range(50):
-                final = prefix[q] + rng.integers(0, rem + 1, 8)
-                top = set(np.argsort(final, kind="stable")[:2])
-                assert top <= kept
-
     def test_zero_remaining_is_exact(self):
         prefix = np.array([[5, 1, 3, 1, 9]])
-        q_idx, r_idx = prune_survivors(prefix, 2, 0)
+        q_idx, r_idx = prune_survivors(prefix, 2)
         # Only rows tying or beating the 2nd smallest count survive.
         assert np.array_equal(r_idx, [1, 3])
 
     def test_validation(self):
         prefix = np.zeros((1, 3), dtype=int)
         with pytest.raises(ValueError, match="k must be in"):
-            prune_survivors(prefix, 4, 1)
-        with pytest.raises(ValueError, match="remaining_stages"):
-            prune_survivors(prefix, 1, -1)
+            prune_survivors(prefix, 4)
 
 
 class TestGroupedTopK:
@@ -249,3 +246,176 @@ class TestArrayTopKBatch:
         assert np.array_equal(
             array.top_k_batch(queries, 3, chunk=4), expected
         )
+
+
+class TestEmptyBatches:
+    """Q = 0 answers with empty results and leaves no autotune decision."""
+
+    def test_array_entry_points(self):
+        config = TDAMConfig(bits=2, n_stages=64)
+        rng = np.random.default_rng(29)
+        array = FastTDAMArray(config, n_rows=40)
+        array.write_all(rng.integers(0, 4, (40, 64)))
+        empty = np.empty((0, 64), dtype=np.int64)
+        clear_autotune_cache()
+        batch = array.search_batch(empty)
+        assert batch.hamming_distances.shape == (0, 40)
+        assert batch.delays_s.shape == (0, 40)
+        assert batch.best_rows.shape == (0,)
+        assert batch.top_k(3).shape == (0, 3)
+        assert array.top_k_batch(empty, 3).shape == (0, 3)
+        assert array.top_k_batch(empty, 2, rows=[1, 4]).shape == (0, 2)
+        with enabled_scope():
+            assert array.search_batch(empty).best_rows.shape == (0,)
+            assert array.top_k_batch(empty, 3).shape == (0, 3)
+        assert autotune_decisions() == {}
+        assert chunk_decisions() == {}
+
+    def test_packed_counters(self):
+        planes = pack_level_planes(np.ones((4, 5, 20), dtype=bool))
+        masks = pack_query_masks(np.empty((0, 20), dtype=np.int64), 4)
+        assert packed_mismatch_counts(planes, masks).shape == (0, 5)
+        stored = pack_bit_planes(np.zeros((5, 20), dtype=np.int64), 2)
+        queries = pack_bit_planes(np.empty((0, 20), dtype=np.int64), 2)
+        assert packed_xor_counts(stored, queries).shape == (0, 5)
+
+    def test_ranking_helpers(self):
+        assert top_k_indices(np.empty((0, 6)), 4).shape == (0, 4)
+        none = np.empty(0, dtype=np.int64)
+        for pad in (None, -1):
+            got = grouped_top_k(none, none, np.empty(0), 3, 0, pad=pad)
+            assert got.shape == (0, 3)
+
+
+def lexsort_top_k(distances, k, delays=None, row_ids=None):
+    """The oracle: one full axis-wise lexsort, no candidate cut."""
+    distances = np.atleast_2d(distances)
+    cols = np.broadcast_to(np.arange(distances.shape[1]), distances.shape)
+    keys = (cols, distances) if delays is None else (
+        cols, np.atleast_2d(delays), distances
+    )
+    top = np.lexsort(keys, axis=-1)[:, :k]
+    return top if row_ids is None else np.asarray(row_ids)[top]
+
+
+def _fixture_array(variation):
+    config = TDAMConfig(bits=2, n_stages=21)
+    rng = np.random.default_rng(31)
+    # Four distinct stored vectors over twelve rows: full count ties.
+    distinct = rng.integers(0, 4, (4, 21))
+    array = FastTDAMArray(
+        config, n_rows=12,
+        variation=VariationModel(sigma_mv=60.0, seed=5) if variation else None,
+    )
+    array.write_all(distinct[rng.integers(0, 4, 12)])
+    assert array._timing_is_nominal() is not variation
+    return array
+
+
+_ARRAYS = {False: _fixture_array(False), True: _fixture_array(True)}
+
+
+@pytest.fixture(scope="module")
+def indexes(tmp_path_factory):
+    """One clustered index per old prefix regime, with its stored rows.
+
+    At 64 stages the old prefix covered every stage; at 100 it left a
+    remainder that could prune; at 128 it covered exactly half, so it
+    pruned nothing.
+    """
+    built = {}
+    for n_stages in (64, 100, 128):
+        config = TDAMConfig(n_stages=n_stages)
+        rng = np.random.default_rng(n_stages)
+        rows = rng.integers(0, config.levels, (120, n_stages))
+        index = ClusteredTDAMIndex.build(
+            tmp_path_factory.mktemp(f"idx{n_stages}"), rows, config,
+            n_clusters=5, seed=3,
+        )
+        built[n_stages] = (index, rows)
+    return built
+
+
+class TestRankingProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n_q=st.integers(0, 4),
+        m=st.integers(1, 12),
+        n_values=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        with_delays=st.booleans(),
+        with_row_ids=st.booleans(),
+        one_d=st.booleans(),
+    )
+    def test_top_k_indices_is_the_lexsort(
+        self, n_q, m, n_values, seed, with_delays, with_row_ids, one_d
+    ):
+        rng = np.random.default_rng(seed)
+        shape = (m,) if one_d else (n_q, m)
+        # Few distinct values per key: ties on distance and on delay.
+        distances = rng.integers(0, n_values, shape)
+        delays = rng.integers(0, n_values, shape) * 0.5
+        row_ids = np.cumsum(rng.integers(1, 4, m)) if with_row_ids else None
+        for k in range(1, m + 1):
+            got = top_k_indices(
+                distances, k,
+                delays_s=delays if with_delays else None,
+                row_ids=row_ids,
+            )
+            want = lexsort_top_k(
+                distances, k, delays if with_delays else None, row_ids
+            )
+            assert np.array_equal(got, want[0] if one_d else want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        variation=st.booleans(),
+        n_q=st.integers(0, 5),
+        k=st.integers(1, 12),
+        subset=st.lists(st.integers(0, 11), unique=True, max_size=12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_array_top_k_batch_ranks_the_search(
+        self, variation, n_q, k, subset, seed
+    ):
+        array = _ARRAYS[variation]
+        queries = np.random.default_rng(seed).integers(0, 4, (n_q, 21))
+        rows = np.array(sorted(subset), dtype=np.int64) if subset else None
+        cols = np.arange(12) if rows is None else rows
+        k = min(k, cols.shape[0])
+        batch = array.search_batch(queries)
+        want = lexsort_top_k(
+            batch.hamming_distances[:, cols], k,
+            batch.delays_s[:, cols], cols,
+        )
+        got = array.top_k_batch(queries, k, rows=rows)
+        assert got.shape == (n_q, k)
+        assert np.array_equal(got, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_stages=st.sampled_from([64, 100, 128]),
+        n_q=st.integers(0, 6),
+        k=st.integers(1, 120),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_full_probe_index_is_the_count_oracle(
+        self, indexes, n_stages, n_q, k, seed
+    ):
+        index, stored = indexes[n_stages]
+        rng = np.random.default_rng(seed)
+        # Half the queries are stored rows with a few stages changed,
+        # so near-ties at small counts are common.
+        queries = rng.integers(0, 4, (n_q, n_stages))
+        near = stored[rng.integers(0, stored.shape[0], n_q)]
+        flip = rng.random((n_q, n_stages)) < 0.05
+        queries = np.where(
+            (np.arange(n_q) % 2 == 0)[:, None],
+            np.where(flip, queries, near), queries,
+        )
+        result = index.top_k(queries, k, nprobe=index.n_clusters)
+        counts = (stored[None, :, :] != queries[:, None, :]).sum(axis=2)
+        m = stored.shape[0]
+        want = np.argsort(counts * m + np.arange(m), axis=1)[:, :k]
+        assert result.rows.shape == (n_q, k)
+        assert np.array_equal(result.rows, want)

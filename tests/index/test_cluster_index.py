@@ -27,8 +27,7 @@ class TestExactness:
     def test_full_probe_is_bit_identical_to_exhaustive(
         self, tmp_path, rng, n_stages
     ):
-        # n_stages=160 spills past the 8-byte prefix window, exercising
-        # the suffix-refine (packed_pair_counts) leg of the cascade.
+        # n_stages=160 spans three packed words per plane.
         config = TDAMConfig(n_stages=n_stages)
         rows = rng.integers(0, config.levels, size=(300, n_stages))
         queries = rng.integers(0, config.levels, size=(17, n_stages))
@@ -141,6 +140,18 @@ class TestPaddingAndErrors:
             assert np.all(result.rows[i, first_pad:] == -1)
             assert np.all(result.distances[i][padded] == -1)
             assert np.all(np.isinf(result.delays_s[i][padded]))
+
+    def test_empty_batch_answers_empty(self, tmp_path, rng, config):
+        rows = rng.integers(0, config.levels, size=(60, config.n_stages))
+        index = _build(tmp_path, rows, config, n_clusters=4)
+        empty = np.empty((0, config.n_stages), dtype=np.int64)
+        assert index.route(empty, nprobe=2).shape == (0, 2)
+        result = index.top_k(empty, 3, nprobe=2)
+        assert result.rows.shape == (0, 3)
+        assert result.distances.shape == (0, 3)
+        assert result.delays_s.shape == (0, 3)
+        assert result.clusters.shape == (0, 2)
+        assert result.rows_probed == 0
 
     def test_store_without_centroids_is_rejected(
         self, tmp_path, rng, config

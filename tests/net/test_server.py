@@ -155,11 +155,13 @@ class TestApproximateOverTheWire:
                     found = client.search(query, deadline_s=2.0)
                     assert found.approximate is True
                     assert found.best_row == want.rows[0, 0]
-            # A protocol-v1 peer would drop ``approximate``: it must be
-            # refused at the handshake, typed.
-            old_hello = dict(hello_message(), version=1)
-            replies = _raw_hello(harness.port, old_hello)
-            assert replies and replies[0]["code"] == "handshake"
+            # A protocol-v1 peer would drop ``approximate`` and a v2
+            # peer would demand ``pruned``: both must be refused at the
+            # handshake, typed.
+            for version in (1, 2):
+                old_hello = dict(hello_message(), version=version)
+                replies = _raw_hello(harness.port, old_hello)
+                assert replies and replies[0]["code"] == "handshake"
         finally:
             harness.stop()
 

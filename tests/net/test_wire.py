@@ -266,13 +266,13 @@ _TOPK_CASES = [
     ServiceResponse(
         rows=np.asarray([4, 1, 7], dtype=np.int64),
         degraded=False, coverage=1.0,
-        partitions_skipped=(), pruned=False, shard_id="s0",
+        partitions_skipped=(), shard_id="s0",
         attempts=1, retries=0, elapsed_s=0.002,
     ),
     ServiceResponse(
         rows=np.asarray([2, -1, -1], dtype=np.int64),
         degraded=True, coverage=0.25,
-        partitions_skipped=("p1", "p2", "p3"), pruned=True,
+        partitions_skipped=("p1", "p2", "p3"),
         shard_id="s1", attempts=2, retries=1, elapsed_s=0.031,
     ),
 ]
@@ -324,7 +324,7 @@ class TestResponsePayloads:
         response = ServiceResponse(
             rows=np.asarray([5, 9, -1], dtype=np.int64),
             distances=np.asarray([2, 4, -1], dtype=np.int64),
-            degraded=False, approximate=True, pruned=True,
+            degraded=False, approximate=True,
             shard_id="index", elapsed_s=0.004,
         )
         payload = _frame_round_trip(

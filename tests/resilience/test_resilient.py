@@ -226,8 +226,8 @@ class TestTopKBatch:
         queries = np.random.default_rng(7).integers(
             0, 4, size=(8, config.n_stages)
         )
+        assert array._is_pristine()
         result = array.top_k_batch(queries, 3)
-        assert result.pruned
         assert not result.degraded
         assert result.retired_rows == ()
         expected = array.search_batch(queries).top_k(3)
@@ -251,8 +251,8 @@ class TestTopKBatch:
         queries = np.random.default_rng(8).integers(
             0, 4, size=(5, config.n_stages)
         )
+        assert not array._is_pristine()
         result = array.top_k_batch(queries, 2)
-        assert not result.pruned
         assert np.array_equal(
             result.rows, array.search_batch(queries).top_k(2)
         )
@@ -269,7 +269,7 @@ class TestTopKBatch:
         queries = stored[:4]
         result = array.top_k_batch(queries, 3)
         assert result.degraded
-        assert not result.pruned
+        assert not array._is_pristine()
         assert 1 in result.retired_rows
         assert 1 not in set(result.rows.ravel())
         assert np.array_equal(

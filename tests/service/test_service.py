@@ -315,12 +315,17 @@ class TestTopKEndpoint:
         response = service.top_k(queries, 2)
         assert response.outcome == "ok"
         assert not response.degraded
-        assert response.pruned
         assert response.rows.shape == (5, 2)
         shard = service.shards[0].array
         assert np.array_equal(
             response.rows, shard.search_batch(queries).top_k(2)
         )
+
+    def test_empty_batch_answers_empty(self, service, stored):
+        empty = np.empty((0, 16), dtype=np.int64)
+        assert service.top_k(empty, 2).rows.shape == (0, 2)
+        batch = service.shards[0].array.search_batch(empty)
+        assert batch.hamming_distances.shape == (0, stored.shape[0])
 
     def test_self_queries_win(self, service, stored):
         response = service.top_k(stored, 1)
@@ -357,6 +362,8 @@ class TestTopKEndpoint:
         queries = stored[:3]
         response = service.top_k(queries, 2)
         assert response.degraded
-        assert not response.pruned
         assert response.outcome == "degraded"
         assert 1 not in set(response.rows.ravel())
+        assert np.array_equal(
+            response.rows, shards[0].search_batch(queries).top_k(2)
+        )

@@ -25,7 +25,7 @@ def make_report(**overrides):
             "packed_speedup_vs_gemm": 3.5,
             "bit_exact": True,
         },
-        "topk": {"exact": True},
+        "topk": {"speedup": 1.7, "exact": True},
         "monte_carlo": {"speedup": 1.0, "bit_identical": True},
         "ann": {
             "speedup": 40.0,
@@ -69,6 +69,14 @@ class TestCompareToBaseline:
         row = rows["kernels.packed_speedup_vs_gemm"]
         assert row["status"] == "fail"
         assert row["threshold"] == 3.0
+
+    def test_topk_slower_than_a_full_search_fails(self):
+        report = make_report(**{"topk.speedup": 0.14})
+        rows = rows_by_metric(
+            bench_report.compare_to_baseline(report, make_report())
+        )
+        assert rows["topk.speedup"]["status"] == "fail"
+        assert rows["topk.speedup"]["threshold"] == 1.0
 
     def test_rel_min_tracks_the_baseline(self):
         baseline = make_report(**{"monte_carlo.speedup": 2.0})
