@@ -548,11 +548,7 @@ class FastTDAMArray:
         self._delay_sens = config.delay_variation_sensitivity / config.vdd
         self._written = np.zeros(n_rows, dtype=bool)
         self._all_written = False
-        self._xor_planes_cache = _XOR_UNSET
-
-    def _calibrate_turn_on_overdrive(self) -> float:
-        """Memoized module-level calibration (kept for compatibility)."""
-        return calibrate_turn_on_overdrive(self.config)
+        self._design_ineq: Optional[bool] = None
 
     @property
     def turn_on_overdrive(self) -> float:
@@ -570,8 +566,8 @@ class FastTDAMArray:
     def _off_a(self, value) -> None:
         self._off_a_data = np.asarray(value, dtype=float)
         self._thresholds_valid = False
-        self._tables_valid = False
         self._nominal_cache = None
+        self._drop_tables()
 
     @property
     def _off_b(self) -> np.ndarray:
@@ -581,8 +577,8 @@ class FastTDAMArray:
     def _off_b(self, value) -> None:
         self._off_b_data = np.asarray(value, dtype=float)
         self._thresholds_valid = False
-        self._tables_valid = False
         self._nominal_cache = None
+        self._drop_tables()
 
     @property
     def _vsl(self) -> np.ndarray:
@@ -594,8 +590,15 @@ class FastTDAMArray:
         # tensors stay valid -- but the per-level mismatch tables bake
         # it in and must rebuild after a re-bias.
         self._vsl_data = np.asarray(value, dtype=float)
-        self._tables_valid = False
         self._nominal_cache = None
+        self._drop_tables()
+
+    def _drop_tables(self) -> None:
+        """Mark the level tables and the XOR bit-planes stale, together:
+        the one invalidation step behind every write, offset or ladder
+        assignment and :meth:`invalidate_threshold_cache`."""
+        self._tables_valid = False
+        self._xor_planes_cache = _XOR_UNSET
 
     def invalidate_threshold_cache(self) -> None:
         """Mark the per-cell threshold tensors (and level tables) stale.
@@ -606,8 +609,8 @@ class FastTDAMArray:
         invalidates on its own.
         """
         self._thresholds_valid = False
-        self._tables_valid = False
         self._nominal_cache = None
+        self._drop_tables()
         if _TM.enabled:
             _CACHE_EVENTS.inc(op="invalidate")
             _emit_probe("cache.threshold", op="invalidate")
@@ -645,27 +648,14 @@ class FastTDAMArray:
         return self._vth_a, self._vth_b, self._vth_a_nom, self._vth_b_nom
 
     def _update_row_thresholds(self, row: int, values: np.ndarray) -> None:
-        """Refresh one row of the cache after a write (if it is live)."""
+        """Refresh one cached threshold row (if live); drop the tables."""
         if self._thresholds_valid:
             levels = self.config.levels
             self._vth_a_nom[row] = self._vth[values]
             self._vth_b_nom[row] = self._vth[levels - 1 - values]
             self._vth_a[row] = self._vth_a_nom[row] + self._off_a_data[row]
             self._vth_b[row] = self._vth_b_nom[row] + self._off_b_data[row]
-            if self._tables_valid:
-                mism, contrib = self._build_level_tables(
-                    self._vth_a[row], self._vth_b[row],
-                    self._vth_a_nom[row], self._vth_b_nom[row],
-                )
-                self._mism_table[row] = mism.reshape(-1)
-                self._contrib_table[row] = contrib.reshape(-1)
-                self._mism_gemm[:, :, row] = mism.astype(float)
-                self._mism_packed[:, row, :] = pack_level_planes(
-                    mism[:, None, :]
-                )[:, 0, :]
-                self._xor_planes_cache = _XOR_UNSET
-        else:
-            self._tables_valid = False
+        self._drop_tables()
 
     def _build_level_tables(
         self,
@@ -754,21 +744,20 @@ class FastTDAMArray:
         # (L, M, B) uint8 bit-planes for the packed-popcount kernel
         # (see repro.core.bitplane).
         self._mism_packed = pack_level_planes(mism)
-        self._xor_planes_cache = _XOR_UNSET
         self._tables_valid = True
 
     def _xor_bit_planes(self) -> Optional[np.ndarray]:
         """(bits, M, B) stored-level bit-planes, or ``None``.
 
-        The packed kernel's XOR fast path is sound only when the
-        mismatch tables are *pure level inequality* -- which the cache
-        proves, not assumes: the inequality planes are packed and
-        compared byte-for-byte against ``_mism_packed``.  Any variation
-        offset or bias deviation that flips even one table entry fails
-        the comparison and the kernel falls back to the general one-hot
-        plane reduction.  Invalidated whenever the tables rebuild.
+        The packed kernel's XOR fast path is sound only when every
+        cell's decision is *pure level inequality* -- proven, not
+        assumed.  Under nominal timing a cell decides as the design does
+        for its stored level, so the proof is the L x L design table
+        (:meth:`_build_level_tables` for one row holding each level must
+        equal ``l != s``), once per array.  Otherwise the level tables
+        are compared byte-for-byte against the inequality planes; one
+        flipped entry falls back to the general one-hot reduction.
         """
-        self._level_tables()
         if self._xor_planes_cache is _XOR_UNSET:
             stored = self._stored
             levels = self.config.levels
@@ -777,7 +766,20 @@ class FastTDAMArray:
                 and levels & (levels - 1) == 0
                 and stored.min() >= 0
             )
-            if eligible:
+            if eligible and self._timing_is_nominal():
+                if self._design_ineq is None:
+                    design = np.arange(levels)
+                    vth_a = self._vth[design]
+                    vth_b = self._vth[levels - 1 - design]
+                    mism, _ = self._build_level_tables(
+                        vth_a, vth_b, vth_a, vth_b
+                    )
+                    self._design_ineq = np.array_equal(
+                        mism, design[:, None] != design[None, :]
+                    )
+                eligible = self._design_ineq
+            elif eligible:
+                self._level_tables()
                 ineq = np.arange(levels)[:, None, None] != stored[None, :, :]
                 eligible = np.array_equal(
                     self._mism_packed, pack_level_planes(ineq)
@@ -863,7 +865,7 @@ class FastTDAMArray:
             self._off_b_data[:] = shifts[:, 1, :]
             self._nominal_cache = None
         self._thresholds_valid = False
-        self._tables_valid = False
+        self._drop_tables()
         self._written[:] = True
         self._all_written = True
 
@@ -937,23 +939,31 @@ class FastTDAMArray:
     ) -> np.ndarray:
         """Per-row mismatch counts of a query batch, shape (Q, n_rows).
 
-        The reduction-only entry point (no delay modulation): a gather
-        from the write-time per-level mismatch table, bit-identical to
-        the :func:`batched_mismatch_counts` recompute kernel.
+        The reduction-only entry point (no delay modulation), counted by
+        the same dispatched kernel as :meth:`search_batch`; bit-identical
+        to the :func:`batched_mismatch_counts` recompute kernel.
         """
         q = self._validate_queries(queries)
-        chunk = _resolve_chunk_arg(chunk, self.n_rows, self.config.n_stages)
-        mism_table, _ = self._level_tables()
-        n = self.config.n_stages
-        stage_idx = np.arange(n)
-        counts = np.empty((q.shape[0], self.n_rows), dtype=np.int64)
-        for start in range(0, q.shape[0], chunk):
-            block = q[start:start + chunk]
-            idx = block * n + stage_idx
-            counts[start:start + chunk] = (
-                mism_table.take(idx, axis=1).sum(axis=2).T
-            )
-        return counts
+        if q.shape[0] == 0:
+            return np.zeros((0, self.n_rows), dtype=np.int64)
+        return self._count_kernel(q, self._resolve_batch_chunk(chunk, q))
+
+    def _cell_mismatches(
+        self, queries: np.ndarray, rows: np.ndarray, stages: np.ndarray
+    ) -> np.ndarray:
+        """Clean decisions of cells ``(rows, stages)``, shape (Q,) + S.
+
+        ``rows`` and ``stages`` broadcast to ``S``.  The elementwise
+        arithmetic of :meth:`mismatch_matrix` on the same thresholds,
+        so each entry equals ``mismatch_matrix(queries[i])[rows,
+        stages]``: the term a fault correction replaces.
+        """
+        levels = self.config.levels
+        vth_a, vth_b, _, _ = self._thresholds()
+        q = queries[:, stages]
+        fa_on = (self._vsl[q] - vth_a[rows, stages]) >= self._von
+        fb_on = (self._vsl[levels - 1 - q] - vth_b[rows, stages]) >= self._von
+        return fa_on | fb_on
 
     def result_from_mismatch_matrix(
         self,
@@ -1091,38 +1101,32 @@ class FastTDAMArray:
         traffic per cell instead of eight float bytes.  When the tables
         are provably pure level inequality (:meth:`_xor_bit_planes`),
         the one-hot reduction collapses further to ``log2(L)`` XORs
-        over the stored-level bit-planes.  Counts are exact integers,
-        identical to every other kernel.
+        over the stored-level bit-planes, and no level table is read.
+        Counts are exact integers, identical to every other kernel.
         """
-        self._level_tables()
-        n_q = queries.shape[0]
         stored_bits = self._xor_bit_planes()
         if stored_bits is not None:
             bits = stored_bits.shape[0]
-            if n_q <= chunk:
+
+            def count(block: np.ndarray) -> np.ndarray:
                 return packed_xor_counts(
-                    stored_bits, pack_bit_planes(queries, bits)
-                )
-            counts = np.empty((n_q, self.n_rows), dtype=np.int64)
-            for start in range(0, n_q, chunk):
-                block = queries[start:start + chunk]
-                counts[start:start + chunk] = packed_xor_counts(
                     stored_bits, pack_bit_planes(block, bits)
                 )
-            return counts
-        planes = self._mism_packed
-        levels = self.config.levels
+        else:
+            self._level_tables()
+            planes = self._mism_packed
+            levels = self.config.levels
+
+            def count(block: np.ndarray) -> np.ndarray:
+                return packed_mismatch_counts(
+                    planes, pack_query_masks(block, levels)
+                )
+        n_q = queries.shape[0]
         if n_q <= chunk:
-            return packed_mismatch_counts(
-                planes, pack_query_masks(queries, levels)
-            )
+            return count(queries)
         counts = np.empty((n_q, self.n_rows), dtype=np.int64)
         for start in range(0, n_q, chunk):
-            block = queries[start:start + chunk]
-            masks = pack_query_masks(block, levels)
-            counts[start:start + chunk] = packed_mismatch_counts(
-                planes, masks
-            )
+            counts[start:start + chunk] = count(queries[start:start + chunk])
         return counts
 
     def _counts_loop(self, queries: np.ndarray) -> np.ndarray:
@@ -1205,31 +1209,25 @@ class FastTDAMArray:
         return _kernels.select_query_chunk(
             key,
             {
-                size: (lambda size=size: self._batch_kernel(sample, size))
+                size: (lambda size=size: self._search_batch_impl(sample, size))
                 for size in sizes
             },
         )
 
-    def _batch_kernel(
-        self, queries: np.ndarray, chunk: int
-    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """Counts and delay adders of a query batch, kernel-dispatched.
+    def _count_kernel(self, queries: np.ndarray, chunk: int) -> np.ndarray:
+        """Mismatch counts of a query batch, kernel-dispatched, (Q, M).
 
-        Returns ``(mismatch_counts, delay_adders_s)`` of shape (Q, M);
-        the adders are ``None`` under nominal timing, where the delay
-        law reduces exactly to ``counts * d_C`` for every path.  The
-        count kernel (packed popcount vs. one-hot GEMM vs. reference
+        The count kernel (packed popcount vs. one-hot GEMM vs. reference
         loop) is chosen by :mod:`repro.core.kernels`: explicit override
         first, else a per-geometry autotune over a small query sample.
         Counts are exact integers in every kernel, so the choice never
         changes results.
         """
-        nominal = self._timing_is_nominal()
         key = (
             self.n_rows,
             self.config.n_stages,
             self.config.levels,
-            nominal,
+            self._timing_is_nominal(),
         )
         sample = queries[: min(queries.shape[0], 32)]
         name = _kernels.select_kernel(
@@ -1255,11 +1253,8 @@ class FastTDAMArray:
                 rows=self.n_rows,
                 queries=int(queries.shape[0]),
             ):
-                counts = _run()
-        else:
-            counts = _run()
-        adders = None if nominal else self._delay_adders(queries, chunk)
-        return counts, adders
+                return _run()
+        return _run()
 
     def search(self, query: Sequence[int]) -> SearchResult:
         """Parallel 2-step search (vectorized)."""
@@ -1355,9 +1350,12 @@ class FastTDAMArray:
                 np.zeros((0, self.n_rows), dtype=np.int64)
             )
         chunk = self._resolve_batch_chunk(chunk, q)
-        counts, adders = self._batch_kernel(q, chunk)
+        counts = self._count_kernel(q, chunk)
+        if self._timing_is_nominal():
+            # The delay law is exactly ``counts * d_C`` on every path.
+            return self.batch_result_from_mismatch_counts(counts)
         return self.batch_result_from_mismatch_counts(
-            counts, delay_adders_s=adders
+            counts, delay_adders_s=self._delay_adders(q, chunk)
         )
 
     def _delay_strictly_monotone(self) -> bool:
@@ -1439,7 +1437,7 @@ class FastTDAMArray:
             return np.empty((0, k), dtype=np.int64)
         chunk = self._resolve_batch_chunk(chunk, q)
         if self._timing_is_nominal() and self._delay_strictly_monotone():
-            counts, _ = self._batch_kernel(q, chunk)
+            counts = self._count_kernel(q, chunk)
             if rows_arr is not None:
                 counts = counts[:, rows_arr]
             return top_k_indices(counts, k, row_ids=rows_arr)

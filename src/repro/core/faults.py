@@ -20,16 +20,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.array import (
-    BatchSearchResult,
-    FastTDAMArray,
-    SearchResult,
-    _resolve_chunk_arg,
-)
+from repro.core.array import BatchSearchResult, FastTDAMArray, SearchResult
 from repro.core.config import TDAMConfig
 
 
@@ -113,28 +108,6 @@ class FaultyTDAMArray:
             mism[row, :] = True
         return mism
 
-    def faulted_mismatch_tensor(
-        self, queries: np.ndarray, chunk: Optional[int] = None
-    ) -> np.ndarray:
-        """Batched :meth:`faulted_mismatch_matrix`, shape (Q, M, N).
-
-        The fault map is query-independent, so it is replayed on the
-        clean (Q, M, N) tensor with the same sequential override
-        semantics (fault-list order; dead rows last and dominant).
-        """
-        tensor = self.array.mismatch_tensor(queries, chunk=chunk)
-        dead_rows: List[int] = []
-        for fault in self.faults:
-            if fault.kind == FaultType.STUCK_MISMATCH:
-                tensor[:, fault.row, fault.stage] = True
-            elif fault.kind == FaultType.STUCK_MATCH:
-                tensor[:, fault.row, fault.stage] = False
-            else:
-                dead_rows.append(fault.row)
-        for row in dead_rows:
-            tensor[:, row, :] = True
-        return tensor
-
     def mismatch_count_batch(
         self,
         queries: np.ndarray,
@@ -143,26 +116,51 @@ class FaultyTDAMArray:
     ) -> np.ndarray:
         """Faulted per-row mismatch counts of a query batch, shape (Q, M).
 
+        The wrapped array's dispatched clean counts plus exact per-cell
+        corrections in the override order of
+        :meth:`faulted_mismatch_matrix` (a stuck cell takes its last
+        fault's value, dead rows read all-mismatch, masked columns clear
+        last): O(Q * (M * |masked| + faults)) beyond the clean count,
+        not a (Q, M, N) fault tensor.
+
         Args:
             queries: Query levels, shape (Q, n_stages).
-            chunk: Queries per materialized tensor chunk; ``None``
-                auto-sizes.
+            chunk: Queries per kernel chunk; ``None`` auto-sizes.
             masked_stages: Stage columns forced to *match* after the
                 fault overrides (the resilient array's column masking;
                 applied last, so it silences stuck-mismatch cells and
                 trims dead-row timeouts exactly like the scalar path).
         """
-        q = self.array._validate_queries(queries)
-        chunk = _resolve_chunk_arg(chunk, self.n_rows, self.config.n_stages)
-        masked = list(masked_stages)
-        counts = np.empty((q.shape[0], self.n_rows), dtype=np.int64)
-        for start in range(0, q.shape[0], chunk):
-            tensor = self.faulted_mismatch_tensor(
-                q[start:start + chunk], chunk=chunk
-            )
-            if masked:
-                tensor[:, :, masked] = False
-            counts[start:start + chunk] = tensor.sum(axis=2)
+        counts = self.array.mismatch_count_batch(queries, chunk=chunk)
+        n_rows, n_stages = self.n_rows, self.config.n_stages
+        masked = np.unique(np.arange(n_stages)[list(masked_stages)])
+        stuck: Dict[Tuple[int, int], int] = {}
+        dead: List[int] = []
+        mismatch = FaultType.STUCK_MISMATCH
+        for fault in self.faults:
+            if fault.kind == FaultType.DEAD_ROW:
+                dead.append(fault.row)
+            else:
+                stuck[fault.row, fault.stage] = int(fault.kind == mismatch)
+        # A cell in a masked column is cleared whatever its fault says,
+        # and a dead row is overwritten below.
+        cells = [
+            (row, stage, value)
+            for (row, stage), value in stuck.items()
+            if stage not in masked and row not in dead
+        ]
+        if cells or masked.size:
+            q = self.array._validate_queries(queries)
+        if cells:
+            rows, stages, values = (np.array(c) for c in zip(*cells))
+            clean = self.array._cell_mismatches(q, rows, stages)
+            np.add.at(counts, (slice(None), rows), values - clean)
+        if masked.size:
+            counts -= self.array._cell_mismatches(
+                q, np.arange(n_rows)[:, None], masked[None, :]
+            ).sum(axis=2)
+        if dead:
+            counts[:, dead] = n_stages - masked.size
         return counts
 
     def search(self, query) -> SearchResult:

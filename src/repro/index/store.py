@@ -118,11 +118,11 @@ def level_inequality_planes(levels_mat: np.ndarray, levels: int) -> np.ndarray:
 def _assert_pure_inequality(config: TDAMConfig) -> None:
     """Refuse design points whose nominal decision is not ``!=``.
 
-    A one-row probe array covering every storable level is enough: the
-    XOR-eligibility check compares the live mismatch planes
-    byte-for-byte against the pure-inequality planes for every (level,
-    stored-value) pair present, and the decision depends only on the
-    stored value, not the row.
+    A written one-row probe array is enough: under nominal timing the
+    XOR-eligibility check decides from the design's L x L table whether
+    every (query level, stored level) pair mismatches exactly when the
+    levels differ, and a nominal cell's decision depends only on its
+    stored level, not its row or stage.
     """
     probe = FastTDAMArray(config, n_rows=1)
     row = np.arange(config.n_stages, dtype=np.int64) % config.levels

@@ -7,8 +7,14 @@ bit-for-bit -- delays, TDC counts, decoded distances, energy, and the
 distance -> delay -> row winner resolution.
 """
 
+import dataclasses
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.array import (
     BatchSearchResult,
@@ -18,9 +24,16 @@ from repro.core.array import (
     resolve_best_batch,
 )
 from repro.core.config import TDAMConfig
-from repro.core.faults import FaultInjector, FaultyTDAMArray
+from repro.core.faults import Fault, FaultInjector, FaultType, FaultyTDAMArray
+from repro.core.kernels import force_kernel
 from repro.devices.variation import VariationModel
-from repro.resilience.resilient import ResilientTDAMArray
+from repro.resilience.resilient import (
+    ResilientSearchResult,
+    ResilientTDAMArray,
+)
+from repro.service.checkpoint import ServiceCheckpointer
+from repro.telemetry.metrics import get_registry
+from repro.telemetry.state import enabled_scope
 
 
 def assert_batch_matches_scalar(array_like, batch, queries):
@@ -333,13 +346,6 @@ class TestFaultyEquivalence:
             assert np.array_equal(batch.delays_s[i], scalar.delays_s)
             assert int(batch.best_rows[i]) == scalar.best_row
 
-    def test_faulted_tensor_slices_equal_matrix(self, faulty, queries):
-        tensor = faulty.faulted_mismatch_tensor(queries[:4])
-        for i in range(4):
-            assert np.array_equal(
-                tensor[i], faulty.faulted_mismatch_matrix(queries[i])
-            )
-
     def test_masked_stages_zero_the_columns(self, faulty, queries):
         masked = (0, 5)
         counts = faulty.mismatch_count_batch(queries, masked_stages=masked)
@@ -408,3 +414,279 @@ class TestResilientEquivalence:
             ),
             BatchSearchResult,
         )
+
+
+# ----------------------------------------------------------------------
+# Properties: sparse fault corrections and cache invalidation
+# ----------------------------------------------------------------------
+#: A short chain keeps the per-example arrays, BIST marches and scalar
+#: oracles cheap.
+PROP_CONFIG = TDAMConfig(n_stages=21)
+KERNELS = ("packed", "gemm", "loop")
+
+
+@st.composite
+def fault_maps(draw, n_rows):
+    """(faults, masked_stages) over ``n_rows`` physical rows.
+
+    Random faults plus the override cases the corrections must replay:
+    two stuck faults on one cell in either order, a stuck cell on a
+    dead row, and a stuck cell in a column masked twice.
+    """
+    n_stages = PROP_CONFIG.n_stages
+    cells = st.tuples(
+        st.integers(0, n_rows - 1), st.integers(0, n_stages - 1)
+    )
+    stuck = st.sampled_from(
+        [FaultType.STUCK_MISMATCH, FaultType.STUCK_MATCH]
+    )
+    faults = [
+        Fault(kind, row, stage)
+        for kind, (row, stage) in draw(
+            st.lists(st.tuples(st.sampled_from(list(FaultType)), cells),
+                     max_size=8)
+        )
+    ]
+    row, stage = draw(cells)
+    pair = [
+        Fault(FaultType.STUCK_MISMATCH, row, stage),
+        Fault(FaultType.STUCK_MATCH, row, stage),
+    ]
+    if draw(st.booleans()):
+        pair.reverse()
+    row, stage = draw(cells)
+    on_dead = [Fault(draw(stuck), row, stage), Fault(FaultType.DEAD_ROW, row)]
+    if draw(st.booleans()):
+        on_dead.reverse()
+    row, stage = draw(cells)
+    masked = draw(st.lists(st.integers(0, n_stages - 1), max_size=3))
+    masked += [stage, stage]
+    in_masked = [Fault(draw(stuck), row, stage)]
+    return faults + pair + on_dead + in_masked, masked
+
+
+def assert_resilient_batch_is_the_loop(array, queries):
+    """Every field of every batch slice equals the scalar search."""
+    batch = array.search_batch(queries)
+    assert len(batch) == len(queries)
+    for i, query in enumerate(queries):
+        got, want = batch.result(i), array.search(query)
+        for field in dataclasses.fields(ResilientSearchResult):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            assert np.array_equal(a, b), field.name
+
+
+class TestFaultCorrectionProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        n_rows=st.integers(1, 6),
+        variation=st.booleans(),
+        n_q=st.integers(0, 5),
+        kernel=st.sampled_from(KERNELS),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_counts_are_the_faulted_matrix_sums(
+        self, data, n_rows, variation, n_q, kernel, seed
+    ):
+        faults, masked = data.draw(fault_maps(n_rows))
+        rng = np.random.default_rng(seed)
+        array = FastTDAMArray(
+            PROP_CONFIG, n_rows,
+            variation=VariationModel(seed=seed % 997) if variation else None,
+        )
+        array.write_all(rng.integers(0, 4, (n_rows, PROP_CONFIG.n_stages)))
+        faulty = FaultyTDAMArray(array, faults)
+        queries = rng.integers(0, 4, (n_q, PROP_CONFIG.n_stages))
+        with force_kernel(kernel):
+            counts = faulty.mismatch_count_batch(
+                queries, masked_stages=masked
+            )
+        want = np.zeros((n_q, n_rows), dtype=np.int64)
+        for i, query in enumerate(queries):
+            mism = faulty.faulted_mismatch_matrix(query)
+            mism[:, masked] = False
+            want[i] = mism.sum(axis=1)
+        assert counts.shape == want.shape
+        assert np.array_equal(counts, want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=st.data(),
+        variation=st.booleans(),
+        max_masked=st.integers(0, 2),
+        n_q=st.integers(0, 4),
+        dt=st.floats(1.0e3, 1.0e6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_resilient_batch_is_the_search_loop(
+        self, data, variation, max_masked, n_q, dt, seed
+    ):
+        faults, _ = data.draw(fault_maps(8))
+        rng = np.random.default_rng(seed)
+        array = ResilientTDAMArray(
+            PROP_CONFIG, n_rows=6, n_spares=2, faults=faults,
+            variation=VariationModel(seed=seed % 997) if variation else None,
+            max_masked_stages=max_masked,
+        )
+        array.write_all(rng.integers(0, 4, (6, PROP_CONFIG.n_stages)))
+        queries = rng.integers(0, 4, (n_q, PROP_CONFIG.n_stages))
+        array.self_test_and_repair()
+        assert_resilient_batch_is_the_loop(array, queries)
+        array.advance_time(dt)
+        assert_resilient_batch_is_the_loop(array, queries)
+
+
+FAST_STEPS = (
+    "write", "write_all", "edit_offsets", "assign_offsets", "assign_vsl",
+    "nominal", "search_batch", "count_batch",
+)
+RESILIENT_STEPS = FAST_STEPS + (
+    "advance_time", "self_test_and_repair", "save", "restore",
+)
+
+
+def apply_step(step, array, rng, physical, checkpoint=None):
+    """One mutation (or cache-warming search) of a sequence test."""
+    n_rows, n_stages = array.n_rows, PROP_CONFIG.n_stages
+    queries = rng.integers(0, 4, (3, n_stages))
+    if step == "write":
+        array.write(int(rng.integers(n_rows)), rng.integers(0, 4, n_stages))
+    elif step == "write_all":
+        array.write_all(rng.integers(0, 4, (n_rows, n_stages)))
+    elif step == "edit_offsets":
+        physical._off_a[rng.integers(physical.n_rows)] += 0.08
+        physical._off_b[:, rng.integers(n_stages)] -= 0.05
+        physical.invalidate_threshold_cache()
+    elif step == "assign_offsets":
+        physical._off_a = rng.normal(0.0, 0.04, physical._off_a.shape)
+    elif step == "assign_vsl":
+        physical._vsl = physical._vsl_nom + rng.normal(0.0, 0.03, 4)
+    elif step == "nominal":
+        physical._off_a = np.zeros_like(physical._off_a)
+        physical._off_b = np.zeros_like(physical._off_b)
+        physical._vsl = physical._vsl_nom.copy()
+    elif step == "search_batch":
+        array.search_batch(queries)
+    elif step == "count_batch":
+        physical.mismatch_count_batch(queries)
+    elif step == "advance_time":
+        array.advance_time(float(rng.uniform(1.0e3, 1.0e6)))
+    elif step == "self_test_and_repair":
+        array.self_test_and_repair()
+    elif step == "save":
+        checkpoint.save(array)
+    elif step == "restore":
+        checkpoint.restore(array)
+    else:
+        raise AssertionError(step)
+
+
+def assert_counts_are_the_loop(array, counter, rng):
+    """The dispatched, forced and reference counts of one query batch
+    agree, and the cache-free recompute agrees with them."""
+    physical = array if isinstance(array, FastTDAMArray) else array._physical
+    queries = rng.integers(0, 4, (5, PROP_CONFIG.n_stages))
+    with force_kernel("loop"):
+        want = counter(queries)
+        want_batch = array.search_batch(queries)
+    for kernel in ("packed", "gemm"):
+        with force_kernel(kernel):
+            assert np.array_equal(counter(queries), want), kernel
+    assert np.array_equal(counter(queries), want)
+    batch = array.search_batch(queries)
+    assert np.array_equal(
+        batch.hamming_distances, want_batch.hamming_distances
+    )
+    assert np.array_equal(batch.delays_s, want_batch.delays_s)
+    vth = np.array(PROP_CONFIG.vth_levels)
+    stored = physical._stored
+    clean = batched_mismatch_counts(
+        queries,
+        vth[stored] + physical._off_a,
+        vth[PROP_CONFIG.levels - 1 - stored] + physical._off_b,
+        physical._vsl,
+        PROP_CONFIG.levels,
+        physical.turn_on_overdrive,
+    )
+    assert np.array_equal(physical.mismatch_count_batch(queries), clean)
+
+
+class TestCacheInvalidationSequence:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        variation=st.booleans(),
+        steps=st.lists(st.sampled_from(FAST_STEPS), min_size=1, max_size=10),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_fast_array(self, variation, steps, seed):
+        rng = np.random.default_rng(seed)
+        array = FastTDAMArray(
+            PROP_CONFIG, 5,
+            variation=VariationModel(seed=seed % 997) if variation else None,
+        )
+        array.write_all(rng.integers(0, 4, (5, PROP_CONFIG.n_stages)))
+        for step in steps:
+            apply_step(step, array, rng, array)
+            assert_counts_are_the_loop(array, array.mismatch_count_batch, rng)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=st.data(),
+        variation=st.booleans(),
+        steps=st.lists(
+            st.sampled_from(RESILIENT_STEPS), min_size=1, max_size=8
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_resilient_array(self, data, variation, steps, seed):
+        faults, _ = data.draw(fault_maps(7))
+        rng = np.random.default_rng(seed)
+        array = ResilientTDAMArray(
+            PROP_CONFIG, n_rows=5, n_spares=2, faults=faults,
+            variation=VariationModel(seed=seed % 997) if variation else None,
+        )
+        array.write_all(rng.integers(0, 4, (5, PROP_CONFIG.n_stages)))
+
+        def counter(queries):
+            return array._backing.mismatch_count_batch(
+                queries, masked_stages=array._masked
+            )
+
+        with tempfile.TemporaryDirectory() as tmp:
+            checkpoint = ServiceCheckpointer(Path(tmp) / "shard.npz")
+            checkpoint.save(array)
+            for step in steps:
+                apply_step(step, array, rng, array._physical, checkpoint)
+                assert_counts_are_the_loop(array, counter, rng)
+
+
+class TestNominalRewriteSkipsTableRebuild:
+    """Under nominal timing the XOR path reads no level table, so a
+    rewrite costs a bit-plane repack, never a table rebuild."""
+
+    @pytest.mark.parametrize("resilient", [False, True])
+    def test_write_all_then_search_adds_no_rebuild(
+        self, config, rng, resilient
+    ):
+        if resilient:
+            array = ResilientTDAMArray(config, n_rows=10, n_spares=2)
+        else:
+            array = FastTDAMArray(config, n_rows=12)
+        rows = array.n_rows
+        queries = rng.integers(0, config.levels, (6, config.n_stages))
+        rebuilds = get_registry().get("tdam_threshold_cache_events_total")
+        with force_kernel("packed"), enabled_scope():
+            array.write_all(
+                rng.integers(0, config.levels, (rows, config.n_stages))
+            )
+            array.search_batch(queries)
+            before = rebuilds.value(op="rebuild")
+            array.write_all(
+                rng.integers(0, config.levels, (rows, config.n_stages))
+            )
+            batch = array.search_batch(queries)
+            assert rebuilds.value(op="rebuild") == before
+        with force_kernel("loop"):
+            reference = array.search_batch(queries)
+        assert np.array_equal(batch.delays_s, reference.delays_s)

@@ -26,6 +26,7 @@ def make_report(**overrides):
             "bit_exact": True,
         },
         "topk": {"speedup": 1.7, "exact": True},
+        "resilient": {"speedup": 21.0, "bit_exact": True},
         "monte_carlo": {"speedup": 1.0, "bit_identical": True},
         "ann": {
             "speedup": 40.0,
@@ -77,6 +78,20 @@ class TestCompareToBaseline:
         )
         assert rows["topk.speedup"]["status"] == "fail"
         assert rows["topk.speedup"]["threshold"] == 1.0
+
+    def test_resilient_batch_at_the_dense_tensor_speed_fails(self):
+        # A (Q, M, N) fault tensor per batch read ~2x the scalar loop.
+        report = make_report(**{"resilient.speedup": 2.1})
+        rows = rows_by_metric(
+            bench_report.compare_to_baseline(report, make_report())
+        )
+        assert rows["resilient.speedup"]["status"] == "fail"
+        assert rows["resilient.speedup"]["threshold"] == 10.0
+        report = make_report(**{"resilient.bit_exact": False})
+        rows = rows_by_metric(
+            bench_report.compare_to_baseline(report, make_report())
+        )
+        assert rows["resilient.bit_exact"]["status"] == "fail"
 
     def test_rel_min_tracks_the_baseline(self):
         baseline = make_report(**{"monte_carlo.speedup": 2.0})

@@ -30,17 +30,21 @@ plus two direct wall-clock studies, and writes ``BENCH_search.json``:
    serving array (1024 rows x 128 stages, 32-query batches), with
    index-exact equality asserted; gated so top-k is never slower than
    ranking a full search.
-6. **Clustered ANN**: the memmapped ``ClusteredTDAMIndex`` routed probe
+6. **Resilient batches**: ``ResilientTDAMArray.search_batch`` against
+   a loop of its scalar ``search`` on the HDC classifier's array (26
+   class rows + 2 spares x 2048 stages at V_DD = 0.6 V, 32-query
+   batches), with every result field compared; gated at >= 10x.
+7. **Clustered ANN**: the memmapped ``ClusteredTDAMIndex`` routed probe
    against exhaustive in-RAM ``top_k_batch`` on a million-row clustered
    corpus (``--ann-rows`` scales it down for CI): queries/s, recall@10,
    and the nprobe=n_clusters bit-identity check.
-7. **HDC encode**: the nonlinear ``RandomProjectionEncoder`` on the
+8. **HDC encode**: the nonlinear ``RandomProjectionEncoder`` on the
    committed microbench workload (64 samples x 617 features -> D=2048)
    against the *committed pre-rewrite baseline constant* -- the fused
    trig-identity rewrite is gated at >= 5x -- plus the quantized
    in-fabric variant's wall clock, worst-case error, and modeled
    fabric cost.
-8. **Bit-serial MVM**: the three MVM kernels (packed bit-serial,
+9. **Bit-serial MVM**: the three MVM kernels (packed bit-serial,
    exact-float GEMM, int64 loop) forced on an 8b x 8b product, with
    bit-exactness against the int64 reference asserted (gated).
 
@@ -63,6 +67,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import platform
@@ -81,6 +86,7 @@ from repro import telemetry  # noqa: E402
 from repro.core.array import FastTDAMArray, resolve_query_chunk  # noqa: E402
 from repro.core.config import TDAMConfig  # noqa: E402
 from repro.core.kernels import force_kernel  # noqa: E402
+from repro.resilience.resilient import ResilientTDAMArray  # noqa: E402
 from repro.experiments.fig6_montecarlo import Fig6Trial  # noqa: E402
 from repro.spice.montecarlo import (  # noqa: E402
     resolve_worker_count,
@@ -95,6 +101,12 @@ N_QUERIES = 256
 # 32 queries), so it times the top-k path serving traffic runs.
 TOPK_ROWS = 1024
 TOPK_QUERIES = 32
+# The resilient bench runs on the HDC classifier's array (the
+# ``hdc-refresh`` benchmark workload: 26 classes, 2 spares, D = 2048).
+RESILIENT_ROWS = 26
+RESILIENT_SPARES = 2
+RESILIENT_STAGES = 2048
+RESILIENT_QUERIES = 32
 
 
 def _best_of(fn, repeats: int) -> float:
@@ -114,7 +126,7 @@ def bench_search_batch(repeats: int = 5) -> dict:
     rng = np.random.default_rng(1)
     array.write_all(rng.integers(0, 4, size=(N_ROWS, N_STAGES)))
     queries = rng.integers(0, 4, size=(N_QUERIES, N_STAGES))
-    array.search_batch(queries)  # warm up and build the level tables
+    array.search_batch(queries)  # warm up and autotune
 
     t_batch = _best_of(lambda: array.search_batch(queries), repeats)
     t_loop = _best_of(
@@ -152,7 +164,7 @@ def bench_kernels(repeats: int = 30) -> dict:
     array.write_all(rng.integers(0, 4, size=(N_ROWS, N_STAGES)))
     queries = rng.integers(0, 4, size=(N_QUERIES, N_STAGES))
     chunk = resolve_query_chunk(N_ROWS, N_STAGES)
-    array.search_batch(queries)  # build the write-time tables
+    array.search_batch(queries)  # warm up and autotune
 
     t_packed = _best_of(lambda: array._counts_packed(queries, chunk), repeats)
     t_gemm = _best_of(lambda: array._counts_gemm(queries, chunk), repeats)
@@ -195,7 +207,7 @@ def bench_topk(k: int = 5, repeats: int = 10) -> dict:
     rng = np.random.default_rng(1)
     array.write_all(rng.integers(0, 4, size=(TOPK_ROWS, N_STAGES)))
     queries = rng.integers(0, 4, size=(TOPK_QUERIES, N_STAGES))
-    array.top_k_batch(queries, k)  # warm up, build tables, autotune
+    array.top_k_batch(queries, k)  # warm up and autotune
 
     t_search = _best_of(lambda: array.search_batch(queries), repeats)
     t_exhaustive = _best_of(
@@ -218,6 +230,43 @@ def bench_topk(k: int = 5, repeats: int = 10) -> dict:
         "search_batch_s": t_search,
         "speedup": t_exhaustive / t_top_k,
         "exact": exact,
+    }
+
+
+def bench_resilient(repeats: int = 20) -> dict:
+    """Resilient batched search vs its scalar loop, same array."""
+    config = TDAMConfig(bits=2, n_stages=RESILIENT_STAGES, vdd=0.6)
+    array = ResilientTDAMArray(
+        config, RESILIENT_ROWS, n_spares=RESILIENT_SPARES
+    )
+    rng = np.random.default_rng(1)
+    array.write_all(
+        rng.integers(0, 4, size=(RESILIENT_ROWS, RESILIENT_STAGES))
+    )
+    queries = rng.integers(0, 4, size=(RESILIENT_QUERIES, RESILIENT_STAGES))
+    array.search_batch(queries)  # warm up and autotune
+
+    t_batch = _best_of(lambda: array.search_batch(queries), repeats)
+    t_loop = _best_of(
+        lambda: [array.search(q) for q in queries], max(2, repeats // 4)
+    )
+    batch = array.search_batch(queries)
+    exact = True
+    for i, query in enumerate(queries):
+        got, want = batch.result(i), array.search(query)
+        exact = exact and all(
+            np.array_equal(getattr(got, f.name), getattr(want, f.name))
+            for f in dataclasses.fields(want)
+        )
+    return {
+        "workload": (
+            f"{RESILIENT_ROWS}+{RESILIENT_SPARES} rows x "
+            f"{RESILIENT_STAGES} stages x {RESILIENT_QUERIES} queries"
+        ),
+        "loop_s": t_loop,
+        "batch_s": t_batch,
+        "speedup": t_loop / t_batch,
+        "bit_exact": bool(exact),
     }
 
 
@@ -271,7 +320,7 @@ def bench_telemetry_overhead(repeats: int = 20) -> dict:
     queries = rng.integers(0, 4, size=(N_QUERIES, N_STAGES))
 
     telemetry.reset()
-    array.search_batch(queries)  # warm up and build the level tables
+    array.search_batch(queries)  # warm up and autotune
     array._search_batch_impl(queries)
     t_bare = _best_of(lambda: array._search_batch_impl(queries), repeats)
     t_disabled = _best_of(lambda: array.search_batch(queries), repeats)
@@ -640,6 +689,8 @@ TRACKED_GATES = (
     ("kernels.bit_exact", "true", None),
     ("topk.speedup", "abs_min", 1.0),
     ("topk.exact", "true", None),
+    ("resilient.speedup", "abs_min", 10.0),
+    ("resilient.bit_exact", "true", None),
     ("monte_carlo.speedup", "rel_min", 0.75),
     ("monte_carlo.bit_identical", "true", None),
     ("ann.speedup", "abs_min", 10.0),
@@ -777,6 +828,7 @@ def main(argv=None) -> int:
         "search_batch": bench_search_batch(),
         "kernels": bench_kernels(),
         "topk": bench_topk(),
+        "resilient": bench_resilient(),
         "monte_carlo": bench_monte_carlo(args.mc_runs, args.workers),
         "telemetry_overhead": bench_telemetry_overhead(),
         "coalesce": bench_coalesce(),
@@ -794,6 +846,7 @@ def main(argv=None) -> int:
     search = report["search_batch"]
     kern = report["kernels"]
     topk = report["topk"]
+    res = report["resilient"]
     mc = report["monte_carlo"]
     tel = report["telemetry_overhead"]
     print(f"search_batch: {search['batch_queries_per_s']:,.0f} queries/s "
@@ -804,6 +857,8 @@ def main(argv=None) -> int:
           f"(bit_exact={kern['bit_exact']})")
     print(f"topk:         {topk['speedup']:.2f}x vs ranking a full search "
           f"(exact={topk['exact']})")
+    print(f"resilient:    {res['batch_s'] * 1e3:.2f} ms per batch "
+          f"({res['speedup']:.1f}x vs loop, bit_exact={res['bit_exact']})")
     mc_note = (f" [auto fell back to serial: {mc['fallback_reason']}]"
                if mc["fallback_reason"] else "")
     print(f"monte_carlo:  {mc['speedup']:.2f}x with {mc['n_workers']} "
