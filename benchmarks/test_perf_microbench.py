@@ -170,7 +170,7 @@ def test_perf_record_encoder(benchmark):
 
 
 def test_perf_mvm_dispatch(benchmark):
-    """A dispatched 8b x 8b bit-serial MVM (256 x 617 weights, 32 acts)."""
+    """An 8b x 8b MVM product (256 x 617 weights, 32 acts)."""
     from repro.core.mvm import MVMPlan
 
     rng = np.random.default_rng(5)
@@ -179,7 +179,7 @@ def test_perf_mvm_dispatch(benchmark):
         bits=8, signed=True,
     )
     acts = rng.integers(0, 256, size=(32, 617), dtype=np.int64)
-    plan.matmul(acts)  # warm: settle the autotuned kernel choice
+    plan.matmul(acts)  # warm: build the weight cast
     out = benchmark(plan.matmul, acts)
     assert out.shape == (32, 256)
 

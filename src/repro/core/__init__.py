@@ -29,7 +29,6 @@ from repro.core.array import (
     FastTDAMArray,
     SearchResult,
     TDAMArray,
-    batched_mismatch_counts,
     calibrate_turn_on_overdrive,
     resolve_best_batch,
     resolve_query_chunk,
@@ -49,14 +48,6 @@ from repro.core.config import TDAMConfig
 from repro.core.encoding import LevelEncoding, validate_levels
 from repro.core.faults import Fault, FaultInjector, FaultType, FaultyTDAMArray
 from repro.core.energy import TimingEnergyModel
-from repro.core.kernels import (
-    KERNEL_ENV_VAR,
-    available_kernels,
-    chunk_decisions,
-    clear_autotune_cache,
-    force_kernel,
-    kernel_override,
-)
 from repro.core.mvm import MVMCost, MVMPlan, infer_operand_bits, mvm
 from repro.core.noise import (
     JitteryTDC,
@@ -88,7 +79,6 @@ __all__ = [
     "FastTDAMArray",
     "SearchResult",
     "BatchSearchResult",
-    "batched_mismatch_counts",
     "calibrate_turn_on_overdrive",
     "resolve_best_batch",
     "resolve_query_chunk",
@@ -98,12 +88,6 @@ __all__ = [
     "packed_mismatch_counts",
     "packed_pair_counts",
     "popcount",
-    "KERNEL_ENV_VAR",
-    "available_kernels",
-    "chunk_decisions",
-    "clear_autotune_cache",
-    "force_kernel",
-    "kernel_override",
     "MVMCost",
     "MVMPlan",
     "infer_operand_bits",

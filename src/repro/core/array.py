@@ -15,8 +15,8 @@ are provided with the same search semantics:
 An integration test asserts the two agree on match decisions and delays.
 
 The fast array additionally serves **query batches**:
-:meth:`FastTDAMArray.search_batch` broadcasts the mismatch decision over
-a (queries, rows, stages) tensor in bounded-memory chunks and assembles a
+:meth:`FastTDAMArray.search_batch` counts mismatches on one packed
+bit-plane popcount kernel in bounded-memory query chunks and assembles a
 :class:`BatchSearchResult` through array-valued TDC decode
 (:meth:`~repro.core.sensing.CounterTDC.count_array`) and a precomputed
 energy table (:meth:`~repro.core.energy.TimingEnergyModel.search_energy_table`).
@@ -31,7 +31,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core import kernels as _kernels
 from repro.core.bitplane import (
     pack_bit_planes,
     pack_level_planes,
@@ -79,8 +78,8 @@ _CACHE_EVENTS = _REG.counter(
 )
 
 #: Transient-tensor memory budget of the batched kernels (bytes): the
-#: auto-sized query chunk bounds the materialized (chunk, rows, stages)
-#: float tensor to roughly this footprint.
+#: auto-sized query chunk bounds what each kernel materializes per
+#: chunk to roughly this footprint.
 QUERY_CHUNK_BUDGET_BYTES = 32 * 1024 * 1024
 #: Floor of the auto-sized chunk -- tiny chunks drown in loop overhead.
 MIN_QUERY_CHUNK = 8
@@ -89,13 +88,22 @@ MIN_QUERY_CHUNK = 8
 MAX_QUERY_CHUNK = 1024
 
 
+def _budget_chunk(
+    per_query_bytes: int, budget_bytes: int = QUERY_CHUNK_BUDGET_BYTES
+) -> int:
+    """Queries whose transients fit ``budget_bytes``, clamped to
+    [:data:`MIN_QUERY_CHUNK`, :data:`MAX_QUERY_CHUNK`]."""
+    chunk = budget_bytes // per_query_bytes
+    return int(min(MAX_QUERY_CHUNK, max(MIN_QUERY_CHUNK, chunk)))
+
+
 def resolve_query_chunk(
     n_rows: int,
     n_stages: int,
     budget_bytes: int = QUERY_CHUNK_BUDGET_BYTES,
     working_set_bytes: int = 0,
 ) -> int:
-    """Auto-size the query chunk of the batched kernels.
+    """Auto-size the query chunk of a float-gather kernel.
 
     Chooses the number of queries per materialized ``(chunk, M, N)``
     float tensor so the transient stays near ``budget_bytes``: huge
@@ -104,7 +112,8 @@ def resolve_query_chunk(
     result is clamped to [:data:`MIN_QUERY_CHUNK`,
     :data:`MAX_QUERY_CHUNK`].  Chunking never changes results -- every
     kernel is bit-exact for any chunk -- so this is purely a
-    memory/throughput trade.
+    memory/throughput trade.  The packed count kernel applies the same
+    budget to its own, far smaller, per-query transient.
 
     Args:
         n_rows: Rows the kernel will scan.
@@ -129,18 +138,21 @@ def resolve_query_chunk(
     effective = budget_bytes - working_set_bytes
     if effective <= 0:
         return MIN_QUERY_CHUNK
-    per_query = n_rows * n_stages * 8
-    chunk = effective // per_query
-    return int(min(MAX_QUERY_CHUNK, max(MIN_QUERY_CHUNK, chunk)))
+    return _budget_chunk(n_rows * n_stages * 8, effective)
 
 
 def _resolve_chunk_arg(chunk: Optional[int], n_rows: int, n_stages: int) -> int:
     """Validate an explicit chunk or auto-size a ``None`` one."""
     if chunk is None:
         return resolve_query_chunk(n_rows, n_stages)
-    if chunk < 1:
-        raise ValueError(f"chunk must be >= 1, got {chunk}")
+    _check_chunk(chunk)
     return chunk
+
+
+def _check_chunk(chunk: Optional[int]) -> None:
+    """Reject an explicit chunk below one query."""
+    if chunk is not None and chunk < 1:
+        raise ValueError(f"chunk must be >= 1, got {chunk}")
 
 #: Memoized turn-on overdrives, keyed by the config fields the bisection
 #: actually depends on.  Monte Carlo builds thousands of arrays from the
@@ -182,46 +194,6 @@ def calibrate_turn_on_overdrive(config: TDAMConfig) -> float:
     result = 0.5 * (lo + hi)
     _TURN_ON_MEMO[key] = result
     return result
-
-
-def batched_mismatch_counts(
-    queries: np.ndarray,
-    vth_a: np.ndarray,
-    vth_b: np.ndarray,
-    vsl: np.ndarray,
-    levels: int,
-    von: float,
-    chunk: Optional[int] = None,
-) -> np.ndarray:
-    """Per-row mismatch counts of a query batch, shape (Q, M).
-
-    The shared broadcast kernel behind :meth:`FastTDAMArray.search_batch`
-    and :meth:`repro.hdc.mapping.TDAMInference.mismatch_counts`: for each
-    query chunk the (chunk, M, N) conduction tensor ``F_A on | F_B on``
-    is materialized and reduced over stages.
-
-    Args:
-        queries: Validated query levels, shape (Q, N).
-        vth_a: Per-cell F_A thresholds including offsets, shape (M, N).
-        vth_b: Per-cell F_B thresholds including offsets, shape (M, N).
-        vsl: Search-line ladder indexed by level, shape (levels,).
-        levels: Number of storable levels.
-        von: Calibrated switch-on overdrive (V).
-        chunk: Queries per materialized tensor chunk (memory bound);
-            ``None`` auto-sizes via :func:`resolve_query_chunk`.
-    """
-    queries = np.asarray(queries)
-    chunk = _resolve_chunk_arg(chunk, vth_a.shape[0], vth_a.shape[1])
-    n_q = queries.shape[0]
-    out = np.empty((n_q, vth_a.shape[0]), dtype=np.int64)
-    for start in range(0, n_q, chunk):
-        block = queries[start:start + chunk]
-        vsl_a = vsl[block][:, None, :]
-        vsl_b = vsl[levels - 1 - block][:, None, :]
-        fa_on = (vsl_a - vth_a[None, :, :]) >= von
-        fb_on = (vsl_b - vth_b[None, :, :]) >= von
-        out[start:start + chunk] = (fa_on | fb_on).sum(axis=2)
-    return out
 
 
 @dataclass(frozen=True)
@@ -622,7 +594,7 @@ class FastTDAMArray:
         search-line ladder equals the nominal one.  In that regime the
         per-cell effective mismatch delay is *exactly* the nominal
         ``d_C`` (the overdrive deviation computes to 0.0), so every
-        search path -- scalar, GEMM, packed -- can take the
+        search path -- scalar, batched, top-k -- can take the
         counts-times-``d_C`` delay form and stay mutually bit-exact.
         The flag is cached and invalidated with the threshold cache.
         """
@@ -720,7 +692,8 @@ class FastTDAMArray:
         return self._mism_table, self._contrib_table
 
     def _rebuild_level_tables(self) -> None:
-        """Materialize the gather/GEMM tables from the threshold cache."""
+        """Materialize the gather tables and bit-planes from the threshold
+        cache."""
         vth_a, vth_b, vth_a_nom, vth_b_nom = self._thresholds()
         mism, contrib = self._build_level_tables(
             vth_a, vth_b, vth_a_nom, vth_b_nom
@@ -734,13 +707,6 @@ class FastTDAMArray:
         self._contrib_table = np.ascontiguousarray(
             contrib.transpose(1, 0, 2)
         ).reshape(shape)
-        # (L, N, M) float copy for the one-hot matmul count path:
-        # every product and partial sum is a small integer, exactly
-        # representable in float64, so any BLAS accumulation order
-        # reproduces the boolean-gather counts bit-for-bit.
-        self._mism_gemm = np.ascontiguousarray(
-            mism.transpose(0, 2, 1).astype(float)
-        )
         # (L, M, B) uint8 bit-planes for the packed-popcount kernel
         # (see repro.core.bitplane).
         self._mism_packed = pack_level_planes(mism)
@@ -940,13 +906,13 @@ class FastTDAMArray:
         """Per-row mismatch counts of a query batch, shape (Q, n_rows).
 
         The reduction-only entry point (no delay modulation), counted by
-        the same dispatched kernel as :meth:`search_batch`; bit-identical
-        to the :func:`batched_mismatch_counts` recompute kernel.
+        the same packed kernel as :meth:`search_batch`; each row equals
+        ``mismatch_matrix(queries[i]).sum(axis=1)``.
         """
         q = self._validate_queries(queries)
         if q.shape[0] == 0:
             return np.zeros((0, self.n_rows), dtype=np.int64)
-        return self._count_kernel(q, self._resolve_batch_chunk(chunk, q))
+        return self._counts_packed(q, chunk)
 
     def _cell_mismatches(
         self, queries: np.ndarray, rows: np.ndarray, stages: np.ndarray
@@ -1072,70 +1038,75 @@ class FastTDAMArray:
             n_stages=self.config.n_stages,
         )
 
-    def _counts_gemm(self, queries: np.ndarray, chunk: int) -> np.ndarray:
-        """Mismatch counts via the one-hot matmul kernel, shape (Q, M).
-
-        Every product and partial sum is a small integer, exactly
-        representable in float64, so any BLAS accumulation order
-        reproduces the boolean-gather counts bit-for-bit.
-        """
-        self._level_tables()
-        mism_gemm = self._mism_gemm
-        levels = self.config.levels
-        n_q = queries.shape[0]
-        counts = np.empty((n_q, self.n_rows), dtype=np.int64)
-        for start in range(0, n_q, chunk):
-            block = queries[start:start + chunk]
-            acc = np.zeros((block.shape[0], self.n_rows))
-            for level in range(levels):
-                acc += (block == level).astype(float) @ mism_gemm[level]
-            counts[start:start + chunk] = acc.astype(np.int64)
-        return counts
-
-    def _counts_packed(self, queries: np.ndarray, chunk: int) -> np.ndarray:
+    def _counts_packed(
+        self, queries: np.ndarray, chunk: Optional[int] = None
+    ) -> np.ndarray:
         """Mismatch counts via the bit-plane popcount kernel, (Q, M).
 
-        Queries become per-level one-hot bit masks; ANDing a mask with
-        the write-time bit-planes selects exactly the mismatching
-        stages, and a popcount reduces them -- about one bit of memory
-        traffic per cell instead of eight float bytes.  When the tables
-        are provably pure level inequality (:meth:`_xor_bit_planes`),
-        the one-hot reduction collapses further to ``log2(L)`` XORs
-        over the stored-level bit-planes, and no level table is read.
-        Counts are exact integers, identical to every other kernel.
+        The one count kernel behind every batched entry point.  Queries
+        become per-level one-hot bit masks; ANDing a mask with the
+        write-time bit-planes selects exactly the mismatching stages,
+        and a popcount reduces them -- about one bit of memory traffic
+        per cell instead of eight float bytes.  When the tables are
+        provably pure level inequality (:meth:`_xor_bit_planes`), the
+        one-hot reduction collapses further to ``log2(L)`` XORs over
+        the stored-level bit-planes, and no level table is read.
+        Counts are exact integers, identical to :meth:`_counts_loop`.
+
+        ``chunk=None`` divides the :data:`QUERY_CHUNK_BUDGET_BYTES`
+        budget by what one query allocates here: ``bits * M * B`` bytes
+        of XOR words, or ``L * M * B`` for the one-hot AND.
         """
-        stored_bits = self._xor_bit_planes()
-        if stored_bits is not None:
-            bits = stored_bits.shape[0]
+        _check_chunk(chunk)
+        planes = self._xor_bit_planes()
+        if planes is not None:
+            path = "xor"
 
             def count(block: np.ndarray) -> np.ndarray:
                 return packed_xor_counts(
-                    stored_bits, pack_bit_planes(block, bits)
+                    planes, pack_bit_planes(block, planes.shape[0])
                 )
         else:
             self._level_tables()
             planes = self._mism_packed
             levels = self.config.levels
+            path = "onehot"
 
             def count(block: np.ndarray) -> np.ndarray:
                 return packed_mismatch_counts(
                     planes, pack_query_masks(block, levels)
                 )
+        if chunk is None:
+            # Each query's transient is one word per plane, row and
+            # stage word: the planes' own size.
+            chunk = _budget_chunk(planes.nbytes)
         n_q = queries.shape[0]
-        if n_q <= chunk:
-            return count(queries)
-        counts = np.empty((n_q, self.n_rows), dtype=np.int64)
-        for start in range(0, n_q, chunk):
-            counts[start:start + chunk] = count(queries[start:start + chunk])
-        return counts
+
+        def run() -> np.ndarray:
+            if n_q <= chunk:
+                return count(queries)
+            counts = np.empty((n_q, self.n_rows), dtype=np.int64)
+            for start in range(0, n_q, chunk):
+                counts[start:start + chunk] = count(
+                    queries[start:start + chunk]
+                )
+            return counts
+
+        if _TM.enabled:
+            # The dispatch span inherits the active request/batch
+            # context -- the last hop of a request's trace.
+            with _trace.span(
+                "kernel.dispatch", kernel=path, rows=self.n_rows, queries=n_q
+            ):
+                return run()
+        return run()
 
     def _counts_loop(self, queries: np.ndarray) -> np.ndarray:
         """Per-query reference kernel: the bit-exactness yardstick.
 
-        One gather-and-reduce per query, no batching tricks.  Only
-        reachable through an explicit kernel override; the benchmark
-        harness and the property tests pin it to prove the fast kernels
-        bit-exact.
+        One gather-and-reduce per query, no batching tricks.  No search
+        path calls it; the property tests and ``tools/bench_report.py``
+        call it directly to prove :meth:`_counts_packed` bit-exact.
         """
         mism_table, _ = self._level_tables()
         n = self.config.n_stages
@@ -1146,7 +1117,9 @@ class FastTDAMArray:
             counts[i] = mism_table[:, idx].sum(axis=1)
         return counts
 
-    def _delay_adders(self, queries: np.ndarray, chunk: int) -> np.ndarray:
+    def _delay_adders(
+        self, queries: np.ndarray, chunk: Optional[int] = None
+    ) -> np.ndarray:
         """Variation-modulated per-query delay totals (s), shape (Q, M).
 
         A fancy gather from the write-time contribution table plus a
@@ -1154,8 +1127,10 @@ class FastTDAMArray:
         replay the scalar :meth:`search` arithmetic (the tables are
         built with it) and the sums run over the same contiguous
         operand order as the scalar per-row sums, so per-query delays
-        are bit-identical to the one-query path.
+        are bit-identical to the one-query path.  ``chunk=None`` sizes
+        the ``(M, chunk, N)`` float gather by :func:`resolve_query_chunk`.
         """
+        chunk = _resolve_chunk_arg(chunk, self.n_rows, self.config.n_stages)
         _, contrib_table = self._level_tables()
         n = self.config.n_stages
         stage_idx = np.arange(n)
@@ -1168,93 +1143,6 @@ class FastTDAMArray:
                 contrib_table.take(idx, axis=1).sum(axis=2).T
             )
         return adders
-
-    def _resolve_batch_chunk(
-        self, chunk: Optional[int], queries: np.ndarray
-    ) -> int:
-        """Resolve the query chunk of one batched call.
-
-        An explicit ``chunk`` is validated and wins outright.  ``None``
-        auto-sizes via :func:`resolve_query_chunk`; when the batch is
-        large enough that chunking actually engages (more than two
-        heuristic chunks of queries), candidate sizes around the
-        heuristic are measured once per geometry through
-        :func:`repro.core.kernels.select_query_chunk` and the winner is
-        cached and persisted alongside the kernel autotune decisions.
-        Chunking never changes results, so the decision is purely a
-        memory/throughput trade.
-        """
-        if chunk is not None:
-            return _resolve_chunk_arg(chunk, self.n_rows, self.config.n_stages)
-        default = resolve_query_chunk(self.n_rows, self.config.n_stages)
-        n_q = queries.shape[0]
-        if n_q <= 2 * default:
-            return default
-        sizes = sorted({
-            max(MIN_QUERY_CHUNK, default // 2),
-            default,
-            min(MAX_QUERY_CHUNK, default * 2),
-        })
-        sizes = [size for size in sizes if size <= n_q]
-        if len(sizes) < 2:
-            return default
-        key = (
-            "chunk",
-            self.n_rows,
-            self.config.n_stages,
-            self.config.levels,
-            self._timing_is_nominal(),
-        )
-        sample = queries[: min(n_q, 2 * sizes[-1])]
-        return _kernels.select_query_chunk(
-            key,
-            {
-                size: (lambda size=size: self._search_batch_impl(sample, size))
-                for size in sizes
-            },
-        )
-
-    def _count_kernel(self, queries: np.ndarray, chunk: int) -> np.ndarray:
-        """Mismatch counts of a query batch, kernel-dispatched, (Q, M).
-
-        The count kernel (packed popcount vs. one-hot GEMM vs. reference
-        loop) is chosen by :mod:`repro.core.kernels`: explicit override
-        first, else a per-geometry autotune over a small query sample.
-        Counts are exact integers in every kernel, so the choice never
-        changes results.
-        """
-        key = (
-            self.n_rows,
-            self.config.n_stages,
-            self.config.levels,
-            self._timing_is_nominal(),
-        )
-        sample = queries[: min(queries.shape[0], 32)]
-        name = _kernels.select_kernel(
-            key,
-            {
-                "packed": lambda: self._counts_packed(sample, chunk),
-                "gemm": lambda: self._counts_gemm(sample, chunk),
-            },
-        )
-        def _run() -> np.ndarray:
-            if name == "packed":
-                return self._counts_packed(queries, chunk)
-            if name == "gemm":
-                return self._counts_gemm(queries, chunk)
-            return self._counts_loop(queries)
-
-        if _TM.enabled:
-            # The dispatch span inherits the active request/batch
-            # context -- the last hop of a request's trace.
-            with _trace.span(
-                "kernel.dispatch",
-                kernel=name,
-                rows=self.n_rows,
-                queries=int(queries.shape[0]),
-            ):
-                return _run()
-        return _run()
 
     def search(self, query: Sequence[int]) -> SearchResult:
         """Parallel 2-step search (vectorized)."""
@@ -1311,9 +1199,8 @@ class FastTDAMArray:
         """Batched parallel search: Q queries in one vectorized kernel.
 
         Equivalent to ``[search(q) for q in queries]`` bit-for-bit (an
-        equivalence suite asserts it), but mismatch counting runs
-        through a dispatched kernel (packed popcount / one-hot GEMM /
-        reference loop -- see :mod:`repro.core.kernels`), the TDC
+        equivalence suite asserts it), but mismatch counting runs on
+        the packed bit-plane kernel (:meth:`_counts_packed`), the TDC
         decode is array-valued, and the energy total is an affine table
         lookup -- the per-query Python overhead of the scalar path
         disappears.
@@ -1321,8 +1208,8 @@ class FastTDAMArray:
         Args:
             queries: Query levels, shape (Q, n_stages).
             chunk: Queries per materialized tensor chunk (memory
-                bound); ``None`` auto-sizes via
-                :func:`resolve_query_chunk`.
+                bound); ``None`` sizes each kernel's chunk to
+                :data:`QUERY_CHUNK_BUDGET_BYTES`.
         """
         if not _TM.enabled:
             return self._search_batch_impl(queries, chunk)
@@ -1344,13 +1231,10 @@ class FastTDAMArray:
     ) -> BatchSearchResult:
         q = self._validate_queries(queries)
         if q.shape[0] == 0:
-            # Before kernel and chunk selection: timing an empty sample
-            # would cache (and persist) a meaningless winner.
             return self.batch_result_from_mismatch_counts(
                 np.zeros((0, self.n_rows), dtype=np.int64)
             )
-        chunk = self._resolve_batch_chunk(chunk, q)
-        counts = self._count_kernel(q, chunk)
+        counts = self._counts_packed(q, chunk)
         if self._timing_is_nominal():
             # The delay law is exactly ``counts * d_C`` on every path.
             return self.batch_result_from_mismatch_counts(counts)
@@ -1384,7 +1268,7 @@ class FastTDAMArray:
 
         Bit-identical to ``search_batch(queries).top_k(k)`` (restricted
         to ``rows`` when given) -- an exactness suite asserts it.  Under
-        nominal timing the dispatched count kernel's exact counts are
+        nominal timing the packed count kernel's exact counts are
         ranked directly, skipping the TDC decode, energy accounting,
         and winner resolution of the full search; under variation (or
         a degenerate delay ladder) the full search is ranked.
@@ -1435,9 +1319,8 @@ class FastTDAMArray:
             raise ValueError(f"k must be in [1, {m}], got {k}")
         if q.shape[0] == 0:
             return np.empty((0, k), dtype=np.int64)
-        chunk = self._resolve_batch_chunk(chunk, q)
         if self._timing_is_nominal() and self._delay_strictly_monotone():
-            counts = self._count_kernel(q, chunk)
+            counts = self._counts_packed(q, chunk)
             if rows_arr is not None:
                 counts = counts[:, rows_arr]
             return top_k_indices(counts, k, row_ids=rows_arr)

@@ -1,403 +1,26 @@
-"""Batched-search kernel selection: override, autotune, dispatch.
+"""Former home of the run-time kernel autotune; now two empty reports.
 
-:meth:`FastTDAMArray.search_batch` has three interchangeable kernels --
-``packed`` (bit-plane popcount), ``gemm`` (one-hot matmul), and ``loop``
-(the per-query reference) -- all bit-exact against each other, so
-choosing between them is purely a performance decision.  This module
-makes that choice:
-
-1. an explicit override wins: :func:`force_kernel` (tests, benchmarks)
-   beats the :data:`KERNEL_ENV_VAR` environment variable (``auto`` /
-   ``packed`` / ``gemm`` / ``loop``), which beats autotuning;
-2. otherwise the dispatcher **autotunes**: the candidate kernels are
-   timed once on a small query sample and the winner is cached per
-   array geometry (rows, stages, levels, timing mode) for the life of
-   the process.
-
-The ``loop`` kernel is reachable only by explicit override -- it exists
-as the bit-exactness reference and is never worth autotuning.
-Autotune decisions are observable through the ``kernel.autotune``
-telemetry probe and :func:`autotune_decisions`.
-
-Decisions persist across processes through a per-machine **profile
-file** (:func:`autotune_profile_path`, default
-``~/.cache/repro/autotune.json``, overridable via
-:data:`AUTOTUNE_PROFILE_ENV`; an empty value disables persistence).
-The profile is loaded lazily on the first cache miss and written with
-:func:`repro.io.atomic_write`, so cold processes -- Monte Carlo worker
-pools, shard processes, index builders -- start on the right kernel
-instead of re-measuring.  Decisions timed while telemetry tracing is
-enabled are quarantined in a separate cache: the enabled-path overhead
-(~30% on instrumented thunks) can flip the winner, and such a decision
-must outlive neither the tracing session nor the process.
-
-Query-chunk decisions ride in the same profile.  The batched kernels
-auto-size their query chunk with a memory-budget heuristic
-(:func:`repro.core.array.resolve_query_chunk`); for large batches
-:func:`select_query_chunk` measures a few candidate sizes around that
-heuristic and caches the winner per geometry, under exactly the same
-precedence (explicit chunk argument wins upstream), persistence
-(``chunks`` map next to ``entries``) and traced-timing quarantine as
-the kernel decisions.  Chunking never changes results, so this too is
-purely a performance decision.
+Batched search counts on one kernel (the packed bit-plane popcount of
+:meth:`repro.core.array.FastTDAMArray._counts_packed`), MVM runs on one
+exact-by-bounds GEMM (:meth:`repro.core.mvm.MVMPlan.matmul`), and the
+query chunk follows one memory-budget rule, so nothing is timed or
+persisted at run time.  The benchmark harness still records these two
+reports with every run; they stay empty until it stops reading them,
+and then this module goes.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import time
-from contextlib import contextmanager
-from pathlib import Path
-from typing import Callable, Dict, Iterator, Optional, Tuple
+from typing import Dict, Tuple
 
-from repro.telemetry.profile import emit_probe as _emit_probe
-from repro.telemetry.state import STATE as _TM
-
-__all__ = [
-    "AUTOTUNE_PROFILE_ENV",
-    "KERNEL_ENV_VAR",
-    "autotune_decisions",
-    "autotune_profile_path",
-    "available_kernels",
-    "chunk_decisions",
-    "clear_autotune_cache",
-    "force_kernel",
-    "kernel_override",
-    "select_kernel",
-    "select_query_chunk",
-]
-
-#: Environment variable naming the batched-search kernel to use.
-KERNEL_ENV_VAR = "REPRO_KERNEL"
-
-#: Environment variable overriding the autotune profile location; an
-#: empty (or whitespace) value disables persistence entirely.
-AUTOTUNE_PROFILE_ENV = "REPRO_AUTOTUNE_PROFILE"
-
-#: Format tag of the persisted profile, bumped on layout changes.
-_PROFILE_FORMAT = 1
-
-_KERNELS = ("packed", "gemm", "loop")
-# Best-of-N timing per candidate; the thunks are microsecond-scale, so
-# a few extra repeats cost nothing and keep scheduler noise (single-CPU
-# boxes especially) from flipping the cached decision.
-_AUTOTUNE_REPEATS = 7
-# Chunk candidates run full chunked count passes (milliseconds, not
-# microseconds), so fewer repeats keep the one-off measurement cheap.
-_CHUNK_REPEATS = 3
-
-_forced: Optional[str] = None
-_autotune_cache: Dict[Tuple, str] = {}
-_chunk_cache: Dict[Tuple, int] = {}
-# Decisions timed under enabled telemetry tracing; kept apart from
-# _autotune_cache so they are never persisted and never consulted once
-# tracing is off again (the instrumented timings are not trustworthy).
-_traced_cache: Dict[Tuple, str] = {}
-_traced_chunk_cache: Dict[Tuple, int] = {}
-# Whether the persisted profile has been merged into _autotune_cache.
-_profile_loaded = False
-
-
-def available_kernels() -> Tuple[str, ...]:
-    """Names of the selectable batched-search kernels."""
-    return _KERNELS
-
-
-def _validate(name: str, allow_auto: bool) -> str:
-    value = name.strip().lower()
-    valid = _KERNELS + (("auto",) if allow_auto else ())
-    if value not in valid:
-        raise ValueError(
-            f"unknown kernel {name!r}; expected one of {sorted(valid)}"
-        )
-    return value
-
-
-def kernel_override() -> Optional[str]:
-    """The kernel forced by :func:`force_kernel` or the environment.
-
-    Returns ``None`` when no override is active (``auto`` included), so
-    the dispatcher falls through to autotuning.  An unknown name in
-    :data:`KERNEL_ENV_VAR` raises instead of silently autotuning.
-    """
-    if _forced is not None:
-        return _forced
-    value = os.environ.get(KERNEL_ENV_VAR, "")
-    if not value.strip():
-        return None
-    value = _validate(value, allow_auto=True)
-    return None if value == "auto" else value
-
-
-@contextmanager
-def force_kernel(name: str) -> Iterator[None]:
-    """Force one batched-search kernel inside a ``with`` block.
-
-    Takes precedence over :data:`KERNEL_ENV_VAR`; the previous override
-    (usually none) is restored on exit.  The benchmark harness and the
-    bit-exactness tests use this to pin each kernel in turn.
-    """
-    global _forced
-    previous = _forced
-    _forced = _validate(name, allow_auto=False)
-    try:
-        yield
-    finally:
-        _forced = previous
-
-
-def clear_autotune_cache() -> None:
-    """Forget every cached autotune decision (tests, re-benchmarking).
-
-    Also forgets that the persisted profile was loaded, so the next
-    :func:`select_kernel` miss re-reads it -- i.e. this restores a
-    cold-process state, not an empty-machine state.  Point
-    :data:`AUTOTUNE_PROFILE_ENV` at an empty value first to force
-    genuine re-measurement.
-    """
-    global _profile_loaded
-    _autotune_cache.clear()
-    _chunk_cache.clear()
-    _traced_cache.clear()
-    _traced_chunk_cache.clear()
-    _profile_loaded = False
+__all__ = ["autotune_decisions", "chunk_decisions"]
 
 
 def autotune_decisions() -> Dict[Tuple, str]:
-    """A copy of the cached (geometry key -> winning kernel) decisions.
-
-    Only trustworthy (untraced) decisions appear here; winners timed
-    under enabled telemetry tracing are quarantined internally.
-    """
-    return dict(_autotune_cache)
+    """Kernel decisions taken at run time: always empty."""
+    return {}
 
 
 def chunk_decisions() -> Dict[Tuple, int]:
-    """A copy of the cached (geometry key -> query chunk) decisions.
-
-    Same contract as :func:`autotune_decisions`: traced winners are
-    quarantined and never appear here.
-    """
-    return dict(_chunk_cache)
-
-
-def autotune_profile_path() -> Optional[Path]:
-    """Location of the persisted autotune profile, or ``None``.
-
-    :data:`AUTOTUNE_PROFILE_ENV` overrides the default
-    ``~/.cache/repro/autotune.json``; setting it to an empty value
-    disables persistence (the in-process cache still works).
-    """
-    value = os.environ.get(AUTOTUNE_PROFILE_ENV)
-    if value is not None:
-        value = value.strip()
-        return Path(value) if value else None
-    return Path.home() / ".cache" / "repro" / "autotune.json"
-
-
-def _load_profile() -> None:
-    """Merge the persisted profile into the in-process cache, once.
-
-    A missing, unreadable, or corrupt profile is ignored -- the
-    dispatcher simply re-measures, exactly as if the file were absent.
-    In-process decisions win over persisted ones.
-    """
-    global _profile_loaded
-    if _profile_loaded:
-        return
-    _profile_loaded = True
-    path = autotune_profile_path()
-    if path is None:
-        return
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, ValueError):
-        return
-    if not isinstance(payload, dict) or payload.get("format") != _PROFILE_FORMAT:
-        return
-    entries = payload.get("entries")
-    if not isinstance(entries, dict):
-        return
-    for key_str, winner in entries.items():
-        if winner not in _KERNELS:
-            continue
-        try:
-            key = tuple(json.loads(key_str))
-        except ValueError:
-            continue
-        _autotune_cache.setdefault(key, winner)
-    chunks = payload.get("chunks")
-    if not isinstance(chunks, dict):
-        return
-    for key_str, winner in chunks.items():
-        if not isinstance(winner, int) or isinstance(winner, bool) or winner < 1:
-            continue
-        try:
-            key = tuple(json.loads(key_str))
-        except ValueError:
-            continue
-        _chunk_cache.setdefault(key, winner)
-
-
-def _save_profile() -> None:
-    """Persist the untraced cache (merge-over-existing, atomic publish).
-
-    The profile is an optimization, never a correctness artifact: any
-    I/O failure is swallowed and the in-process cache carries on.
-    """
-    path = autotune_profile_path()
-    if path is None:
-        return
-    from repro.io import atomic_write  # local: avoids an import cycle
-
-    entries: Dict[str, str] = {}
-    chunks: Dict[str, int] = {}
-    try:
-        payload = json.loads(path.read_text())
-        if isinstance(payload, dict) and payload.get("format") == _PROFILE_FORMAT:
-            existing = payload.get("entries")
-            if isinstance(existing, dict):
-                entries.update(existing)
-            existing_chunks = payload.get("chunks")
-            if isinstance(existing_chunks, dict):
-                chunks.update(existing_chunks)
-    except (OSError, ValueError):
-        pass
-    entries.update(
-        {json.dumps(list(key)): winner
-         for key, winner in _autotune_cache.items()}
-    )
-    chunks.update(
-        {json.dumps(list(key)): winner
-         for key, winner in _chunk_cache.items()}
-    )
-    doc = json.dumps(
-        {"format": _PROFILE_FORMAT, "entries": entries, "chunks": chunks},
-        indent=2,
-        sort_keys=True,
-    )
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        atomic_write(path, lambda handle: handle.write(doc.encode("utf-8")))
-    except OSError:
-        pass
-
-
-def select_kernel(
-    key: Tuple, candidates: Dict[str, Callable[[], None]]
-) -> str:
-    """Pick the batched-search kernel for one array geometry.
-
-    Args:
-        key: Hashable geometry/timing key the decision is cached under
-            (rows, stages, levels, nominal-timing flag).
-        candidates: Kernel name -> zero-argument thunk running that
-            kernel on a small representative sample; only consulted
-            when no override is active and the key is not cached.
-
-    Returns:
-        The kernel name to run.  An override may name a kernel outside
-        ``candidates`` (the ``loop`` reference); autotune only ever
-        returns a candidate.
-    """
-    override = kernel_override()
-    if override is not None:
-        return override
-    cached = _autotune_cache.get(key)
-    if cached is None and not _profile_loaded:
-        _load_profile()
-        cached = _autotune_cache.get(key)
-    if cached is not None and cached in candidates:
-        return cached
-    if _TM.enabled:
-        traced = _traced_cache.get(key)
-        if traced is not None and traced in candidates:
-            return traced
-    timings: Dict[str, float] = {}
-    for name, thunk in candidates.items():
-        thunk()  # warm: first call may build caches
-        best = float("inf")
-        for _ in range(_AUTOTUNE_REPEATS):
-            start = time.perf_counter()
-            thunk()
-            best = min(best, time.perf_counter() - start)
-        timings[name] = best
-    winner = min(timings, key=timings.get)
-    if _TM.enabled:
-        # Tracing inflates every instrumented thunk, which can flip the
-        # winner; quarantine the decision so it never reaches the
-        # untraced cache or the persisted profile.
-        _traced_cache[key] = winner
-        _emit_probe(
-            "kernel.autotune",
-            key=repr(key),
-            winner=winner,
-            traced=True,
-            **{f"{name}_s": t for name, t in timings.items()},
-        )
-    else:
-        _autotune_cache[key] = winner
-        _save_profile()
-    return winner
-
-
-def select_query_chunk(
-    key: Tuple, candidates: Dict[int, Callable[[], None]]
-) -> int:
-    """Pick the batched-kernel query chunk for one array geometry.
-
-    The chunked-counts analog of :func:`select_kernel`: candidate chunk
-    sizes (built by the caller around the
-    :func:`~repro.core.array.resolve_query_chunk` heuristic) are timed
-    best-of-:data:`_CHUNK_REPEATS` on a representative sample, and the
-    winner is cached per geometry and persisted in the ``chunks`` map
-    of the autotune profile.  Decisions timed under enabled telemetry
-    tracing are quarantined exactly like kernel decisions.  There is no
-    environment override -- an explicit ``chunk`` argument upstream
-    already bypasses this path entirely.
-
-    Args:
-        key: Hashable geometry key the decision is cached under.
-        candidates: Chunk size -> zero-argument thunk running the
-            chunked kernel at that size on a representative sample.
-
-    Returns:
-        The chunk size to use (always one of ``candidates``).
-    """
-    if not candidates:
-        raise ValueError("select_query_chunk needs at least one candidate")
-    cached = _chunk_cache.get(key)
-    if cached is None and not _profile_loaded:
-        _load_profile()
-        cached = _chunk_cache.get(key)
-    if cached is not None and cached in candidates:
-        return cached
-    if _TM.enabled:
-        traced = _traced_chunk_cache.get(key)
-        if traced is not None and traced in candidates:
-            return traced
-    timings: Dict[int, float] = {}
-    for size, thunk in candidates.items():
-        thunk()  # warm: first call may build caches
-        best = float("inf")
-        for _ in range(_CHUNK_REPEATS):
-            start = time.perf_counter()
-            thunk()
-            best = min(best, time.perf_counter() - start)
-        timings[size] = best
-    winner = min(timings, key=timings.get)
-    if _TM.enabled:
-        _traced_chunk_cache[key] = winner
-        _emit_probe(
-            "kernel.autotune",
-            key=repr(key),
-            winner=str(winner),
-            kind="chunk",
-            traced=True,
-            **{f"chunk_{size}_s": t for size, t in timings.items()},
-        )
-    else:
-        _chunk_cache[key] = winner
-        _save_profile()
-    return winner
+    """Query-chunk decisions taken at run time: always empty."""
+    return {}

@@ -1,41 +1,24 @@
-"""Bit-serial integer MVM on the packed bit-plane fabric.
+"""Integer MVM on the time-domain fabric: exact GEMM, bit-serial cost.
 
 Yin et al.'s homogeneous TD-CIM array (arXiv 2209.11971) performs both
 associative search *and* multiply-accumulate on the same ferroelectric
 time-domain fabric: operands are decomposed into bit-planes, each
 weight-plane x activation-plane pair is one AND + popcount array shot,
 and partial products are recombined with power-of-two shifts.  This
-module is the software model of that mode for our TD-AM: it reuses the
-packed bit-plane machinery of :mod:`repro.core.bitplane`
-(:func:`~repro.core.bitplane.pack_bit_planes`,
-:func:`~repro.core.bitplane.popcount`) so an integer matrix product
+module is the software model of that mode for our TD-AM.  The integer
+matrix product
 
     ``Y = X @ W.T``    (activations ``X``, stationary weights ``W``)
 
 is computed **exactly** -- bit-identical to
-``X.astype(int64) @ W.T.astype(int64)`` for every signed/unsigned
-operand up to 8 bits per element.
-
-Three interchangeable kernels serve the product, dispatched through
-:mod:`repro.core.kernels` (so ``force_kernel`` / ``REPRO_KERNEL`` /
-autotune apply to MVM geometries exactly as they do to batched search):
-
-- ``packed`` -- the fabric-faithful bit-serial form: AND + popcount
-  over uint64 words per plane pair, accumulated with shifts.  Exact by
-  construction (popcounts are integers; shifts are powers of two).
-- ``gemm`` -- float BLAS with an exactness guarantee: every partial
-  sum is an integer bounded by ``max|X| * max|W| * K``, so fp32 is
-  exact below ``2**24`` and fp64 below ``2**53``; operands outside
-  that range fall back to an int64 matmul.  This is the wall-clock
-  winner on commodity CPUs.
-- ``loop`` -- the int64 numpy reference (``X @ W.T`` in int64),
-  reachable only by explicit override, mirroring the batched-search
-  ``loop`` kernel's role as the exactness oracle.
-
-Per-call fabric delay/energy is modeled with
-:class:`~repro.core.energy.TimingEnergyModel`: each plane pair costs
-one 2-step chain evaluation per stage tile plus a TDC conversion, and
-every output row pays a readout slot -- see :meth:`MVMPlan.cost`.
+``X.astype(int64) @ W.T.astype(int64)`` -- by one kernel: float BLAS
+with an exactness guarantee.  Every partial sum is an integer bounded
+by ``max|X| * max|W| * K``, so fp32 is exact below ``2**24`` and fp64
+below ``2**53``; operands beyond that fall back to an int64 matmul.
+The plane-pair decomposition changes the fabric's time and energy, not
+the product, so it lives in the cost model: :meth:`MVMPlan.cost`
+charges each plane pair one 2-step chain evaluation per stage tile
+plus a TDC conversion, and every output row a readout slot.
 """
 
 from __future__ import annotations
@@ -46,8 +29,6 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.core import kernels as _kernels
-from repro.core.bitplane import _as_words, pack_bit_planes, popcount
 from repro.core.config import TDAMConfig
 from repro.core.energy import TimingEnergyModel
 from repro.telemetry import metrics as _metrics
@@ -65,8 +46,8 @@ __all__ = [
     "mvm",
 ]
 
-#: Widest operand the packed bit-serial kernel stores (one uint8 level
-#: per element, the fabric's multi-bit cell width).
+#: Widest weight the fabric stores (one multi-bit cell level per
+#: element); activations are streamed and may be wider.
 MAX_OPERAND_BITS = 8
 
 #: Time to convert one chain's delay into a digital count (s) -- one
@@ -87,11 +68,7 @@ _PLANE_AND_ACTIVITY = 0.25
 
 # Telemetry instruments (dormant unless repro.telemetry is enabled).
 _REG = _metrics.get_registry()
-_MVM_OPS = _REG.counter(
-    "mvm_ops_total",
-    "Bit-serial MVM products served, by kernel",
-    labels=("kernel",),
-)
+_MVM_OPS = _REG.counter("mvm_ops_total", "Integer MVM products served")
 _MVM_MACS = _REG.counter(
     "mvm_macs_total", "Integer multiply-accumulates computed by MVM calls"
 )
@@ -142,15 +119,6 @@ def _validate_operand(
         )
 
 
-def _plane_weights(bits: int, signed: bool) -> np.ndarray:
-    """Power-of-two weight of each bit-plane (two's complement sign
-    plane carries ``-2**(bits-1)``)."""
-    weights = np.array([1 << b for b in range(bits)], dtype=np.int64)
-    if signed:
-        weights[bits - 1] = -weights[bits - 1]
-    return weights
-
-
 def _operand_magnitude(bits: int, signed: bool) -> int:
     """Largest absolute value a ``(bits, signed)`` operand can hold."""
     return (1 << (bits - 1)) if signed else (1 << bits) - 1
@@ -179,12 +147,12 @@ class MVMCost:
 
 
 class MVMPlan:
-    """Weight-stationary bit-serial MVM: ``y = x @ weights.T``, exact.
+    """Weight-stationary integer MVM: ``y = x @ weights.T``, exact.
 
-    Packs the weight matrix into bit-planes once (the fabric's one-time
-    program step) and serves activation batches through the dispatched
-    kernels; the float casts the ``gemm`` kernel needs are likewise
-    built once and reused.
+    Validates and stores the weight matrix once (the fabric's one-time
+    program step) and serves activation batches through one exact GEMM;
+    the float cast of the weights it needs is built on first use and
+    reused.
 
     Args:
         weights: Integer weight matrix, shape ``(n_out, n_in)``.
@@ -228,73 +196,11 @@ class MVMPlan:
         self.config = config if config is not None else TDAMConfig(
             bits=1, n_stages=128, vdd=0.6
         )
-        # Program step: two's-complement mask, then per-bit planes of
-        # shape (weight_bits, n_out, B) padded to uint64 words.
-        masked = (self.weights & ((1 << self.weight_bits) - 1)).astype(
-            np.uint8
-        )
-        self._planes = pack_bit_planes(masked, self.weight_bits)
-        self._plane_w = _plane_weights(self.weight_bits, self.signed)
-        self._float_cast: Dict[str, np.ndarray] = {}
+        self._float_cast: Dict[type, np.ndarray] = {}
         self._timing: Optional[TimingEnergyModel] = None
 
     # ------------------------------------------------------------------
-    # Kernels (all bit-exact against each other)
-    # ------------------------------------------------------------------
-    def _matmul_packed(
-        self, acts: np.ndarray, a_bits: int, a_signed: bool
-    ) -> np.ndarray:
-        """AND + popcount over uint64 words, shift-accumulated."""
-        masked = (acts & ((1 << a_bits) - 1)).astype(np.uint8)
-        a_planes = pack_bit_planes(masked, a_bits)  # (a_bits, S, B)
-        a_weights = _plane_weights(a_bits, a_signed)
-        aw = _as_words(a_planes)
-        ww = _as_words(self._planes)
-        out = np.zeros((acts.shape[0], self.n_out), dtype=np.int64)
-        for j in range(a_bits):
-            # One activation plane against every weight plane: the AND
-            # transient is (S, n_out, words) -- callers with huge
-            # batches go through the gemm kernel anyway.
-            a_j = aw[j][:, None, :]
-            for i in range(self.weight_bits):
-                anded = a_j & ww[i][None, :, :]
-                # Byte view keeps the LUT popcount fallback usable; the
-                # per-word and per-byte set-bit totals are identical.
-                counts = popcount(anded.view(np.uint8)).sum(
-                    axis=2, dtype=np.int64
-                )
-                out += (a_weights[j] * self._plane_w[i]) * counts
-        return out
-
-    def _matmul_gemm(
-        self, acts: np.ndarray, a_bits: int, a_signed: bool
-    ) -> np.ndarray:
-        """Float BLAS within its exact-integer range, else int64."""
-        bound = (
-            _operand_magnitude(a_bits, a_signed)
-            * _operand_magnitude(self.weight_bits, self.signed)
-            * self.n_in
-        )
-        if bound <= 2**24:
-            dtype = "f4"
-        elif bound <= 2**53:
-            dtype = "f8"
-        else:
-            return acts.astype(np.int64) @ self.weights.T
-        cast = self._float_cast.get(dtype)
-        if cast is None:
-            cast = self.weights.astype(np.float32 if dtype == "f4" else
-                                       np.float64)
-            self._float_cast[dtype] = cast
-        product = np.matmul(acts.astype(cast.dtype), cast.T)
-        return product.astype(np.int64)
-
-    def _matmul_loop(self, acts: np.ndarray) -> np.ndarray:
-        """The int64 numpy reference (exact by definition)."""
-        return acts.astype(np.int64) @ self.weights.T
-
-    # ------------------------------------------------------------------
-    # Dispatch
+    # Product
     # ------------------------------------------------------------------
     def matmul(
         self,
@@ -308,13 +214,14 @@ class MVMPlan:
             activations: Integer activations, shape ``(S, n_in)`` (a
                 single ``(n_in,)`` vector yields a ``(n_out,)`` result,
                 matching numpy matmul semantics).
-            bits: Activation width (1..8 for the packed kernel);
-                inferred when omitted.
+            bits: Activation width; inferred when omitted.
             signed: Activation signedness; inferred when omitted.
 
         Returns:
             int64 products, shape ``(S, n_out)``; bit-identical to
-            ``activations.astype(int64) @ weights.T`` on every kernel.
+            ``activations.astype(int64) @ weights.T``: float32 BLAS when
+            the partial-sum bound ``max|x| * max|w| * n_in`` is at most
+            ``2**24``, float64 up to ``2**53``, int64 beyond.
         """
         acts = np.asarray(activations)
         squeeze = acts.ndim == 1
@@ -335,37 +242,21 @@ class MVMPlan:
         _validate_operand(acts, a_bits, a_signed, "activation")
         if acts.shape[0] == 0:
             return np.zeros((0, self.n_out), dtype=np.int64)
-
-        key = (
-            "mvm",
-            self.n_out,
-            self.n_in,
-            self.weight_bits,
-            a_bits,
-            self.signed or a_signed,
+        bound = (
+            _operand_magnitude(a_bits, a_signed)
+            * _operand_magnitude(self.weight_bits, self.signed)
+            * self.n_in
         )
-        sample = acts[: min(acts.shape[0], 16)]
-        candidates = {
-            "gemm": lambda: self._matmul_gemm(sample, a_bits, a_signed),
-        }
-        if a_bits <= MAX_OPERAND_BITS:
-            candidates["packed"] = lambda: self._matmul_packed(
-                sample, a_bits, a_signed
-            )
-        name = _kernels.select_kernel(key, candidates)
-        if name == "packed" and a_bits > MAX_OPERAND_BITS:
-            raise ValueError(
-                f"packed MVM kernel stores <= {MAX_OPERAND_BITS}-bit "
-                f"activations, got {a_bits}"
-            )
-        if name == "packed":
-            out = self._matmul_packed(acts, a_bits, a_signed)
-        elif name == "gemm":
-            out = self._matmul_gemm(acts, a_bits, a_signed)
+        if bound <= 2**53:
+            dtype = np.float32 if bound <= 2**24 else np.float64
+            cast = self._float_cast.get(dtype)
+            if cast is None:
+                cast = self._float_cast[dtype] = self.weights.astype(dtype)
+            out = np.matmul(acts.astype(dtype), cast.T).astype(np.int64)
         else:
-            out = self._matmul_loop(acts)
+            out = acts.astype(np.int64) @ self.weights.T
         if _TM.enabled:
-            self._record(name, acts.shape[0], a_bits)
+            self._record(acts.shape[0], a_bits)
         return out[0] if squeeze else out
 
     def __call__(self, activations: np.ndarray) -> np.ndarray:
@@ -426,14 +317,13 @@ class MVMPlan:
             energy_breakdown_j=breakdown,
         )
 
-    def _record(self, kernel: str, n_batch: int, a_bits: int) -> None:
+    def _record(self, n_batch: int, a_bits: int) -> None:
         cost = self.cost(activation_bits=a_bits, n_batch=n_batch)
-        _MVM_OPS.inc(kernel=kernel)
+        _MVM_OPS.inc()
         _MVM_MACS.inc(float(n_batch) * self.n_out * self.n_in)
         _MVM_LATENCY.observe(cost.latency_s)
         _emit_probe(
             "mvm.matmul",
-            kernel=kernel,
             n_out=self.n_out,
             n_in=self.n_in,
             n_batch=n_batch,
@@ -450,11 +340,11 @@ def mvm(
     a_bits: Optional[int] = None,
     b_bits: Optional[int] = None,
 ) -> np.ndarray:
-    """Exact integer matrix product ``a @ b`` on the bit-plane fabric.
+    """Exact integer matrix product ``a @ b`` on the fabric.
 
     Convenience wrapper building a one-shot :class:`MVMPlan` around
     ``b`` (weight-stationary callers should hold a plan instead and
-    amortize the packing).  A 1-D ``a`` is treated as a single row
+    amortize the weight cast).  A 1-D ``a`` is treated as a single row
     vector and the result squeezed back to 1-D.
 
     Args:

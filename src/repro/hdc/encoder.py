@@ -8,9 +8,10 @@ Two standard constructions plus the fabric-quantized variant:
   by an optional cosine nonlinearity.
 - :class:`QuantizedProjectionEncoder` -- the in-fabric version of the
   same encoder: the projection is quantized to narrow signed integers
-  and served as an exact bit-serial MVM through
-  :class:`repro.core.mvm.MVMPlan`, modeling the TD-CIM array doing the
-  projection itself (arXiv 2209.11971).
+  and served as an exact integer MVM through
+  :class:`repro.core.mvm.MVMPlan`, whose cost model charges the TD-CIM
+  array's bit-serial plane passes for doing the projection itself
+  (arXiv 2209.11971).
 - :class:`RecordEncoder` -- the classical record-based (ID x level)
   scheme: each feature gets a random ID hypervector, its value picks a
   correlated level hypervector, and the feature bindings are bundled.
@@ -154,9 +155,9 @@ class QuantizedProjectionEncoder:
     dimension), quantizes each activation row to signed ``act_bits``
     integers (symmetric, one scale per sample), and serves the
     projection as an **exact** integer MVM through
-    :class:`repro.core.mvm.MVMPlan` -- the same packed/gemm/loop
-    kernels, autotune and fabric cost model as every other MVM
-    geometry.  Dequantization and the trigonometric nonlinearity then
+    :class:`repro.core.mvm.MVMPlan` -- the same exact-by-bounds GEMM
+    and bit-serial fabric cost model as every other MVM geometry.
+    Dequantization and the trigonometric nonlinearity then
     run exactly like the float encoder, so the only accuracy impact is
     the projection quantization itself (measured on the fig. 7 harness
     -- see ``repro.experiments.fig7_hdc_accuracy``).

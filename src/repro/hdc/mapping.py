@@ -15,9 +15,11 @@ ranges; see EXPERIMENTS.md):
 - energy  = encoding (the FeFET IMC encoder of [39], proportional to
             D * F) + tile search energy + TDC/readout energy.
 
-Variation-aware inference draws per-device V_TH offsets once (the array
-is programmed once) and replays every query against the same imperfect
-devices, chunked to bound memory.
+Functionally, the D-dimensional class matrix is one
+:class:`~repro.core.array.FastTDAMArray` of D stages, counted by its
+batched kernel.  Variation-aware inference draws per-device V_TH
+offsets once (the array is programmed once) and replays every query
+against the same imperfect devices.
 """
 
 from __future__ import annotations
@@ -28,11 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.bitplane import (
-    pack_level_planes,
-    pack_query_masks,
-    packed_mismatch_counts,
-)
+from repro.core.array import FastTDAMArray
 from repro.core.config import TDAMConfig
 from repro.core.energy import TimingEnergyModel
 from repro.core.mvm import E_READOUT, T_READOUT_PER_CLASS, T_TDC_CONVERSION
@@ -104,30 +102,33 @@ class TDAMInference:
         self.config = config
         self.n_features = n_features
         self.timing = TimingEnergyModel(config)
-        self._vth = np.array(config.vth_levels)
-        self._vsl = np.array(config.vsl_levels)
-        self._stored = model.levels  # (n_classes, D)
-        if variation is not None:
-            levels = config.levels
-            rng_states_a = self._stored.reshape(-1)
-            rng_states_b = (levels - 1 - self._stored).reshape(-1)
-            self._off_a = variation.draw(rng_states_a).vth_shifts.reshape(
-                self._stored.shape
-            )
-            self._off_b = variation.draw(rng_states_b).vth_shifts.reshape(
-                self._stored.shape
-            )
+        self._array = FastTDAMArray(
+            config.with_(n_stages=model.dimension), model.n_classes
+        )
+        self._array.write_all(model.levels)
+        if variation is None:
+            # A nominal model is the ideal exact-match Hamming cell, so
+            # its design is declared pure level inequality and counts
+            # take the XOR path -- also at 4 bits, where the calibrated
+            # cell cannot resolve adjacent levels.
+            self._array._design_ineq = True
         else:
-            self._off_a = None
-            self._off_b = None
-        self._planes: Optional[np.ndarray] = None
-        self._von = self._turn_on_overdrive()
+            # F_A offsets of every cell, then F_B: seeded results depend
+            # on this draw order (an array write would interleave the
+            # two per row).
+            stored = model.levels
+            shape = stored.shape
+            self._array._off_a = variation.draw(
+                stored.reshape(-1)
+            ).vth_shifts.reshape(shape)
+            self._array._off_b = variation.draw(
+                (config.levels - 1 - stored).reshape(-1)
+            ).vth_shifts.reshape(shape)
 
-    def _turn_on_overdrive(self) -> float:
-        """Conduction margin consistent with the circuit-level arrays."""
-        from repro.core.array import calibrate_turn_on_overdrive
-
-        return calibrate_turn_on_overdrive(self.config)
+    @property
+    def _von(self) -> float:
+        """Calibrated switch-on overdrive (V) of the mapped array."""
+        return self._array.turn_on_overdrive
 
     # ------------------------------------------------------------------
     # Functional inference
@@ -150,66 +151,22 @@ class TDAMInference:
             )
         return q
 
-    def _packed_planes(self) -> np.ndarray:
-        """Bit-planes of the stored class matrix, (L, n_classes, B).
-
-        The ideal (no-variation) mismatch decision depends only on the
-        query level, so the class hypervectors pack once into per-level
-        bit-planes and every query reduces to AND + popcount -- the
-        same write-time index :class:`~repro.core.array.FastTDAMArray`
-        builds, here over the full D-dimensional rows.
-        """
-        if self._planes is None:
-            levels = np.arange(self.config.levels)
-            mism = levels[:, None, None] != self._stored[None, :, :]
-            self._planes = pack_level_planes(mism)
-        return self._planes
-
-    def _resolve_chunk(self, chunk: Optional[int]) -> int:
-        from repro.core.array import _resolve_chunk_arg
-
-        return _resolve_chunk_arg(
-            chunk, self.model.n_classes, self.model.dimension
-        )
-
     def mismatch_counts(
         self, query_levels: np.ndarray, chunk: Optional[int] = None
     ) -> np.ndarray:
         """Per-class mismatch counts for each query, shape (n_q, n_cls).
 
-        Without a variation model this is the exact Hamming distance,
-        served from the packed bit-plane index; with one, per-device
-        offsets can flip individual comparisons just as in
-        :class:`repro.core.array.FastTDAMArray`.
+        Counted by the mapped array's
+        :meth:`~repro.core.array.FastTDAMArray.mismatch_count_batch`:
+        without a variation model this is the exact Hamming distance;
+        with one, per-device offsets can flip individual comparisons.
 
         Args:
             query_levels: Query levels, shape (n_q, D).
             chunk: Queries per materialized block; ``None`` auto-sizes.
         """
         q = self._validate_queries(query_levels)
-        chunk = self._resolve_chunk(chunk)
-        if self._off_a is None:
-            planes = self._packed_planes()
-            levels = self.config.levels
-            counts = np.empty(
-                (q.shape[0], self.model.n_classes), dtype=np.int64
-            )
-            for start in range(0, q.shape[0], chunk):
-                masks = pack_query_masks(q[start:start + chunk], levels)
-                counts[start:start + chunk] = packed_mismatch_counts(
-                    planes, masks
-                )
-            return counts
-        from repro.core.array import batched_mismatch_counts
-
-        vth_a = self._vth[self._stored] + self._off_a  # (n_cls, D)
-        vth_b = (
-            self._vth[self.config.levels - 1 - self._stored] + self._off_b
-        )
-        return batched_mismatch_counts(
-            q, vth_a, vth_b, self._vsl, self.config.levels, self._von,
-            chunk=chunk,
-        )
+        return self._array.mismatch_count_batch(q, chunk=chunk)
 
     def top_k(
         self,

@@ -17,7 +17,7 @@ assembles the whole thing -- including the fabric encoder variant --
 from a trained classifier in one call.
 
 When the pipeline's encoder is the in-fabric quantized one, the encode
-step itself runs on the fabric's bit-serial MVM kernels and
+step itself runs as the fabric's exact integer MVM and
 :meth:`EncodePipeline.encode_cost` reports the modeled fabric
 latency/energy of the encode stage (the search stage's cost model lives
 with the arrays that serve it).

@@ -9,7 +9,7 @@ behind a single request surface with the standard reliability toolkit:
   load shedding (:mod:`repro.service.admission`);
 - **encode-then-search** -- raw feature vectors digitized into TD-AM
   query levels through the HDC encode pipeline, optionally on the
-  fabric's own bit-serial MVM kernels (:mod:`repro.service.encode`);
+  fabric's own integer MVM (:mod:`repro.service.encode`);
 - **coalescing** -- a thread-safe concurrent front-end that groups
   compatible single-query requests into one batched shard call,
   bit-exactly (:mod:`repro.service.coalesce`,

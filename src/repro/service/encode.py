@@ -4,7 +4,7 @@
 :class:`~repro.service.server.TDAMSearchService` with an
 :class:`~repro.hdc.pipeline.EncodePipeline`: a request carries raw
 feature vectors, the pipeline encodes and digitizes them into TD-AM
-query levels (optionally on the fabric's own bit-serial MVM kernels),
+query levels (optionally on the fabric's own integer MVM),
 and the wrapped service serves the search with its full admission /
 deadline / retry / breaker / degradation discipline.
 

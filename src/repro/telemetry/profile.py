@@ -38,15 +38,9 @@ PROBE_EVENTS: Dict[str, str] = {
         "min/max mismatches, latency_s (slowest), energy_j (total)"
     ),
     "array.write_all": "full-array program: rows, stages",
-    "kernel.autotune": (
-        "kernel or query-chunk decision autotuned: key (geometry), "
-        "winner, per-candidate best seconds; kind=chunk for chunk-size "
-        "decisions, traced=True when quarantined"
-    ),
     "mvm.matmul": (
-        "one bit-serial MVM product served: kernel, n_out, n_in, "
-        "n_batch, weight_bits, activation_bits, modeled latency_s and "
-        "energy_j"
+        "one integer MVM product served: n_out, n_in, n_batch, "
+        "weight_bits, activation_bits, modeled latency_s and energy_j"
     ),
     "mvm.encode": (
         "one in-fabric HDC encode served: n_samples, dimension, "

@@ -6,18 +6,6 @@ import pytest
 from repro.core.config import TDAMConfig
 
 
-@pytest.fixture(autouse=True)
-def _isolated_autotune_profile(monkeypatch):
-    """Keep tests off the real per-machine autotune profile.
-
-    An empty ``REPRO_AUTOTUNE_PROFILE`` disables persistence, so
-    autotune behaves exactly as the in-process cache did before the
-    profile existed.  Tests of the profile itself point the variable at
-    a tmp path instead.
-    """
-    monkeypatch.setenv("REPRO_AUTOTUNE_PROFILE", "")
-
-
 @pytest.fixture
 def rng():
     """A seeded generator; tests get reproducible randomness."""

@@ -19,13 +19,11 @@ from hypothesis import strategies as st
 from repro.core.array import (
     BatchSearchResult,
     FastTDAMArray,
-    batched_mismatch_counts,
     calibrate_turn_on_overdrive,
     resolve_best_batch,
 )
 from repro.core.config import TDAMConfig
 from repro.core.faults import Fault, FaultInjector, FaultType, FaultyTDAMArray
-from repro.core.kernels import force_kernel
 from repro.devices.variation import VariationModel
 from repro.resilience.resilient import (
     ResilientSearchResult,
@@ -34,6 +32,7 @@ from repro.resilience.resilient import (
 from repro.service.checkpoint import ServiceCheckpointer
 from repro.telemetry.metrics import get_registry
 from repro.telemetry.state import enabled_scope
+from tests.oracles import batched_mismatch_counts
 
 
 def assert_batch_matches_scalar(array_like, batch, queries):
@@ -422,7 +421,6 @@ class TestResilientEquivalence:
 #: A short chain keeps the per-example arrays, BIST marches and scalar
 #: oracles cheap.
 PROP_CONFIG = TDAMConfig(n_stages=21)
-KERNELS = ("packed", "gemm", "loop")
 
 
 @st.composite
@@ -465,6 +463,17 @@ def fault_maps(draw, n_rows):
     return faults + pair + on_dead + in_masked, masked
 
 
+def faulted_matrix_sums(faulty, queries, masked):
+    """Scalar count oracle: each query's faulted mismatch matrix, masked
+    columns cleared, summed per row."""
+    want = np.zeros((len(queries), faulty.n_rows), dtype=np.int64)
+    for i, query in enumerate(queries):
+        mism = faulty.faulted_mismatch_matrix(query)
+        mism[:, masked] = False
+        want[i] = mism.sum(axis=1)
+    return want
+
+
 def assert_resilient_batch_is_the_loop(array, queries):
     """Every field of every batch slice equals the scalar search."""
     batch = array.search_batch(queries)
@@ -483,11 +492,10 @@ class TestFaultCorrectionProperty:
         n_rows=st.integers(1, 6),
         variation=st.booleans(),
         n_q=st.integers(0, 5),
-        kernel=st.sampled_from(KERNELS),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_counts_are_the_faulted_matrix_sums(
-        self, data, n_rows, variation, n_q, kernel, seed
+        self, data, n_rows, variation, n_q, seed
     ):
         faults, masked = data.draw(fault_maps(n_rows))
         rng = np.random.default_rng(seed)
@@ -498,15 +506,8 @@ class TestFaultCorrectionProperty:
         array.write_all(rng.integers(0, 4, (n_rows, PROP_CONFIG.n_stages)))
         faulty = FaultyTDAMArray(array, faults)
         queries = rng.integers(0, 4, (n_q, PROP_CONFIG.n_stages))
-        with force_kernel(kernel):
-            counts = faulty.mismatch_count_batch(
-                queries, masked_stages=masked
-            )
-        want = np.zeros((n_q, n_rows), dtype=np.int64)
-        for i, query in enumerate(queries):
-            mism = faulty.faulted_mismatch_matrix(query)
-            mism[:, masked] = False
-            want[i] = mism.sum(axis=1)
+        counts = faulty.mismatch_count_batch(queries, masked_stages=masked)
+        want = faulted_matrix_sums(faulty, queries, masked)
         assert counts.shape == want.shape
         assert np.array_equal(counts, want)
 
@@ -582,23 +583,17 @@ def apply_step(step, array, rng, physical, checkpoint=None):
         raise AssertionError(step)
 
 
-def assert_counts_are_the_loop(array, counter, rng):
-    """The dispatched, forced and reference counts of one query batch
-    agree, and the cache-free recompute agrees with them."""
+def assert_counts_are_the_loop(array, counter, loop, rng):
+    """The packed counts of one query batch equal the reference loop and
+    the cache-free recompute, and the batched search equals the scalar
+    search loop."""
     physical = array if isinstance(array, FastTDAMArray) else array._physical
     queries = rng.integers(0, 4, (5, PROP_CONFIG.n_stages))
-    with force_kernel("loop"):
-        want = counter(queries)
-        want_batch = array.search_batch(queries)
-    for kernel in ("packed", "gemm"):
-        with force_kernel(kernel):
-            assert np.array_equal(counter(queries), want), kernel
-    assert np.array_equal(counter(queries), want)
-    batch = array.search_batch(queries)
-    assert np.array_equal(
-        batch.hamming_distances, want_batch.hamming_distances
-    )
-    assert np.array_equal(batch.delays_s, want_batch.delays_s)
+    assert np.array_equal(counter(queries), loop(queries))
+    if array is physical:
+        assert_batch_matches_scalar(array, array.search_batch(queries), queries)
+    else:
+        assert_resilient_batch_is_the_loop(array, queries)
     vth = np.array(PROP_CONFIG.vth_levels)
     stored = physical._stored
     clean = batched_mismatch_counts(
@@ -610,6 +605,7 @@ def assert_counts_are_the_loop(array, counter, rng):
         physical.turn_on_overdrive,
     )
     assert np.array_equal(physical.mismatch_count_batch(queries), clean)
+    assert np.array_equal(physical._counts_loop(queries), clean)
 
 
 class TestCacheInvalidationSequence:
@@ -628,7 +624,9 @@ class TestCacheInvalidationSequence:
         array.write_all(rng.integers(0, 4, (5, PROP_CONFIG.n_stages)))
         for step in steps:
             apply_step(step, array, rng, array)
-            assert_counts_are_the_loop(array, array.mismatch_count_batch, rng)
+            assert_counts_are_the_loop(
+                array, array.mismatch_count_batch, array._counts_loop, rng
+            )
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -653,12 +651,15 @@ class TestCacheInvalidationSequence:
                 queries, masked_stages=array._masked
             )
 
+        def loop(queries):
+            return faulted_matrix_sums(array._backing, queries, array._masked)
+
         with tempfile.TemporaryDirectory() as tmp:
             checkpoint = ServiceCheckpointer(Path(tmp) / "shard.npz")
             checkpoint.save(array)
             for step in steps:
                 apply_step(step, array, rng, array._physical, checkpoint)
-                assert_counts_are_the_loop(array, counter, rng)
+                assert_counts_are_the_loop(array, counter, loop, rng)
 
 
 class TestNominalRewriteSkipsTableRebuild:
@@ -676,7 +677,7 @@ class TestNominalRewriteSkipsTableRebuild:
         rows = array.n_rows
         queries = rng.integers(0, config.levels, (6, config.n_stages))
         rebuilds = get_registry().get("tdam_threshold_cache_events_total")
-        with force_kernel("packed"), enabled_scope():
+        with enabled_scope():
             array.write_all(
                 rng.integers(0, config.levels, (rows, config.n_stages))
             )
@@ -687,6 +688,27 @@ class TestNominalRewriteSkipsTableRebuild:
             )
             batch = array.search_batch(queries)
             assert rebuilds.value(op="rebuild") == before
-        with force_kernel("loop"):
-            reference = array.search_batch(queries)
-        assert np.array_equal(batch.delays_s, reference.delays_s)
+        for i, query in enumerate(queries):
+            assert np.array_equal(batch.delays_s[i], array.search(query).delays_s)
+
+    @pytest.mark.parametrize("resilient", [False, True])
+    def test_fresh_array_builds_no_float_tables(self, config, rng, resilient):
+        # Geometries no other test uses, so no earlier call in the
+        # process has seen them.
+        if resilient:
+            array = ResilientTDAMArray(config, n_rows=9, n_spares=2)
+            physical = array._physical
+        else:
+            array = FastTDAMArray(config, n_rows=17)
+            physical = array
+        queries = rng.integers(0, config.levels, (6, config.n_stages))
+        rebuilds = get_registry().get("tdam_threshold_cache_events_total")
+        with enabled_scope():
+            array.write_all(
+                rng.integers(0, config.levels, (array.n_rows, config.n_stages))
+            )
+            before = rebuilds.value(op="rebuild")
+            array.search_batch(queries)
+            array.top_k_batch(queries, 3)
+            assert rebuilds.value(op="rebuild") == before
+        assert not physical._tables_valid

@@ -1,44 +1,25 @@
-"""Bit-exactness, dispatch, and cost-model tests of the bit-serial MVM.
+"""Bit-exactness and cost-model tests of the fabric MVM.
 
 The contract: :meth:`repro.core.mvm.MVMPlan.matmul` returns *exactly*
-``acts.astype(int64) @ weights.T`` for every integer operand pair within
-the fabric's 8-bit windows, on every kernel (packed bit-plane, exact
-GEMM, reference loop).  These tests pin that contract across signedness,
-every bit width 1..8, awkward shapes (input widths not a multiple of 64,
-single-row weights, single-sample batches), the LUT popcount fallback,
-and the kernel selection machinery shared with the search kernels.
+``acts.astype(int64) @ weights.T`` for every integer operand pair.
+These tests check its one kernel against three independent forms of
+the product -- the fabric's bit-serial plane-pair decomposition (what
+:meth:`MVMPlan.cost` models), a float64 GEMM, and the int64 loop --
+across signedness, every bit width 1..8, awkward shapes (input widths
+not a multiple of 64, single-row weights, single-sample batches), and
+each precision branch of the kernel (float32, float64, int64).
 """
 
 import numpy as np
 import pytest
 
-from repro.core import bitplane
 from repro.core.config import TDAMConfig
-from repro.core.kernels import (
-    KERNEL_ENV_VAR,
-    autotune_decisions,
-    clear_autotune_cache,
-    force_kernel,
-)
 from repro.core.mvm import (
     MVMCost,
     MVMPlan,
     infer_operand_bits,
     mvm,
 )
-
-
-@pytest.fixture(autouse=True)
-def fresh_autotune():
-    clear_autotune_cache()
-    yield
-    clear_autotune_cache()
-
-
-@pytest.fixture
-def lut_popcount(monkeypatch):
-    """Force the numpy<2 LUT popcount path for the duration of a test."""
-    monkeypatch.setattr(bitplane, "_use_native", False)
 
 
 def operand(rng, shape, bits, signed):
@@ -51,6 +32,39 @@ def operand(rng, shape, bits, signed):
 
 def reference(acts, weights):
     return acts.astype(np.int64) @ weights.T.astype(np.int64)
+
+
+def bit_serial(acts, weights, a_bits, w_bits):
+    """The fabric's form of the product: one AND + popcount per
+    activation-plane x weight-plane pair, recombined with power-of-two
+    (two's complement: negative top-plane) weights."""
+    def planes(x, bits):
+        u = x & ((1 << bits) - 1)
+        p = [(u >> b) & 1 for b in range(bits)]
+        w = [1 << b for b in range(bits)]
+        if (x < 0).any():
+            w[-1] = -w[-1]
+        return p, w
+
+    a_planes, a_w = planes(acts.astype(np.int64), a_bits)
+    w_planes, w_w = planes(weights.astype(np.int64), w_bits)
+    out = np.zeros((acts.shape[0], weights.shape[0]), dtype=np.int64)
+    for ap, aw in zip(a_planes, a_w):
+        for wp, ww in zip(w_planes, w_w):
+            popcounts = (ap[:, None, :] & wp[None, :, :]).sum(axis=2)
+            out += aw * ww * popcounts
+    return out
+
+
+ORACLES = {
+    "packed": lambda acts, weights, a_bits, w_bits: bit_serial(
+        acts, weights, a_bits, w_bits
+    ),
+    "gemm": lambda acts, weights, a_bits, w_bits: np.rint(
+        acts.astype(np.float64) @ weights.T.astype(np.float64)
+    ).astype(np.int64),
+    "loop": lambda acts, weights, a_bits, w_bits: reference(acts, weights),
+}
 
 
 class TestInferOperandBits:
@@ -77,27 +91,29 @@ class TestInferOperandBits:
 
 
 class TestExactness:
-    @pytest.mark.parametrize("kernel", ["packed", "gemm", "loop"])
+    @pytest.mark.parametrize("oracle", ["packed", "gemm", "loop"])
     @pytest.mark.parametrize("signed", [False, True])
     @pytest.mark.parametrize("n_in", [5, 64, 70, 100])
-    def test_kernels_bit_identical(self, kernel, signed, n_in):
-        rng = np.random.default_rng(hash((kernel, signed, n_in)) % 2**32)
-        weights = operand(rng, (7, n_in), 4 if signed else 3, signed)
+    def test_kernels_bit_identical(self, oracle, signed, n_in):
+        rng = np.random.default_rng(hash((oracle, signed, n_in)) % 2**32)
+        w_bits = 4 if signed else 3
+        weights = operand(rng, (7, n_in), w_bits, signed)
         acts = operand(rng, (9, n_in), 5, signed)
-        plan = MVMPlan(weights)
-        with force_kernel(kernel):
-            out = plan.matmul(acts)
-        np.testing.assert_array_equal(out, reference(acts, weights))
+        out = MVMPlan(weights, bits=w_bits, signed=signed).matmul(
+            acts, bits=5, signed=signed
+        )
+        np.testing.assert_array_equal(
+            out, ORACLES[oracle](acts, weights, 5, w_bits)
+        )
         assert out.dtype == np.int64
 
     def test_single_row_weights_and_single_sample(self):
         rng = np.random.default_rng(3)
         weights = operand(rng, (1, 63), 8, True)
         acts = operand(rng, (1, 63), 8, True)
-        for kernel in ("packed", "gemm", "loop"):
-            with force_kernel(kernel):
-                out = MVMPlan(weights).matmul(acts)
-            np.testing.assert_array_equal(out, reference(acts, weights))
+        out = MVMPlan(weights, bits=8).matmul(acts, bits=8)
+        np.testing.assert_array_equal(out, reference(acts, weights))
+        np.testing.assert_array_equal(out, bit_serial(acts, weights, 8, 8))
 
     def test_one_dim_activation_round_trips(self):
         rng = np.random.default_rng(4)
@@ -106,14 +122,6 @@ class TestExactness:
         out = MVMPlan(weights).matmul(a)
         assert out.shape == (6,)
         np.testing.assert_array_equal(out, reference(a[None, :], weights)[0])
-
-    def test_lut_popcount_path(self, lut_popcount):
-        rng = np.random.default_rng(5)
-        weights = operand(rng, (4, 37), 6, True)
-        acts = operand(rng, (5, 37), 6, True)
-        with force_kernel("packed"):
-            out = MVMPlan(weights).matmul(acts)
-        np.testing.assert_array_equal(out, reference(acts, weights))
 
     def test_empty_batch(self):
         weights = np.ones((3, 8), dtype=np.int64)
@@ -131,14 +139,12 @@ class TestExactness:
     def test_gemm_wide_accumulator_path(self):
         # 8b x 8b over a long inner axis exceeds the fp32-exact window;
         # the GEMM kernel must switch precision rather than round.
-        rng = np.random.default_rng(7)
         n_in = 4096
         weights = np.full((2, n_in), 127, dtype=np.int64)
         weights[1] = -128
         acts = np.full((2, n_in), 127, dtype=np.int64)
         acts[1] = -128
-        with force_kernel("gemm"):
-            out = MVMPlan(weights).matmul(acts)
+        out = MVMPlan(weights).matmul(acts)
         np.testing.assert_array_equal(out, reference(acts, weights))
 
 
@@ -160,12 +166,10 @@ class TestPropertyExactness:
             n_out=st.integers(1, 9),
             n_in=st.integers(1, 130),
             n_batch=st.integers(1, 6),
-            kernel=st.sampled_from(["packed", "gemm", "loop"]),
             seed=st.integers(0, 2**31),
         )
         def check(
-            w_bits, a_bits, w_signed, a_signed, n_out, n_in, n_batch,
-            kernel, seed,
+            w_bits, a_bits, w_signed, a_signed, n_out, n_in, n_batch, seed
         ):
             if w_signed and w_bits < 2:
                 w_bits = 2
@@ -175,9 +179,11 @@ class TestPropertyExactness:
             weights = operand(rng, (n_out, n_in), w_bits, w_signed)
             acts = operand(rng, (n_batch, n_in), a_bits, a_signed)
             plan = MVMPlan(weights, bits=w_bits, signed=w_signed)
-            with force_kernel(kernel):
-                out = plan.matmul(acts, bits=a_bits, signed=a_signed)
+            out = plan.matmul(acts, bits=a_bits, signed=a_signed)
             np.testing.assert_array_equal(out, reference(acts, weights))
+            np.testing.assert_array_equal(
+                out, bit_serial(acts, weights, a_bits, w_bits)
+            )
 
         check()
 
@@ -202,56 +208,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             plan.matmul(np.ones((1, 5), dtype=np.int64))
 
-    def test_packed_refuses_wide_activations(self):
-        plan = MVMPlan(np.ones((2, 4), dtype=np.int64))
-        wide = np.full((1, 4), 1 << 10, dtype=np.int64)
-        with force_kernel("packed"):
-            with pytest.raises(ValueError, match="packed"):
-                plan.matmul(wide)
-
     def test_loop_serves_wide_activations(self):
-        plan = MVMPlan(np.ones((2, 4), dtype=np.int64))
-        wide = np.full((1, 4), 1 << 20, dtype=np.int64)
-        with force_kernel("loop"):
-            out = plan.matmul(wide)
-        np.testing.assert_array_equal(out, [[4 << 20, 4 << 20]])
-
-
-class TestDispatch:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "loop")
-        rng = np.random.default_rng(8)
-        weights = operand(rng, (3, 16), 4, True)
-        plan = MVMPlan(weights)
-        out = plan.matmul(operand(rng, (2, 16), 4, True))
-        assert out.shape == (2, 3)
-        # Overrides never autotune, so no decision is cached.
-        assert autotune_decisions() == {}
-
-    def test_force_kernel_beats_env(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "packed")
-        rng = np.random.default_rng(9)
-        weights = operand(rng, (3, 16), 4, True)
-        wide = np.full((1, 16), 1 << 12, dtype=np.int64)
-        # packed cannot serve 13-bit activations; force_kernel("loop")
-        # must win over the env var for the call to succeed.
-        with force_kernel("loop"):
-            MVMPlan(weights).matmul(wide)
-
-    def test_autotune_caches_mvm_geometry(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
-        rng = np.random.default_rng(10)
-        weights = operand(rng, (4, 32), 3, True)
-        acts = operand(rng, (6, 32), 3, True)
-        plan = MVMPlan(weights)
-        plan.matmul(acts)
-        decisions = autotune_decisions()
-        assert len(decisions) == 1
-        ((key, winner),) = decisions.items()
-        assert key[0] == "mvm"
-        assert winner in ("packed", "gemm")
-        plan.matmul(acts)
-        assert autotune_decisions() == decisions
+        # A partial-sum bound beyond 2**53: float64 would round the
+        # product, so the int64 loop serves it -- no override needed.
+        # The exact sum 3 * (2**52 + 1) is odd and above 2**53, so no
+        # float64 accumulation order can represent it.
+        plan = MVMPlan(np.ones((2, 3), dtype=np.int64))
+        wide = np.full((1, 3), (1 << 52) + 1, dtype=np.int64)
+        want = [[3 * ((1 << 52) + 1)] * 2]
+        rounded = wide.astype(np.float64) @ np.ones((3, 2))
+        assert not np.array_equal(rounded.astype(np.int64), want)
+        np.testing.assert_array_equal(plan.matmul(wide), want)
 
 
 class TestCostModel:

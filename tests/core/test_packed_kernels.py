@@ -1,13 +1,12 @@
-"""Bit-exactness and dispatch tests of the packed popcount kernels.
+"""Bit-exactness tests of the packed popcount kernels.
 
-The packed bit-plane kernel, the one-hot GEMM kernel, and the per-query
-reference loop are interchangeable by contract: identical mismatch
-counts (and therefore identical delays, distances, and winners) on every
-input.  These tests pin that contract across awkward geometries --
-stage counts that are not a multiple of 8, single-row arrays, every
-supported bit width, all-match and all-mismatch rows -- on both the
-native ``np.bitwise_count`` path and the uint8 LUT fallback, and cover
-the kernel selection machinery (override precedence, autotune caching).
+The packed bit-plane kernel that counts every batch and the per-query
+reference loop must agree: identical mismatch counts (and therefore
+identical delays, distances, and winners) on every input.  These tests
+pin that contract across awkward geometries -- stage counts that are
+not a multiple of 8, single-row arrays, every supported bit width,
+all-match and all-mismatch rows -- on both the native
+``np.bitwise_count`` path and the uint8 LUT fallback.
 """
 
 import numpy as np
@@ -26,14 +25,6 @@ from repro.core.bitplane import (
     popcount,
 )
 from repro.core.config import TDAMConfig
-from repro.core.kernels import (
-    KERNEL_ENV_VAR,
-    autotune_decisions,
-    available_kernels,
-    clear_autotune_cache,
-    force_kernel,
-    kernel_override,
-)
 from repro.devices.variation import VariationModel
 
 # (bits, n_stages) geometries chosen to stress the packing: sub-byte,
@@ -53,7 +44,6 @@ def all_kernel_counts(array, queries):
     chunk = resolve_query_chunk(array.n_rows, array.config.n_stages)
     return {
         "packed": array._counts_packed(queries, chunk),
-        "gemm": array._counts_gemm(queries, chunk),
         "loop": array._counts_loop(queries),
     }
 
@@ -62,13 +52,6 @@ def all_kernel_counts(array, queries):
 def lut_popcount(monkeypatch):
     """Force the numpy<2 LUT popcount path for the duration of a test."""
     monkeypatch.setattr(bitplane, "_use_native", False)
-
-
-@pytest.fixture(autouse=True)
-def fresh_autotune():
-    clear_autotune_cache()
-    yield
-    clear_autotune_cache()
 
 
 class TestPacking:
@@ -246,7 +229,6 @@ class TestKernelEquality:
         queries = rng.integers(0, array.config.levels, (11, n))
         counts = all_kernel_counts(array, queries)
         assert np.array_equal(counts["packed"], counts["loop"])
-        assert np.array_equal(counts["gemm"], counts["loop"])
 
     def test_all_match_and_all_mismatch_rows(self):
         array, _ = make_array(2, 13, 3)
@@ -258,7 +240,6 @@ class TestKernelEquality:
         assert counts["loop"][0, 0] == 0
         assert counts["loop"][1, 0] == 13
         assert np.array_equal(counts["packed"], counts["loop"])
-        assert np.array_equal(counts["gemm"], counts["loop"])
 
     def test_agreement_under_variation(self):
         # Variation breaks the pure-inequality structure: the XOR fast
@@ -271,7 +252,6 @@ class TestKernelEquality:
         queries = rng.integers(0, 4, (9, 13))
         counts = all_kernel_counts(array, queries)
         assert np.array_equal(counts["packed"], counts["loop"])
-        assert np.array_equal(counts["gemm"], counts["loop"])
 
     def test_xor_fast_path_eligible_when_nominal(self):
         array, _ = make_array(2, 13, 5)
@@ -290,74 +270,26 @@ class TestKernelEquality:
         assert counts["loop"][0, 2] == (queries[0] != new_row).sum()
 
     def test_search_batch_end_to_end_per_kernel(self):
-        array, rng = make_array(2, 19, 6)
-        queries = rng.integers(0, 4, (8, 19))
-        with force_kernel("loop"):
-            ref = array.search_batch(queries)
-        for name in ("packed", "gemm"):
-            with force_kernel(name):
-                got = array.search_batch(queries)
-            assert np.array_equal(got.delays_s, ref.delays_s)
-            assert np.array_equal(
-                got.hamming_distances, ref.hamming_distances
-            )
-            assert np.array_equal(got.best_rows, ref.best_rows)
-            assert np.array_equal(got.energies_j, ref.energies_j)
+        # The packed batch against the scalar search loop, on the XOR
+        # path and, under variation, on the one-hot path.
+        for variation in (None, VariationModel(sigma_mv=150.0, seed=3)):
+            array, rng = make_array(2, 19, 6, variation=variation)
+            queries = rng.integers(0, 4, (8, 19))
+            got = array.search_batch(queries)
+            for i, query in enumerate(queries):
+                ref = array.search(query)
+                assert np.array_equal(got.delays_s[i], ref.delays_s)
+                assert np.array_equal(
+                    got.hamming_distances[i], ref.hamming_distances
+                )
+                assert got.best_rows[i] == ref.best_row
+                assert got.energies_j[i] == ref.energy_j
 
     def test_kernels_agree_on_lut_path(self, lut_popcount):
         array, rng = make_array(2, 13, 5)
         queries = rng.integers(0, 4, (7, 13))
         counts = all_kernel_counts(array, queries)
         assert np.array_equal(counts["packed"], counts["loop"])
-
-
-class TestKernelSelection:
-    def test_available_kernels(self):
-        assert available_kernels() == ("packed", "gemm", "loop")
-
-    def test_no_override_by_default(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
-        assert kernel_override() is None
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "gemm")
-        assert kernel_override() == "gemm"
-        monkeypatch.setenv(KERNEL_ENV_VAR, "auto")
-        assert kernel_override() is None
-
-    def test_unknown_env_kernel_raises(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "simd")
-        with pytest.raises(ValueError, match="unknown kernel"):
-            kernel_override()
-
-    def test_force_kernel_beats_env(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "gemm")
-        with force_kernel("loop"):
-            assert kernel_override() == "loop"
-        assert kernel_override() == "gemm"
-
-    def test_force_kernel_rejects_auto_and_unknown(self):
-        with pytest.raises(ValueError, match="unknown kernel"):
-            with force_kernel("auto"):
-                pass
-        with pytest.raises(ValueError, match="unknown kernel"):
-            with force_kernel("cuda"):
-                pass
-
-    def test_autotune_caches_per_geometry(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
-        array, rng = make_array(2, 13, 4)
-        queries = rng.integers(0, 4, (5, 13))
-        assert autotune_decisions() == {}
-        array.search_batch(queries)
-        decisions = autotune_decisions()
-        assert len(decisions) == 1
-        ((key, winner),) = decisions.items()
-        assert winner in ("packed", "gemm")
-        array.search_batch(queries)
-        assert autotune_decisions() == decisions
-        clear_autotune_cache()
-        assert autotune_decisions() == {}
 
 
 class TestPropertyExactness:
@@ -382,9 +314,45 @@ class TestPropertyExactness:
             queries = rng.integers(0, array.config.levels, (n_q, n))
             counts = all_kernel_counts(array, queries)
             assert np.array_equal(counts["packed"], counts["loop"])
-            assert np.array_equal(counts["gemm"], counts["loop"])
 
         inner()
+
+
+class TestChunkRule:
+    """The packed count budgets what one of its queries allocates."""
+
+    def test_budget_divides_by_the_count_transient(self, monkeypatch):
+        from repro.core import array as array_module
+
+        seen = []
+        budget = array_module._budget_chunk
+
+        def spy(per_query):
+            seen.append(per_query)
+            return budget(per_query)
+
+        monkeypatch.setattr(array_module, "_budget_chunk", spy)
+        width = packed_stage_bytes(128)
+        nominal, rng = make_array(2, 128, 40)
+        nominal.search_batch(rng.integers(0, 4, (5, 128)))
+        # XOR path: bits * M * B bytes of words per query.
+        assert seen == [2 * 40 * width]
+        varied, rng = make_array(
+            2, 128, 40, variation=VariationModel(sigma_mv=150.0, seed=3)
+        )
+        seen.clear()
+        varied.mismatch_count_batch(rng.integers(0, 4, (5, 128)))
+        # One-hot path: L * M * B.
+        assert seen == [4 * 40 * width]
+
+    def test_scan_geometry_batch_is_unchunked(self):
+        from repro.core.array import _budget_chunk
+
+        # 8192 logical + 2 spare rows x 128 stages at 2 bits: a 32-query
+        # batch fits the budget in one block (the float-gather rule
+        # would cut it into blocks of MIN_QUERY_CHUNK).
+        assert _budget_chunk(2 * 8194 * packed_stage_bytes(128)) >= 32
+        assert resolve_query_chunk(8194, 128) < 32
 
 
 class TestResolveQueryChunkWorkingSet:

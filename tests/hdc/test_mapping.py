@@ -7,6 +7,7 @@ from repro.core.config import TDAMConfig
 from repro.devices.variation import VariationModel
 from repro.hdc.mapping import TDAMInference
 from repro.hdc.quantize import QuantizedModel, quantize_equal_area
+from tests.oracles import batched_mismatch_counts
 
 
 def make_model(bits=2, n_classes=4, dimension=300, seed=0):
@@ -45,6 +46,40 @@ class TestFunctional:
         a = var_inf.mismatch_counts(queries, chunk=3)
         b = var_inf.mismatch_counts(queries, chunk=100)
         assert np.array_equal(a, b)
+
+    def test_seeded_variation_counts_are_the_oracle(self):
+        """Offsets are drawn F_A-then-F_B over the whole class matrix;
+        the counts are the conduction tensor of those thresholds."""
+        model = make_model()
+        config = TDAMConfig(bits=2, n_stages=128, vdd=0.6)
+        var_inf = TDAMInference(
+            model, config=config, n_features=100,
+            variation=VariationModel(sigma_mv=60.0, seed=4),
+        )
+        stored = model.levels
+        draw = VariationModel(sigma_mv=60.0, seed=4)
+        off_a = draw.draw(stored.reshape(-1)).vth_shifts.reshape(stored.shape)
+        off_b = draw.draw((3 - stored).reshape(-1)).vth_shifts.reshape(
+            stored.shape
+        )
+        vth = np.array(config.vth_levels)
+        queries = np.random.default_rng(6).integers(0, 4, size=(9, 300))
+        want = batched_mismatch_counts(
+            queries, vth[stored] + off_a, vth[3 - stored] + off_b,
+            np.array(config.vsl_levels), config.levels, var_inf._von,
+        )
+        assert np.array_equal(var_inf.mismatch_counts(queries), want)
+        assert np.array_equal(var_inf.mismatch_counts(queries, chunk=2), want)
+
+    def test_four_bit_nominal_counts_are_hamming(self):
+        # The calibrated 4-bit cell cannot resolve adjacent levels; the
+        # nominal model still counts exact-match Hamming distance.
+        inference = TDAMInference(make_model(bits=4), n_features=100)
+        queries = np.random.default_rng(7).integers(0, 16, size=(6, 300))
+        expected = (
+            queries[:, None, :] != inference.model.levels[None, :, :]
+        ).sum(axis=2)
+        assert np.array_equal(inference.mismatch_counts(queries), expected)
 
     def test_variation_perturbs_counts(self):
         clean = TDAMInference(make_model(), n_features=100)

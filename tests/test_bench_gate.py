@@ -22,7 +22,7 @@ def make_report(**overrides):
     report = {
         "search_batch": {"speedup": 30.0, "bit_exact": True},
         "kernels": {
-            "packed_speedup_vs_gemm": 3.5,
+            "packed_speedup_vs_loop": 44.0,
             "bit_exact": True,
         },
         "topk": {"speedup": 1.7, "exact": True},
@@ -63,13 +63,26 @@ class TestCompareToBaseline:
         assert all(row["status"] == "pass" for row in rows)
 
     def test_abs_min_fails_below_threshold(self):
-        report = make_report(**{"kernels.packed_speedup_vs_gemm": 2.0})
+        report = make_report(**{"kernels.packed_speedup_vs_loop": 9.5})
         rows = rows_by_metric(
             bench_report.compare_to_baseline(report, make_report())
         )
-        row = rows["kernels.packed_speedup_vs_gemm"]
+        row = rows["kernels.packed_speedup_vs_loop"]
         assert row["status"] == "fail"
-        assert row["threshold"] == 3.0
+        assert row["threshold"] == 10.0
+
+    def test_count_kernel_at_the_loop_speed_fails(self):
+        # A count kernel that degrades to per-query work reads ~1x.
+        report = make_report(**{"kernels.packed_speedup_vs_loop": 1.1})
+        rows = rows_by_metric(
+            bench_report.compare_to_baseline(report, make_report())
+        )
+        assert rows["kernels.packed_speedup_vs_loop"]["status"] == "fail"
+        passing = make_report(**{"kernels.packed_speedup_vs_loop": 42.0})
+        rows = rows_by_metric(
+            bench_report.compare_to_baseline(passing, make_report())
+        )
+        assert rows["kernels.packed_speedup_vs_loop"]["status"] == "pass"
 
     def test_topk_slower_than_a_full_search_fails(self):
         report = make_report(**{"topk.speedup": 0.14})

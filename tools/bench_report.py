@@ -18,13 +18,15 @@ plus two direct wall-clock studies, and writes ``BENCH_search.json``:
 3. **Telemetry overhead**: ``search_batch`` wall clock at each
    telemetry tier -- disabled (dormant wrappers), metrics-only
    (tracing off), and full-trace (spans + metrics + probes) -- against
-   the bare un-instrumented kernel.  Optionally writes the metrics
-   registry and a Chrome trace as CI artifacts.
+   the bare un-instrumented kernel; the disabled tier is reported as a
+   median over interleaved rounds with its quartile spread.
+   Optionally writes the metrics registry and a Chrome trace as CI
+   artifacts.
 
-4. **Kernel shootout**: the three batched-count kernels (packed-popcount,
-   one-hot GEMM, reference loop) forced via the dispatch layer on the
-   same workload, with cross-kernel bit-exactness asserted; the tracked
-   headline is ``packed_speedup_vs_gemm``.
+4. **Count kernel**: the packed-popcount kernel that counts every batch
+   against the per-query reference loop on the same workload, with
+   bit-exactness asserted; the tracked headline is
+   ``packed_speedup_vs_loop``.
 5. **Top-k**: ``FastTDAMArray.top_k_batch`` (exact counts ranked
    directly) against ranking a full ``search_batch().top_k``, on the
    serving array (1024 rows x 128 stages, 32-query batches), with
@@ -44,9 +46,9 @@ plus two direct wall-clock studies, and writes ``BENCH_search.json``:
    trig-identity rewrite is gated at >= 5x -- plus the quantized
    in-fabric variant's wall clock, worst-case error, and modeled
    fabric cost.
-9. **Bit-serial MVM**: the three MVM kernels (packed bit-serial,
-   exact-float GEMM, int64 loop) forced on an 8b x 8b product, with
-   bit-exactness against the int64 reference asserted (gated).
+9. **MVM**: ``MVMPlan.matmul`` (the exact-by-bounds GEMM) against the
+   int64 numpy loop on an 8b x 8b product, with bit-exactness asserted
+   (gated).
 
 Regression gate.  With ``--baseline BENCH_search.json`` the report is
 compared against the committed numbers metric-by-metric
@@ -85,7 +87,6 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro import telemetry  # noqa: E402
 from repro.core.array import FastTDAMArray, resolve_query_chunk  # noqa: E402
 from repro.core.config import TDAMConfig  # noqa: E402
-from repro.core.kernels import force_kernel  # noqa: E402
 from repro.resilience.resilient import ResilientTDAMArray  # noqa: E402
 from repro.experiments.fig6_montecarlo import Fig6Trial  # noqa: E402
 from repro.spice.montecarlo import (  # noqa: E402
@@ -126,7 +127,7 @@ def bench_search_batch(repeats: int = 5) -> dict:
     rng = np.random.default_rng(1)
     array.write_all(rng.integers(0, 4, size=(N_ROWS, N_STAGES)))
     queries = rng.integers(0, 4, size=(N_QUERIES, N_STAGES))
-    array.search_batch(queries)  # warm up and autotune
+    array.search_batch(queries)  # warm up
 
     t_batch = _best_of(lambda: array.search_batch(queries), repeats)
     t_loop = _best_of(
@@ -150,51 +151,42 @@ def bench_search_batch(repeats: int = 5) -> dict:
 
 
 def bench_kernels(repeats: int = 30) -> dict:
-    """Forced-kernel shootout of the batched-count kernels.
+    """The packed count kernel against the per-query reference loop.
 
-    Times ``_counts_packed`` / ``_counts_gemm`` / ``_counts_loop`` on
-    the committed reference workload and asserts all three agree
-    bit-for-bit (counts are exact integers, so *any* difference is a
-    kernel bug, not float noise).  The tracked gate is
-    ``packed_speedup_vs_gemm``.
+    Times ``_counts_packed`` and ``_counts_loop`` on the committed
+    reference workload and asserts they agree bit-for-bit (counts are
+    exact integers, so *any* difference is a kernel bug, not float
+    noise), as do ``search_batch`` and the scalar ``search`` loop on
+    every field.  The tracked gate is ``packed_speedup_vs_loop``.
     """
     config = TDAMConfig.fig8_system()
     array = FastTDAMArray(config, n_rows=N_ROWS)
     rng = np.random.default_rng(1)
     array.write_all(rng.integers(0, 4, size=(N_ROWS, N_STAGES)))
     queries = rng.integers(0, 4, size=(N_QUERIES, N_STAGES))
-    chunk = resolve_query_chunk(N_ROWS, N_STAGES)
-    array.search_batch(queries)  # warm up and autotune
+    array.search_batch(queries)  # warm up
 
-    t_packed = _best_of(lambda: array._counts_packed(queries, chunk), repeats)
-    t_gemm = _best_of(lambda: array._counts_gemm(queries, chunk), repeats)
+    t_packed = _best_of(lambda: array._counts_packed(queries), repeats)
     t_loop = _best_of(
         lambda: array._counts_loop(queries), max(3, repeats // 6)
     )
-    reference = array._counts_loop(queries)
     exact = bool(
-        np.array_equal(array._counts_packed(queries, chunk), reference)
-        and np.array_equal(array._counts_gemm(queries, chunk), reference)
+        np.array_equal(array._counts_packed(queries), array._counts_loop(queries))
     )
-    # End-to-end forced-kernel search_batch must agree on every field.
-    with force_kernel("loop"):
-        ref_batch = array.search_batch(queries)
-    for name in ("packed", "gemm"):
-        with force_kernel(name):
-            batch = array.search_batch(queries)
+    batch = array.search_batch(queries)
+    for i, query in enumerate(queries):
+        want = array.search(query)
         exact = exact and bool(
-            np.array_equal(batch.delays_s, ref_batch.delays_s)
+            np.array_equal(batch.delays_s[i], want.delays_s)
             and np.array_equal(
-                batch.hamming_distances, ref_batch.hamming_distances
+                batch.hamming_distances[i], want.hamming_distances
             )
-            and np.array_equal(batch.best_rows, ref_batch.best_rows)
+            and int(batch.best_rows[i]) == want.best_row
         )
     return {
         "workload": f"{N_ROWS} rows x {N_STAGES} stages x {N_QUERIES} queries",
         "packed_s": t_packed,
-        "gemm_s": t_gemm,
         "loop_s": t_loop,
-        "packed_speedup_vs_gemm": t_gemm / t_packed,
         "packed_speedup_vs_loop": t_loop / t_packed,
         "bit_exact": exact,
     }
@@ -207,7 +199,7 @@ def bench_topk(k: int = 5, repeats: int = 10) -> dict:
     rng = np.random.default_rng(1)
     array.write_all(rng.integers(0, 4, size=(TOPK_ROWS, N_STAGES)))
     queries = rng.integers(0, 4, size=(TOPK_QUERIES, N_STAGES))
-    array.top_k_batch(queries, k)  # warm up and autotune
+    array.top_k_batch(queries, k)  # warm up
 
     t_search = _best_of(lambda: array.search_batch(queries), repeats)
     t_exhaustive = _best_of(
@@ -244,7 +236,7 @@ def bench_resilient(repeats: int = 20) -> dict:
         rng.integers(0, 4, size=(RESILIENT_ROWS, RESILIENT_STAGES))
     )
     queries = rng.integers(0, 4, size=(RESILIENT_QUERIES, RESILIENT_STAGES))
-    array.search_batch(queries)  # warm up and autotune
+    array.search_batch(queries)  # warm up
 
     t_batch = _best_of(lambda: array.search_batch(queries), repeats)
     t_loop = _best_of(
@@ -305,13 +297,18 @@ def bench_monte_carlo(n_runs: int, n_workers=None, repeats: int = 3) -> dict:
     }
 
 
-def bench_telemetry_overhead(repeats: int = 20) -> dict:
+def bench_telemetry_overhead(repeats: int = 20, rounds: int = 9) -> dict:
     """search_batch cost at each telemetry tier vs the bare kernel.
 
     Three tiers: *disabled* (the master switch off -- the dormant
     wrappers must stay within the CI-gated <3% of the bare kernel),
     *metrics-only* (enabled with tracing off -- counters and probes but
     no span trees), and *full-trace* (spans + metrics + probes).
+
+    The disabled overhead is a few percent at most, below the noise of
+    one best-of timing pair, so it is measured over ``rounds``
+    interleaved bare/disabled pairs and reported as the median with
+    its quartiles; the pytest ``<3%`` check remains the gate.
     """
     config = TDAMConfig.fig8_system()
     array = FastTDAMArray(config, n_rows=N_ROWS)
@@ -320,10 +317,21 @@ def bench_telemetry_overhead(repeats: int = 20) -> dict:
     queries = rng.integers(0, 4, size=(N_QUERIES, N_STAGES))
 
     telemetry.reset()
-    array.search_batch(queries)  # warm up and autotune
+    array.search_batch(queries)  # warm up
     array._search_batch_impl(queries)
-    t_bare = _best_of(lambda: array._search_batch_impl(queries), repeats)
-    t_disabled = _best_of(lambda: array.search_batch(queries), repeats)
+    pairs = [
+        (
+            _best_of(lambda: array._search_batch_impl(queries), repeats),
+            _best_of(lambda: array.search_batch(queries), repeats),
+        )
+        for _ in range(rounds)
+    ]
+    t_bare = min(bare for bare, _ in pairs)
+    t_disabled = min(disabled for _, disabled in pairs)
+    q25, median, q75 = np.percentile(
+        [(disabled / bare - 1.0) * 100.0 for bare, disabled in pairs],
+        [25, 50, 75],
+    )
 
     telemetry.enable()
     try:
@@ -342,7 +350,9 @@ def bench_telemetry_overhead(repeats: int = 20) -> dict:
         "disabled_s": t_disabled,
         "metrics_only_s": t_metrics,
         "enabled_s": t_enabled,
-        "disabled_overhead_pct": (t_disabled / t_bare - 1.0) * 100.0,
+        "disabled_overhead_pct": float(median),
+        "disabled_overhead_pct_quartiles": [float(q25), float(q75)],
+        "disabled_overhead_rounds": rounds,
         "metrics_only_overhead_pct": (t_metrics / t_bare - 1.0) * 100.0,
         "enabled_overhead_pct": (t_enabled / t_bare - 1.0) * 100.0,
     }
@@ -575,13 +585,12 @@ def bench_encode(repeats: int = 20) -> dict:
 
 
 def bench_mvm(repeats: int = 10) -> dict:
-    """Forced-kernel shootout of the bit-serial MVM kernels.
+    """``MVMPlan.matmul`` against the int64 numpy loop.
 
-    An 8b x 8b weight-stationary product served by each kernel through
-    the dispatch override, asserted bit-identical to the int64 numpy
-    reference (exact integers: any difference is a kernel bug).  The
-    gate is the ``bit_exact`` flag; the timings and the modeled fabric
-    cost ride along untracked.
+    An 8b x 8b weight-stationary product, asserted bit-identical to the
+    int64 reference (exact integers: any difference is a kernel bug).
+    The gate is the ``bit_exact`` flag; the timings and the modeled
+    fabric cost ride along untracked.
     """
     from repro.core.mvm import MVMPlan
 
@@ -592,24 +601,18 @@ def bench_mvm(repeats: int = 10) -> dict:
     plan = MVMPlan(weights, bits=8, signed=True)
     reference = acts @ weights.T
 
-    timings = {}
-    exact = True
-    for name in ("packed", "gemm", "loop"):
-        with force_kernel(name):
-            out = plan.matmul(acts)
-            exact = exact and bool(np.array_equal(out, reference))
-            reps = repeats if name != "packed" else max(2, repeats // 3)
-            timings[name] = _best_of(lambda: plan.matmul(acts), reps)
+    exact = bool(np.array_equal(plan.matmul(acts), reference))
+    t_gemm = _best_of(lambda: plan.matmul(acts), repeats)
+    t_loop = _best_of(lambda: acts @ weights.T, repeats)
     cost = plan.cost(activation_bits=8, n_batch=n_samples)
     return {
         "workload": (
             f"{n_samples} x {n_in} acts @ ({n_out} x {n_in}).T, "
             "8b acts x 8b signed weights"
         ),
-        "packed_s": timings["packed"],
-        "gemm_s": timings["gemm"],
-        "loop_s": timings["loop"],
-        "gemm_speedup_vs_loop": timings["loop"] / timings["gemm"],
+        "gemm_s": t_gemm,
+        "loop_s": t_loop,
+        "gemm_speedup_vs_loop": t_loop / t_gemm,
         "bit_exact": exact,
         "modeled_latency_s": cost.latency_s,
         "modeled_energy_j": cost.energy_j,
@@ -685,7 +688,7 @@ def run_microbench() -> dict:
 TRACKED_GATES = (
     ("search_batch.speedup", "abs_min", 10.0),
     ("search_batch.bit_exact", "true", None),
-    ("kernels.packed_speedup_vs_gemm", "abs_min", 3.0),
+    ("kernels.packed_speedup_vs_loop", "abs_min", 10.0),
     ("kernels.bit_exact", "true", None),
     ("topk.speedup", "abs_min", 1.0),
     ("topk.exact", "true", None),
@@ -852,9 +855,8 @@ def main(argv=None) -> int:
     print(f"search_batch: {search['batch_queries_per_s']:,.0f} queries/s "
           f"({search['speedup']:.1f}x vs loop, "
           f"bit_exact={search['bit_exact']})")
-    print(f"kernels:      packed {kern['packed_speedup_vs_gemm']:.2f}x vs "
-          f"gemm, {kern['packed_speedup_vs_loop']:.1f}x vs loop "
-          f"(bit_exact={kern['bit_exact']})")
+    print(f"kernels:      packed {kern['packed_speedup_vs_loop']:.1f}x vs "
+          f"loop (bit_exact={kern['bit_exact']})")
     print(f"topk:         {topk['speedup']:.2f}x vs ranking a full search "
           f"(exact={topk['exact']})")
     print(f"resilient:    {res['batch_s'] * 1e3:.2f} ms per batch "
@@ -863,7 +865,9 @@ def main(argv=None) -> int:
                if mc["fallback_reason"] else "")
     print(f"monte_carlo:  {mc['speedup']:.2f}x with {mc['n_workers']} "
           f"workers (bit_identical={mc['bit_identical']}){mc_note}")
-    print(f"telemetry:    disabled {tel['disabled_overhead_pct']:+.2f}% / "
+    q25, q75 = tel["disabled_overhead_pct_quartiles"]
+    print(f"telemetry:    disabled {tel['disabled_overhead_pct']:+.2f}% "
+          f"[{q25:+.2f}, {q75:+.2f}] / "
           f"metrics-only {tel['metrics_only_overhead_pct']:+.2f}% / "
           f"full-trace {tel['enabled_overhead_pct']:+.2f}% vs bare kernel")
     for n, row in report["coalesce"]["clients"].items():
@@ -883,9 +887,8 @@ def main(argv=None) -> int:
           f"quantized {enc['quantized_s'] * 1e3:.2f} ms, "
           f"max err {enc['quantized_max_abs_err']:.3g})")
     mvm = report["mvm"]
-    print(f"mvm:          gemm {mvm['gemm_s'] * 1e3:.2f} ms, packed "
-          f"{mvm['packed_s'] * 1e3:.2f} ms, loop {mvm['loop_s'] * 1e3:.2f} "
-          f"ms (bit_exact={mvm['bit_exact']})")
+    print(f"mvm:          gemm {mvm['gemm_s'] * 1e3:.2f} ms, loop "
+          f"{mvm['loop_s'] * 1e3:.2f} ms (bit_exact={mvm['bit_exact']})")
     print(f"wrote {args.output}")
     if args.metrics_out:
         print(f"wrote {args.metrics_out}")
