@@ -27,7 +27,7 @@ Each per-query slice is bit-exact against :meth:`FastTDAMArray.search`
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -619,14 +619,15 @@ class FastTDAMArray:
             self._thresholds_valid = True
         return self._vth_a, self._vth_b, self._vth_a_nom, self._vth_b_nom
 
-    def _update_row_thresholds(self, row: int, values: np.ndarray) -> None:
-        """Refresh one cached threshold row (if live); drop the tables."""
+    def _update_row_thresholds(self, rows, values: np.ndarray) -> None:
+        """Refresh the cached threshold rows ``rows`` (if live) from
+        their new levels ``values``; drop the tables."""
         if self._thresholds_valid:
             levels = self.config.levels
-            self._vth_a_nom[row] = self._vth[values]
-            self._vth_b_nom[row] = self._vth[levels - 1 - values]
-            self._vth_a[row] = self._vth_a_nom[row] + self._off_a_data[row]
-            self._vth_b[row] = self._vth_b_nom[row] + self._off_b_data[row]
+            self._vth_a_nom[rows] = self._vth[values]
+            self._vth_b_nom[rows] = self._vth[levels - 1 - values]
+            self._vth_a[rows] = self._vth_a_nom[rows] + self._off_a_data[rows]
+            self._vth_b[rows] = self._vth_b_nom[rows] + self._off_b_data[rows]
         self._drop_tables()
 
     def _build_level_tables(
@@ -763,23 +764,7 @@ class FastTDAMArray:
         """Program one row (vectorized)."""
         if not 0 <= row < self.n_rows:
             raise IndexError(f"row {row} out of range [0, {self.n_rows - 1}]")
-        values = self.encoding.validate_vector(vector)
-        if len(values) != self.config.n_stages:
-            raise ValueError(
-                f"vector length {len(values)} != n_stages {self.config.n_stages}"
-            )
-        self._stored[row] = values
-        if self.variation is not None:
-            levels = self.config.levels
-            fa_states = values
-            fb_states = levels - 1 - values
-            self._off_a_data[row] = self.variation.draw(fa_states).vth_shifts
-            self._off_b_data[row] = self.variation.draw(fb_states).vth_shifts
-            self._nominal_cache = None
-        self._update_row_thresholds(row, values)
-        if not self._all_written:
-            self._written[row] = True
-            self._all_written = bool(self._written.all())
+        self._write_rows([row], self._validate_vector(vector)[None, :])
 
     def write_all(self, matrix: Sequence[Sequence[int]]) -> None:
         """Program every row from an (n_rows, n_stages) matrix.
@@ -804,10 +789,24 @@ class FastTDAMArray:
         )
 
     def _write_all_impl(self, matrix: Sequence[Sequence[int]]) -> None:
-        matrix = np.asarray(matrix)
-        if matrix.shape[0] != self.n_rows:
+        values = self._validate_image(matrix, self.n_rows)
+        self._write_rows(slice(None), values)
+
+    def _validate_vector(self, vector: Sequence[int]) -> np.ndarray:
+        """Validate one ``n_stages`` level vector to write."""
+        values = self.encoding.validate_vector(vector)
+        if len(values) != self.config.n_stages:
             raise ValueError(
-                f"matrix has {matrix.shape[0]} rows, array has {self.n_rows}"
+                f"vector length {len(values)} != n_stages {self.config.n_stages}"
+            )
+        return values
+
+    def _validate_image(self, matrix, n_rows: int) -> np.ndarray:
+        """Validate an ``(n_rows, n_stages)`` level matrix to write."""
+        matrix = np.asarray(matrix)
+        if matrix.shape[0] != n_rows:
+            raise ValueError(
+                f"matrix has {matrix.shape[0]} rows, array has {n_rows}"
             )
         values = self._validate_matrix(matrix)
         if values.shape[1] != self.config.n_stages:
@@ -815,25 +814,36 @@ class FastTDAMArray:
                 f"vector length {values.shape[1]} != "
                 f"n_stages {self.config.n_stages}"
             )
-        self._stored[:] = values
+        return values
+
+    def _write_rows(self, rows, values: np.ndarray) -> None:
+        """Program validated ``(R, n_stages)`` levels onto ``rows``.
+
+        One vectorized write for any row subset (an index array or a
+        slice, R rows in the order given): variation is drawn in that
+        order, F_A then F_B per row, in one flat draw -- the stream
+        per-row :meth:`write` calls in the same order consume -- and
+        the live threshold rows are refreshed and the tables dropped
+        once.
+        """
+        self._stored[rows] = values
         if self.variation is not None:
             levels = self.config.levels
+            n_r, n = values.shape
             # Interleave F_A and F_B states row-major so the flat draw
             # consumes the RNG stream exactly like per-row write calls.
-            states = np.empty(
-                (self.n_rows, 2, self.config.n_stages), dtype=np.int64
-            )
+            states = np.empty((n_r, 2, n), dtype=np.int64)
             states[:, 0, :] = values
             states[:, 1, :] = levels - 1 - values
             shifts = self.variation.draw(states.reshape(-1)).vth_shifts
-            shifts = shifts.reshape(self.n_rows, 2, self.config.n_stages)
-            self._off_a_data[:] = shifts[:, 0, :]
-            self._off_b_data[:] = shifts[:, 1, :]
+            shifts = shifts.reshape(n_r, 2, n)
+            self._off_a_data[rows] = shifts[:, 0, :]
+            self._off_b_data[rows] = shifts[:, 1, :]
             self._nominal_cache = None
-        self._thresholds_valid = False
-        self._drop_tables()
-        self._written[:] = True
-        self._all_written = True
+        self._update_row_thresholds(rows, values)
+        if not self._all_written:
+            self._written[rows] = True
+            self._all_written = bool(self._written.all())
 
     def _validate_matrix(self, matrix: np.ndarray) -> np.ndarray:
         """Matrix analog of ``LevelEncoding.validate_vector``."""
@@ -1039,7 +1049,10 @@ class FastTDAMArray:
         )
 
     def _counts_packed(
-        self, queries: np.ndarray, chunk: Optional[int] = None
+        self,
+        queries: np.ndarray,
+        chunk: Optional[int] = None,
+        reduce: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     ) -> np.ndarray:
         """Mismatch counts via the bit-plane popcount kernel, (Q, M).
 
@@ -1056,6 +1069,11 @@ class FastTDAMArray:
         ``chunk=None`` divides the :data:`QUERY_CHUNK_BUDGET_BYTES`
         budget by what one query allocates here: ``bits * M * B`` bytes
         of XOR words, or ``L * M * B`` for the one-hot AND.
+
+        ``reduce``, when given, maps each chunk's C-contiguous
+        ``(chunk, M)`` counts as they leave the kernel, and the reduced
+        chunks are stacked instead: the nominal top-k ranks there, so
+        it never holds the full ``(Q, M)`` count matrix.
         """
         _check_chunk(chunk)
         planes = self._xor_bit_planes()
@@ -1082,15 +1100,19 @@ class FastTDAMArray:
             chunk = _budget_chunk(planes.nbytes)
         n_q = queries.shape[0]
 
+        def block(start: int) -> np.ndarray:
+            counts = count(queries[start:start + chunk])
+            return counts if reduce is None else reduce(counts)
+
         def run() -> np.ndarray:
+            first = block(0)
             if n_q <= chunk:
-                return count(queries)
-            counts = np.empty((n_q, self.n_rows), dtype=np.int64)
-            for start in range(0, n_q, chunk):
-                counts[start:start + chunk] = count(
-                    queries[start:start + chunk]
-                )
-            return counts
+                return first
+            out = np.empty((n_q,) + first.shape[1:], dtype=first.dtype)
+            out[:chunk] = first
+            for start in range(chunk, n_q, chunk):
+                out[start:start + chunk] = block(start)
+            return out
 
         if _TM.enabled:
             # The dispatch span inherits the active request/batch
@@ -1269,9 +1291,12 @@ class FastTDAMArray:
         Bit-identical to ``search_batch(queries).top_k(k)`` (restricted
         to ``rows`` when given) -- an exactness suite asserts it.  Under
         nominal timing the packed count kernel's exact counts are
-        ranked directly, skipping the TDC decode, energy accounting,
-        and winner resolution of the full search; under variation (or
-        a degenerate delay ladder) the full search is ranked.
+        ranked per query chunk as they leave the kernel, skipping the
+        TDC decode, energy accounting, and winner resolution of the
+        full search, and never holding the full ``(Q, M)`` counts;
+        under variation (or a degenerate delay ladder) the full search
+        is ranked.  A contiguous ``rows`` range is ranked on a column
+        view of the counts, without a gather.
 
         Args:
             queries: Query levels, shape (Q, n_stages).
@@ -1300,6 +1325,7 @@ class FastTDAMArray:
         chunk: Optional[int],
     ) -> np.ndarray:
         rows_arr: Optional[np.ndarray] = None
+        cols = slice(None)
         m = self.n_rows
         if rows is not None:
             rows_arr = np.asarray(rows, dtype=np.int64)
@@ -1315,24 +1341,27 @@ class FastTDAMArray:
             if rows_arr.shape[0] > 1 and not np.all(np.diff(rows_arr) > 0):
                 raise ValueError("rows must be strictly increasing")
             m = rows_arr.shape[0]
+            lo = int(rows_arr[0])
+            if rows_arr[-1] == lo + m - 1:
+                cols = slice(lo, lo + m)
+            else:
+                cols = rows_arr
         if not 1 <= k <= m:
             raise ValueError(f"k must be in [1, {m}], got {k}")
         if q.shape[0] == 0:
             return np.empty((0, k), dtype=np.int64)
         if self._timing_is_nominal() and self._delay_strictly_monotone():
-            counts = self._counts_packed(q, chunk)
-            if rows_arr is not None:
-                counts = counts[:, rows_arr]
-            return top_k_indices(counts, k, row_ids=rows_arr)
-        batch = self._search_batch_impl(q, chunk)
-        if rows_arr is None:
-            return batch.top_k(k)
-        return top_k_indices(
-            batch.hamming_distances[:, rows_arr],
-            k,
-            delays_s=batch.delays_s[:, rows_arr],
-            row_ids=rows_arr,
-        )
+            top = self._counts_packed(
+                q, chunk, reduce=lambda c: top_k_indices(c[:, cols], k)
+            )
+        else:
+            batch = self._search_batch_impl(q, chunk)
+            top = top_k_indices(
+                batch.hamming_distances[:, cols],
+                k,
+                delays_s=batch.delays_s[:, cols],
+            )
+        return top if rows_arr is None else rows_arr[top]
 
     def ideal_hamming(self, query: Sequence[int]) -> np.ndarray:
         """Variation-free per-row Hamming distances."""

@@ -238,7 +238,7 @@ def packed_mismatch_counts(
             byte width.
 
     Returns:
-        int64 counts, shape ``(Q, M)``.
+        C-contiguous int64 counts, shape ``(Q, M)``.
     """
     if planes.ndim != 3 or masks.ndim != 3:
         raise ValueError(
@@ -262,14 +262,15 @@ def packed_mismatch_counts(
         m = np.ascontiguousarray(masks)
     n_rows = p.shape[1]
     n_q = m.shape[0]
-    # (L*K, M) x (L*K, Q) operands put the longest axis (queries)
-    # innermost and contiguous, so the broadcast AND runs long inner
-    # loops; the reduction then sums L*K contiguous leading slabs.
+    # (L*K, M) x (L*K, Q) operands with the row axis innermost:
+    # queries are the short axis on every caller, so the broadcast AND
+    # runs long contiguous row loops, and summing the L*K leading slabs
+    # leaves C-contiguous (Q, M) counts for the ranking to read.
     # Callers bound Q with their query chunking.
     p_t = np.ascontiguousarray(p.transpose(0, 2, 1)).reshape(-1, n_rows)
     m_t = np.ascontiguousarray(m.transpose(1, 2, 0)).reshape(-1, n_q)
-    matched = popcount(p_t[:, :, None] & m_t[:, None, :])
-    return matched.sum(axis=0, dtype=np.int64).T
+    matched = popcount(p_t[:, None, :] & m_t[:, :, None])
+    return matched.sum(axis=0, dtype=np.int64)
 
 
 def packed_xor_counts(
@@ -296,7 +297,7 @@ def packed_xor_counts(
             ``(bits, Q, B)``, same byte width.
 
     Returns:
-        int64 counts, shape ``(Q, M)``.
+        C-contiguous int64 counts, shape ``(Q, M)``.
     """
     if stored_bits.ndim != 3 or query_bits.ndim != 3:
         raise ValueError(
@@ -322,12 +323,11 @@ def packed_xor_counts(
         s = np.ascontiguousarray(stored_bits)
         qb = np.ascontiguousarray(query_bits)
     bits, _, k = s.shape
-    # Same long-inner-loop layout as packed_mismatch_counts, with one
+    # Same rows-innermost layout as packed_mismatch_counts, with one
     # fused XOR over all bit-planes and an in-place OR-fold.
-    s_t = np.ascontiguousarray(s.transpose(0, 2, 1)).reshape(-1, n_rows)
-    q_t = np.ascontiguousarray(qb.transpose(0, 2, 1)).reshape(-1, n_q)
-    diff = s_t[:, :, None] ^ q_t[:, None, :]
-    diff = diff.reshape(bits, k, n_rows, n_q)
+    s_t = np.ascontiguousarray(s.transpose(0, 2, 1))
+    q_t = np.ascontiguousarray(qb.transpose(0, 2, 1))
+    diff = s_t[:, :, None, :] ^ q_t[:, :, :, None]
     mism = diff[0]
     for b in range(1, bits):
         np.bitwise_or(mism, diff[b], out=mism)
@@ -338,8 +338,8 @@ def packed_xor_counts(
         total = np.add(pops[0], pops[1])
         for i in range(2, k):
             np.add(total, pops[i], out=total)
-        return total.astype(np.int64).T
-    return pops.sum(axis=0, dtype=np.int64).T
+        return total.astype(np.int64)
+    return pops.sum(axis=0, dtype=np.int64)
 
 
 def packed_pair_counts(

@@ -5,15 +5,21 @@ winner resolution does: smallest decoded distance first, delay breaking
 ties, then the lowest row index.  This module is the single home of
 that ordering (:func:`top_k_indices`), previously copied across
 ``SearchResult.top_k``, ``BatchSearchResult.top_k``, and the serving
-layer.  It is built from two vectorized steps, also used on their own
-by the clustered index and the partitioned service:
+layer.
+
+Without a delay tie-break on integer input -- exact mismatch counts,
+the nominal-timing case -- the rule is one unique int32 key per row,
+``distance * M + row``: one ``np.partition`` and a sort of ``k`` keys
+per query rank them.  With delays (or float or int32-overflowing
+distances), it is built from two vectorized steps, also used on their
+own by the clustered index and the partitioned service:
 
 - :func:`prune_survivors` -- keep, per query, the rows whose distance
   ties or beats the k-th smallest (every possible winner, ties kept);
 - :func:`grouped_top_k` -- rank flattened ``(query, row)`` candidate
   pairs per query and take the first ``k`` of each group.
 
-Neither step loops over queries in Python, and the final ordering is
+Neither path loops over queries in Python, and the final ordering is
 always the exact lexicographic rule, so :func:`top_k_indices` is
 bit-identical to a full lexsort.
 """
@@ -68,17 +74,37 @@ def top_k_indices(
         if m > 1 and not np.all(np.diff(row_ids) > 0):
             raise ValueError("row_ids must be strictly increasing")
     dist = distances.reshape(-1, m)
-    q_idx, r_idx = prune_survivors(dist, k)
-    secondary = None
-    if delays_s is not None:
-        secondary = np.asarray(delays_s).reshape(-1, m)[q_idx, r_idx]
-    top = grouped_top_k(
-        q_idx, r_idx, dist[q_idx, r_idx], k, dist.shape[0],
-        secondary=secondary,
-    )
+    if delays_s is None and _fits_int32_keys(dist):
+        # Unique keys distance * M + row order exactly as (distance,
+        # row); only the k smallest per query get sorted.
+        keys = np.multiply(dist, m, dtype=np.int32, casting="unsafe")
+        keys += np.arange(m, dtype=np.int32)
+        keys.partition(k - 1, axis=1)
+        best = keys[:, :k]
+        best.sort(axis=1)
+        top = (best % m).astype(np.int64)
+    else:
+        q_idx, r_idx = prune_survivors(dist, k)
+        secondary = None
+        if delays_s is not None:
+            secondary = np.asarray(delays_s).reshape(-1, m)[q_idx, r_idx]
+        top = grouped_top_k(
+            q_idx, r_idx, dist[q_idx, r_idx], k, dist.shape[0],
+            secondary=secondary,
+        )
     if row_ids is not None:
         top = row_ids[top]
     return top[0] if distances.ndim == 1 else top
+
+
+def _fits_int32_keys(dist: np.ndarray) -> bool:
+    """Whether a non-empty integer ``(Q, M)`` matrix ranks by int32
+    keys ``d * M + row``: ``(max|d| + 1) * M < 2**31``.  Exact counts
+    always fit; floats and wider integers take the pruning path."""
+    if dist.dtype.kind not in "iu" or not dist.size:
+        return False
+    bound = (max(-int(dist.min()), int(dist.max())) + 1) * dist.shape[1]
+    return bound < 2 ** 31
 
 
 def prune_survivors(

@@ -311,7 +311,7 @@ class ResilientTDAMArray:
         self.engine = RepairEngine(max_masked_stages=max_masked_stages)
         self.bist_interval = bist_interval
         self._shadow = np.zeros((n_rows, config.n_stages), dtype=np.int64)
-        self._map: List[int] = list(range(n_rows))
+        self._map = range(n_rows)
         self._free_spares: List[int] = list(range(n_rows, total))
         self._masked: Tuple[int, ...] = ()
         self._retired: set = set()
@@ -325,23 +325,54 @@ class ResilientTDAMArray:
         self._replica = ReplicaCalibratedTDC(
             config, measure_replica(self._physical.timing)
         )
-        zeros = np.zeros(config.n_stages, dtype=np.int64)
-        for phys in range(total):
-            self._write_physical(phys, zeros)
+        self._write_physical(
+            np.arange(total),
+            np.broadcast_to(
+                np.zeros(config.n_stages, dtype=np.int64),
+                (total, config.n_stages),
+            ),
+        )
+
+    @property
+    def _map(self) -> Tuple[int, ...]:
+        """Logical -> physical row map, immutable.
+
+        Assigning it (construction, :meth:`apply_repairs`, checkpoint
+        restore) is the only way to change it, and re-derives whether
+        it is the identity, so :meth:`_is_pristine` reads a flag
+        instead of comparing ``n_rows`` entries on every call.
+        """
+        return self._map_tuple
+
+    @_map.setter
+    def _map(self, value) -> None:
+        self._map_tuple = tuple(int(r) for r in value)
+        self._map_is_identity = self._map_tuple == tuple(range(self.n_rows))
 
     # ------------------------------------------------------------------
     # Write path
     # ------------------------------------------------------------------
-    def _write_physical(self, phys: int, vector: np.ndarray) -> None:
-        """Program one physical row: resets its drift clock and records
-        the write-time offsets as the new drift baseline."""
-        self._physical.write(phys, vector)
-        if self._physical.variation is None:
-            self._physical._off_a[phys] = 0.0
-            self._physical._off_b[phys] = 0.0
-            self._physical.invalidate_threshold_cache()
-        self._base_off_a[phys] = self._physical._off_a[phys]
-        self._base_off_b[phys] = self._physical._off_b[phys]
+    def _write_physical(self, phys, values: np.ndarray) -> None:
+        """Program physical rows ``phys`` with ``values`` in one write.
+
+        Variation is drawn in the order ``phys`` lists the rows, as a
+        per-row write loop in that order would draw it.  Resets the
+        rows' drift clocks and records their write-time offsets as the
+        new drift baseline.
+        """
+        physical = self._physical
+        if physical.variation is None:
+            # A rewrite clears the drift accumulated on these rows.
+            for offsets in (
+                physical._off_a, physical._off_b,
+                self._base_off_a, self._base_off_b,
+            ):
+                offsets[phys] = 0.0
+            physical.invalidate_threshold_cache()
+        physical._write_rows(phys, values)
+        if physical.variation is not None:
+            self._base_off_a[phys] = physical._off_a[phys]
+            self._base_off_b[phys] = physical._off_b[phys]
         self._row_age_s[phys] = 0.0
 
     def write(self, row: int, vector: Sequence[int]) -> None:
@@ -354,21 +385,33 @@ class ResilientTDAMArray:
             raise IndexError(
                 f"row {row} out of range [0, {self.n_rows - 1}]"
             )
-        values = self._physical.encoding.validate_vector(vector)
+        values = self._physical._validate_vector(vector)
         self._shadow[row] = values
         if row not in self._retired:
-            self._write_physical(self._map[row], values)
-            self._cycles[self._map[row]] += 1
+            phys = self._map[row]
+            self._write_physical([phys], values[None, :])
+            self._cycles[phys] += 1
 
     def write_all(self, matrix: Sequence[Sequence[int]]) -> None:
-        """Store every logical row from an (n_rows, n_stages) matrix."""
-        matrix = np.asarray(matrix)
-        if matrix.shape[0] != self.n_rows:
-            raise ValueError(
-                f"matrix has {matrix.shape[0]} rows, array has {self.n_rows}"
-            )
-        for row in range(self.n_rows):
-            self.write(row, matrix[row])
+        """Store every logical row from an (n_rows, n_stages) matrix.
+
+        One write of the live rows, identical on every field to calling
+        :meth:`write` for each row in order.
+        """
+        # The validated copy becomes the shadow image, and a fully live
+        # array writes it without a gather: no image-sized transient.
+        values = self._physical._validate_image(matrix, self.n_rows)
+        self._shadow = values
+        live = self._live_rows()
+        if len(live) < self.n_rows:
+            values = values[live]
+        phys = np.asarray(self._map, dtype=np.int64)[live]
+        self._write_physical(phys, values)
+        self._cycles[phys] += 1
+
+    def _live_rows(self) -> List[int]:
+        """Logical rows with a physical home, ascending."""
+        return [r for r in range(self.n_rows) if r not in self._retired]
 
     # ------------------------------------------------------------------
     # Aging
@@ -482,7 +525,7 @@ class ResilientTDAMArray:
             not self._retired
             and not self._masked
             and not self._backing.faults
-            and self._map == list(range(self.n_rows))
+            and self._map_is_identity
             and self._physical._timing_is_nominal()
         )
 
@@ -546,7 +589,7 @@ class ResilientTDAMArray:
         n_q = raw.hamming_distances.shape[0]
         distances = np.full((n_q, self.n_rows), n_eff, dtype=np.int64)
         delays = np.full((n_q, self.n_rows), timeout)
-        live = [r for r in range(self.n_rows) if r not in self._retired]
+        live = self._live_rows()
         if live:
             phys = [self._map[r] for r in live]
             distances[:, live] = np.minimum(
@@ -580,7 +623,7 @@ class ResilientTDAMArray:
         timeout = self._physical.timing.chain_delay(self.config.n_stages)
         distances = np.full(self.n_rows, n_eff, dtype=np.int64)
         delays = np.full(self.n_rows, timeout)
-        live = [r for r in range(self.n_rows) if r not in self._retired]
+        live = self._live_rows()
         for r in live:
             phys = self._map[r]
             distances[r] = min(int(raw.hamming_distances[phys]), n_eff)
@@ -648,16 +691,17 @@ class ResilientTDAMArray:
         return diagnosis
 
     def _restore_data(self) -> None:
-        mapped = set()
-        for r in range(self.n_rows):
-            if r in self._retired:
-                continue
-            self._write_physical(self._map[r], self._shadow[r])
-            mapped.add(self._map[r])
-        zeros = np.zeros(self.config.n_stages, dtype=np.int64)
-        for phys in range(len(self._row_age_s)):
-            if phys not in mapped:
-                self._write_physical(phys, zeros)
+        """Rewrite every physical row in one write: each live logical
+        row's shadow onto its physical home, in logical order, then
+        zeros onto the rows holding no data, in physical order."""
+        live = self._live_rows()
+        mapped = [self._map[r] for r in live]
+        unmapped = sorted(set(range(len(self._row_age_s))) - set(mapped))
+        values = np.zeros(
+            (len(self._row_age_s), self.config.n_stages), dtype=np.int64
+        )
+        values[:len(live)] = self._shadow[live]
+        self._write_physical(np.asarray(mapped + unmapped), values)
 
     def apply_repairs(
         self, diagnosis: Optional[DiagnosisReport] = None
@@ -671,9 +715,7 @@ class ResilientTDAMArray:
         if diagnosis is None:
             diagnosis = self._last_diagnosis or self.run_bist()
         with _trace.span("resilience.repair", rows=self.n_rows):
-            live = [
-                r for r in range(self.n_rows) if r not in self._retired
-            ]
+            live = self._live_rows()
             data_rows = [self._map[r] for r in live]
             plan = self.engine.plan(
                 diagnosis, data_rows=data_rows, spare_rows=self._free_spares
@@ -682,12 +724,14 @@ class ResilientTDAMArray:
             phys_to_logical: Dict[int, int] = {
                 self._map[r]: r for r in live
             }
+            remap = list(self._map)
             for old_phys, spare in plan.row_remap.items():
                 r = phys_to_logical[old_phys]
-                self._map[r] = spare
+                remap[r] = spare
                 self._free_spares.remove(spare)
-                self._write_physical(spare, self._shadow[r])
+                self._write_physical([spare], self._shadow[r][None, :])
                 self._cycles[spare] += 1
+            self._map = remap
             for old_phys in plan.retired_rows:
                 self._retired.add(phys_to_logical[old_phys])
         if _TM.enabled:

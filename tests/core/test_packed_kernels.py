@@ -152,6 +152,7 @@ class TestPackedCounts:
             pack_level_planes(ineq), pack_query_masks(q, levels)
         )
         assert counts.dtype == np.int64
+        assert counts.flags.c_contiguous
         assert np.array_equal(counts, self.naive_counts(q, stored))
 
     @pytest.mark.parametrize("bits,n", GEOMETRIES)
@@ -164,6 +165,7 @@ class TestPackedCounts:
             pack_bit_planes(stored, bits), pack_bit_planes(q, bits)
         )
         assert counts.dtype == np.int64
+        assert counts.flags.c_contiguous
         assert np.array_equal(counts, self.naive_counts(q, stored))
 
     def test_xor_counts_uint8_fold_boundary(self):

@@ -9,6 +9,8 @@ full probe promises the exhaustive answer.  These tests pin all three,
 including tie-heavy inputs and empty query batches.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -242,6 +244,23 @@ class TestArrayTopKBatch:
             array.top_k_batch(queries, 3, chunk=4), expected
         )
 
+    def test_ranking_per_chunk_never_holds_the_count_matrix(self):
+        # 1024 queries x 8192 rows of int64 counts is 64 MiB; ranking
+        # each query chunk as it leaves the kernel stays below it.
+        config = TDAMConfig(n_stages=128)
+        rng = np.random.default_rng(41)
+        array = FastTDAMArray(config, n_rows=8192)
+        array.write_all(rng.integers(0, 4, (8192, 128)))
+        queries = rng.integers(0, 4, (1024, 128))
+        array.top_k_batch(queries[:1], 10)  # planes built outside the trace
+        tracemalloc.start()
+        try:
+            array.top_k_batch(queries, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * 8192 * 8
+
 
 class TestEmptyBatches:
     """Q = 0 answers with empty results."""
@@ -290,6 +309,18 @@ def lexsort_top_k(distances, k, delays=None, row_ids=None):
     return top if row_ids is None else np.asarray(row_ids)[top]
 
 
+def scalar_top_k(array, queries, k, cols):
+    """The scalar search loop's top-k over the columns ``cols``: no
+    batched kernel."""
+    n_q, m = queries.shape[0], array.n_rows
+    scalar = [array.search(query) for query in queries]
+    distances = np.array(
+        [r.hamming_distances for r in scalar], dtype=np.int64
+    ).reshape(n_q, m)
+    delays = np.array([r.delays_s for r in scalar]).reshape(n_q, m)
+    return lexsort_top_k(distances[:, cols], k, delays[:, cols], cols)
+
+
 def _fixture_array(variation):
     config = TDAMConfig(bits=2, n_stages=21)
     rng = np.random.default_rng(31)
@@ -334,18 +365,24 @@ class TestRankingProperty:
         n_q=st.integers(0, 4),
         m=st.integers(1, 12),
         n_values=st.integers(1, 4),
+        # Integer keys d * M + row in int32, and distances too wide for
+        # int32 keys (even int64 keys), where the rule falls back to
+        # pruning; the shift makes some distances negative.
+        scale=st.sampled_from([1, 2**28, 2**61]),
+        shift=st.integers(0, 2),
         seed=st.integers(0, 2**32 - 1),
         with_delays=st.booleans(),
         with_row_ids=st.booleans(),
         one_d=st.booleans(),
     )
     def test_top_k_indices_is_the_lexsort(
-        self, n_q, m, n_values, seed, with_delays, with_row_ids, one_d
+        self, n_q, m, n_values, scale, shift, seed, with_delays,
+        with_row_ids, one_d,
     ):
         rng = np.random.default_rng(seed)
         shape = (m,) if one_d else (n_q, m)
         # Few distinct values per key: ties on distance and on delay.
-        distances = rng.integers(0, n_values, shape)
+        distances = (rng.integers(0, n_values, shape) - shift) * scale
         delays = rng.integers(0, n_values, shape) * 0.5
         row_ids = np.cumsum(rng.integers(1, 4, m)) if with_row_ids else None
         for k in range(1, m + 1):
@@ -375,16 +412,23 @@ class TestRankingProperty:
         rows = np.array(sorted(subset), dtype=np.int64) if subset else None
         cols = np.arange(12) if rows is None else rows
         k = min(k, cols.shape[0])
-        # The scalar search loop is the oracle: no batched kernel.
-        scalar = [array.search(query) for query in queries]
-        distances = np.array(
-            [r.hamming_distances for r in scalar], dtype=np.int64
-        ).reshape(n_q, 12)
-        delays = np.array([r.delays_s for r in scalar]).reshape(n_q, 12)
-        want = lexsort_top_k(distances[:, cols], k, delays[:, cols], cols)
         got = array.top_k_batch(queries, k, rows=rows)
         assert got.shape == (n_q, k)
-        assert np.array_equal(got, want)
+        assert np.array_equal(got, scalar_top_k(array, queries, k, cols))
+
+    @pytest.mark.parametrize("variation", [False, True])
+    @pytest.mark.parametrize(
+        "lo,hi", [(0, 5), (7, 12), (3, 9), (4, 5), (11, 12), (0, 12)],
+        ids=["prefix", "suffix", "interior", "single", "last", "all"],
+    )
+    def test_array_top_k_batch_ranks_contiguous_rows(self, variation, lo, hi):
+        # A contiguous range is ranked on a column view of the counts.
+        array = _ARRAYS[variation]
+        queries = np.random.default_rng(lo * 12 + hi).integers(0, 4, (7, 21))
+        cols = np.arange(lo, hi)
+        for k in {1, min(3, hi - lo), hi - lo}:
+            got = array.top_k_batch(queries, k, rows=cols)
+            assert np.array_equal(got, scalar_top_k(array, queries, k, cols))
 
     @settings(max_examples=60, deadline=None)
     @given(

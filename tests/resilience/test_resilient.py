@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.core.array import FastTDAMArray
 from repro.core.config import TDAMConfig
 from repro.core.faults import Fault, FaultType
+from repro.devices.variation import VariationModel
 from repro.resilience.resilient import ResilientTDAMArray
 
 
@@ -152,6 +154,98 @@ class TestRepairLoop:
         fresh = (stored[0] + 1) % 4
         array.write(0, fresh)  # must not raise
         assert (array._shadow[0] == fresh).all()
+
+
+def write_state(array):
+    """Every field a write of the resilient array touches."""
+    phys = array._physical
+    return {
+        "stored": phys._stored,
+        "off_a": phys._off_a,
+        "off_b": phys._off_b,
+        "base_off_a": array._base_off_a,
+        "base_off_b": array._base_off_b,
+        "cycles": array._cycles,
+        "row_age_s": array._row_age_s,
+        "shadow": array._shadow,
+    }
+
+
+def assert_same_write_state(got, want):
+    for field, value in write_state(want).items():
+        assert np.array_equal(write_state(got)[field], value), field
+
+
+class TestOneShotWrites:
+    """Construction and write_all program in one write, identical on
+    every field to a per-row write loop in the same order."""
+
+    @staticmethod
+    def repaired(config, stored, variation):
+        # Physical rows 1 and 4 dead, one spare: one is remapped onto
+        # the spare, the other retired.  Then drift, which a rewrite
+        # must clear on exactly the rows it writes.
+        array = ResilientTDAMArray(
+            config,
+            n_rows=6,
+            n_spares=1,
+            faults=[
+                Fault(FaultType.DEAD_ROW, row=1),
+                Fault(FaultType.DEAD_ROW, row=4),
+            ],
+            variation=VariationModel(seed=11) if variation else None,
+        )
+        array.write_all(stored)
+        array.self_test_and_repair()
+        assert len(array._retired) == 1
+        assert array._map != tuple(range(6))
+        array.advance_time(1e6)
+        return array
+
+    @pytest.mark.parametrize("variation", [False, True])
+    def test_write_all_equals_the_row_loop(self, config, stored, variation):
+        one_shot = self.repaired(config, stored, variation)
+        looped = self.repaired(config, stored, variation)
+        matrix = (stored + 1) % 4
+        one_shot.write_all(matrix)
+        for row in range(6):
+            looped.write(row, matrix[row])
+        assert_same_write_state(one_shot, looped)
+
+    def test_wrong_length_write_changes_nothing(self, config, stored):
+        array = self.repaired(config, stored, variation=True)
+        untouched = self.repaired(config, stored, variation=True)
+        retired = next(iter(array._retired))
+        for vector in ([2], [2] * (config.n_stages + 1)):
+            for row in (0, retired):
+                with pytest.raises(ValueError, match="n_stages"):
+                    array.write(row, vector)
+        assert_same_write_state(array, untouched)
+        # No variation was drawn either: the next write draws the same.
+        array.write(0, stored[1])
+        untouched.write(0, stored[1])
+        assert_same_write_state(array, untouched)
+
+    def test_construction_equals_the_row_loop(self, config):
+        array = ResilientTDAMArray(
+            config, n_rows=6, n_spares=2,
+            variation=VariationModel(seed=11),
+        )
+        reference = FastTDAMArray(
+            config, 8, variation=VariationModel(seed=11)
+        )
+        for phys in range(8):
+            reference.write(phys, np.zeros(config.n_stages, dtype=np.int64))
+        physical = array._physical
+        assert np.array_equal(physical._stored, reference._stored)
+        for field in ("_off_a", "_off_b"):
+            assert np.array_equal(
+                getattr(physical, field), getattr(reference, field)
+            )
+        assert np.array_equal(array._base_off_a, reference._off_a)
+        assert np.array_equal(array._base_off_b, reference._off_b)
+        assert not array._row_age_s.any()
+        assert not array._cycles.any()
 
 
 class TestDriftAndRefresh:

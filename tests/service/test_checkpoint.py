@@ -86,6 +86,39 @@ class TestRoundTrip:
         assert target._free_spares == array._free_spares
         assert target._retired == array._retired
 
+    def test_restored_remap_is_not_pristine(self, tmp_path, config, stored):
+        from repro.core.faults import Fault, FaultType
+
+        array = ResilientTDAMArray(
+            config,
+            n_rows=stored.shape[0],
+            n_spares=2,
+            faults=[Fault(FaultType.DEAD_ROW, row=1, stage=None)],
+        )
+        array.write_all(stored)
+        array.self_test_and_repair()
+        ckpt = ServiceCheckpointer(tmp_path / "shard.npz")
+        ckpt.save(array)
+        # A fault-free target: only the restored map keeps it off the
+        # pristine path, whose physical rows 0..n-1 miss the spare.
+        target = ResilientTDAMArray(
+            config, n_rows=stored.shape[0], n_spares=2
+        )
+        target.write_all(stored)
+        assert target._is_pristine()
+        ckpt.restore(target)
+        assert not target._is_pristine()
+        queries = np.concatenate([
+            stored,
+            np.random.default_rng(7).integers(
+                0, config.levels, size=(5, config.n_stages)
+            ),
+        ])
+        assert np.array_equal(
+            target.top_k_batch(queries, 3).rows,
+            target.search_batch(queries).top_k(3),
+        )
+
     def test_model_round_trip(self, tmp_path, config, stored, rng):
         model = quantize_equal_area(rng.normal(size=(4, 64)), bits=2)
         array = make_array(config, stored)

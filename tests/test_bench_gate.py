@@ -25,7 +25,7 @@ def make_report(**overrides):
             "packed_speedup_vs_loop": 44.0,
             "bit_exact": True,
         },
-        "topk": {"speedup": 1.7, "exact": True},
+        "topk": {"speedup": 3.6, "exact": True},
         "resilient": {"speedup": 21.0, "bit_exact": True},
         "monte_carlo": {"speedup": 1.0, "bit_identical": True},
         "ann": {
@@ -85,12 +85,16 @@ class TestCompareToBaseline:
         assert rows["kernels.packed_speedup_vs_loop"]["status"] == "pass"
 
     def test_topk_slower_than_a_full_search_fails(self):
-        report = make_report(**{"topk.speedup": 0.14})
-        rows = rows_by_metric(
-            bench_report.compare_to_baseline(report, make_report())
-        )
-        assert rows["topk.speedup"]["status"] == "fail"
-        assert rows["topk.speedup"]["threshold"] == 1.0
+        # 0.14: slower than a full search.  2.5: ranking transposed
+        # (M, Q) counts after the whole batch, which read 2.0-2.5 at the
+        # scan geometry; per-chunk keys read 3.5-4.2.
+        for speedup, status in ((0.14, "fail"), (2.5, "fail"), (3.7, "pass")):
+            report = make_report(**{"topk.speedup": speedup})
+            rows = rows_by_metric(
+                bench_report.compare_to_baseline(report, make_report())
+            )
+            assert rows["topk.speedup"]["status"] == status, speedup
+            assert rows["topk.speedup"]["threshold"] == 3.0
 
     def test_resilient_batch_at_the_dense_tensor_speed_fails(self):
         # A (Q, M, N) fault tensor per batch read ~2x the scalar loop.

@@ -97,11 +97,13 @@ from repro.spice.montecarlo import (  # noqa: E402
 N_ROWS = 26
 N_STAGES = 128
 N_QUERIES = 256
-# The top-k bench runs on the serving benchmark's array instead
-# (``repro serve`` at 1024 rows x 128 stages, coalesced batches of up to
-# 32 queries), so it times the top-k path serving traffic runs.
-TOPK_ROWS = 1024
+# The top-k bench runs at the scan-topk benchmark workload's geometry
+# (8192 rows x 128 stages, 32-query batches, k=10), where counting and
+# ranking are the work; at the serving geometry (1024 rows) its speedup
+# read 1.7-3.3 against a gate of 1, which could not fail.
+TOPK_ROWS = 8192
 TOPK_QUERIES = 32
+TOPK_K = 10
 # The resilient bench runs on the HDC classifier's array (the
 # ``hdc-refresh`` benchmark workload: 26 classes, 2 spares, D = 2048).
 RESILIENT_ROWS = 26
@@ -192,7 +194,7 @@ def bench_kernels(repeats: int = 30) -> dict:
     }
 
 
-def bench_topk(k: int = 5, repeats: int = 10) -> dict:
+def bench_topk(k: int = TOPK_K, repeats: int = 10) -> dict:
     """Top-k over exact counts vs ranking a full search, same array."""
     config = TDAMConfig.fig8_system()
     array = FastTDAMArray(config, n_rows=TOPK_ROWS)
@@ -690,7 +692,7 @@ TRACKED_GATES = (
     ("search_batch.bit_exact", "true", None),
     ("kernels.packed_speedup_vs_loop", "abs_min", 10.0),
     ("kernels.bit_exact", "true", None),
-    ("topk.speedup", "abs_min", 1.0),
+    ("topk.speedup", "abs_min", 3.0),
     ("topk.exact", "true", None),
     ("resilient.speedup", "abs_min", 10.0),
     ("resilient.bit_exact", "true", None),
