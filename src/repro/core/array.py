@@ -101,7 +101,6 @@ def resolve_query_chunk(
     n_rows: int,
     n_stages: int,
     budget_bytes: int = QUERY_CHUNK_BUDGET_BYTES,
-    working_set_bytes: int = 0,
 ) -> int:
     """Auto-size the query chunk of a float-gather kernel.
 
@@ -112,33 +111,20 @@ def resolve_query_chunk(
     result is clamped to [:data:`MIN_QUERY_CHUNK`,
     :data:`MAX_QUERY_CHUNK`].  Chunking never changes results -- every
     kernel is bit-exact for any chunk -- so this is purely a
-    memory/throughput trade.  The packed count kernel applies the same
-    budget to its own, far smaller, per-query transient.
+    memory/throughput trade.  The packed count kernel and the clustered
+    index's tiles apply the same budget to their own, far smaller,
+    per-query transients.
 
     Args:
         n_rows: Rows the kernel will scan.
         n_stages: Stages per row.
         budget_bytes: Transient-tensor memory budget.
-        working_set_bytes: Resident bytes the caller touches *besides*
-            the per-chunk transient -- e.g. the memmapped bit-plane
-            shard a store-backed probe pages in.  Subtracted from the
-            budget before sizing so a million-row probe on a small-RAM
-            machine does not thrash the page cache; when the working
-            set alone exceeds the budget the chunk floors at
-            :data:`MIN_QUERY_CHUNK`.
     """
     if n_rows < 1 or n_stages < 1:
         raise ValueError(
             f"n_rows and n_stages must be >= 1, got {n_rows}, {n_stages}"
         )
-    if working_set_bytes < 0:
-        raise ValueError(
-            f"working_set_bytes must be >= 0, got {working_set_bytes}"
-        )
-    effective = budget_bytes - working_set_bytes
-    if effective <= 0:
-        return MIN_QUERY_CHUNK
-    return _budget_chunk(n_rows * n_stages * 8, effective)
+    return _budget_chunk(n_rows * n_stages * 8, budget_bytes)
 
 
 def _resolve_chunk_arg(chunk: Optional[int], n_rows: int, n_stages: int) -> int:

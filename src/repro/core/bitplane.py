@@ -210,13 +210,16 @@ def pack_query_masks(queries: np.ndarray, levels: int) -> np.ndarray:
     return _pack_padded(onehot)
 
 
-def _as_words(packed: np.ndarray) -> np.ndarray:
-    """View a padded uint8 array as uint64 words along the last axis."""
+def _words(packed: np.ndarray) -> np.ndarray:
+    """A padded uint8 array as the popcount operand: uint64 words along
+    the last axis, or contiguous bytes on the LUT path."""
+    contiguous = np.ascontiguousarray(packed)
+    if not _use_native:
+        return contiguous
     if packed.shape[-1] % _WORD_BYTES:
         raise ValueError(
             f"byte width {packed.shape[-1]} is not a multiple of 8"
         )
-    contiguous = np.ascontiguousarray(packed)
     return contiguous.view(np.uint64)
 
 
@@ -254,12 +257,8 @@ def packed_mismatch_counts(
         return np.zeros(
             (masks.shape[0], planes.shape[1]), dtype=np.int64
         )
-    if _use_native:
-        p = _as_words(planes)
-        m = _as_words(masks)
-    else:
-        p = np.ascontiguousarray(planes)
-        m = np.ascontiguousarray(masks)
+    p = _words(planes)
+    m = _words(masks)
     n_rows = p.shape[1]
     n_q = m.shape[0]
     # (L*K, M) x (L*K, Q) operands with the row axis innermost:
@@ -271,6 +270,48 @@ def packed_mismatch_counts(
     m_t = np.ascontiguousarray(m.transpose(1, 2, 0)).reshape(-1, n_q)
     matched = popcount(p_t[:, None, :] & m_t[:, :, None])
     return matched.sum(axis=0, dtype=np.int64)
+
+
+def _check_bit_planes(
+    stored_bits: np.ndarray, query_bits: np.ndarray
+) -> None:
+    """Reject stored and query bit-planes that cannot be XORed."""
+    if stored_bits.ndim != 3 or query_bits.ndim != 3:
+        raise ValueError(
+            f"expected (bits, M, B) stored and (bits, Q, B) query planes, "
+            f"got {stored_bits.shape} and {query_bits.shape}"
+        )
+    if (
+        stored_bits.shape[0] != query_bits.shape[0]
+        or stored_bits.shape[2] != query_bits.shape[2]
+    ):
+        raise ValueError(
+            f"stored {stored_bits.shape} and query {query_bits.shape} "
+            f"planes disagree on bits or byte width"
+        )
+
+
+def _fold_counts(diff: np.ndarray, byte_width: int) -> np.ndarray:
+    """Mismatch counts from XOR words shaped ``(bits, K, ...)``.
+
+    A stage mismatches iff any bit of its level differs, so the
+    bit-planes are OR-folded (in place, into ``diff[0]``), popcounted
+    and summed over the ``K`` words of each pair.
+    """
+    mism = diff[0]
+    for b in range(1, diff.shape[0]):
+        np.bitwise_or(mism, diff[b], out=mism)
+    pops = popcount(mism)
+    if 8 * byte_width > 255:
+        return pops.sum(axis=0, dtype=np.int64)
+    # A pair's slab popcounts sum to at most the real bit width
+    # (8B <= 255), so uint8 accumulation cannot overflow.
+    total = pops[0]
+    if pops.shape[0] > 1:
+        total = np.add(total, pops[1])
+        for i in range(2, pops.shape[0]):
+            np.add(total, pops[i], out=total)
+    return total.astype(np.int64)
 
 
 def packed_xor_counts(
@@ -299,93 +340,59 @@ def packed_xor_counts(
     Returns:
         C-contiguous int64 counts, shape ``(Q, M)``.
     """
-    if stored_bits.ndim != 3 or query_bits.ndim != 3:
-        raise ValueError(
-            f"expected (bits, M, B) stored and (bits, Q, B) query planes, "
-            f"got {stored_bits.shape} and {query_bits.shape}"
-        )
-    if (
-        stored_bits.shape[0] != query_bits.shape[0]
-        or stored_bits.shape[2] != query_bits.shape[2]
-    ):
-        raise ValueError(
-            f"stored {stored_bits.shape} and query {query_bits.shape} "
-            f"planes disagree on bits or byte width"
-        )
+    _check_bit_planes(stored_bits, query_bits)
     n_rows = stored_bits.shape[1]
     n_q = query_bits.shape[1]
     if stored_bits.shape[2] == 0 or n_q == 0:
         return np.zeros((n_q, n_rows), dtype=np.int64)
-    if _use_native:
-        s = _as_words(stored_bits)
-        qb = _as_words(query_bits)
-    else:
-        s = np.ascontiguousarray(stored_bits)
-        qb = np.ascontiguousarray(query_bits)
-    bits, _, k = s.shape
     # Same rows-innermost layout as packed_mismatch_counts, with one
-    # fused XOR over all bit-planes and an in-place OR-fold.
-    s_t = np.ascontiguousarray(s.transpose(0, 2, 1))
-    q_t = np.ascontiguousarray(qb.transpose(0, 2, 1))
+    # fused XOR over all bit-planes.
+    s_t = np.ascontiguousarray(_words(stored_bits).transpose(0, 2, 1))
+    q_t = np.ascontiguousarray(_words(query_bits).transpose(0, 2, 1))
     diff = s_t[:, :, None, :] ^ q_t[:, :, :, None]
-    mism = diff[0]
-    for b in range(1, bits):
-        np.bitwise_or(mism, diff[b], out=mism)
-    pops = popcount(mism)
-    if k > 1 and 8 * stored_bits.shape[2] <= 255:
-        # A pair's slab popcounts sum to at most the real bit width
-        # (8B <= 255), so uint8 accumulation cannot overflow.
-        total = np.add(pops[0], pops[1])
-        for i in range(2, k):
-            np.add(total, pops[i], out=total)
-        return total.astype(np.int64)
-    return pops.sum(axis=0, dtype=np.int64)
+    return _fold_counts(diff, stored_bits.shape[2])
 
 
 def packed_pair_counts(
-    planes: np.ndarray,
-    masks: np.ndarray,
-    query_idx: np.ndarray,
-    row_idx: np.ndarray,
+    stored_bits: np.ndarray, query_bits: np.ndarray, rows: np.ndarray
 ) -> np.ndarray:
-    """Mismatch counts of explicit ``(query, row)`` pairs.
+    """XOR mismatch counts of each query against its own stored rows.
 
-    Instead of the full ``(Q, M)`` cross product, only the given pairs
-    are counted -- ``counts[p] = sum_l popcount(masks[query_idx[p], l]
-    & planes[l, row_idx[p]])``.  No search path calls it any more; the
-    benchmark ledger (``bench/ledger.py``) still binds it by name, so
-    it stays until that binding goes.
+    The gathered form of :func:`packed_xor_counts`: query ``q`` is
+    counted only against the stored positions ``rows[q]``, so a routed
+    search counts every query's candidates in one call::
+
+        counts[q, w] = popcount(OR_b(stored_bits[b, rows[q, w]]
+                                     ^ query_bits[b, q]))
+
+    which equals ``packed_xor_counts(stored_bits, query_bits)[
+    arange(Q)[:, None], rows]`` without the ``(Q, M)`` cross product.
+    Each pair allocates ``bits * B`` bytes of gathered XOR words.
 
     Args:
-        planes: uint8 bit-planes, shape ``(L, M, B)``.
-        masks: uint8 query masks, shape ``(Q, L, B)``.
-        query_idx: Query of each pair, shape ``(P,)``.
-        row_idx: Row of each pair, shape ``(P,)``.
+        stored_bits: uint8 bit-planes of the written levels, shape
+            ``(bits, M, B)`` (:func:`pack_bit_planes`).
+        query_bits: uint8 bit-planes of the query levels, shape
+            ``(bits, Q, B)``, same byte width.
+        rows: Integer positions in ``[0, M)`` counted per query, shape
+            ``(Q, W)``.
 
     Returns:
-        int64 counts, shape ``(P,)``.
+        C-contiguous int64 counts, shape ``(Q, W)``.
     """
-    if planes.ndim != 3 or masks.ndim != 3:
+    _check_bit_planes(stored_bits, query_bits)
+    rows = np.asarray(rows)
+    if rows.ndim != 2 or rows.shape[0] != query_bits.shape[1]:
         raise ValueError(
-            f"expected (L, M, B) planes and (Q, L, B) masks, got "
-            f"{planes.shape} and {masks.shape}"
+            f"rows must be (Q, W) with Q = {query_bits.shape[1]}, got "
+            f"shape {rows.shape}"
         )
-    if planes.shape[0] != masks.shape[1] or planes.shape[2] != masks.shape[2]:
-        raise ValueError(
-            f"planes {planes.shape} and masks {masks.shape} disagree on "
-            f"levels or byte width"
-        )
-    n_pairs = np.asarray(query_idx).shape[0]
-    if masks.shape[2] == 0 or n_pairs == 0:
-        return np.zeros(n_pairs, dtype=np.int64)
-    # (P, L, B/W) operand pair; gather keeps the transient at the
-    # survivor count, not the full cross product.
-    p = planes.transpose(1, 0, 2)[row_idx]
-    m = masks[query_idx]
-    if _use_native:
-        p = _as_words(p)
-        m = _as_words(m)
-    else:
-        p = np.ascontiguousarray(p)
-        m = np.ascontiguousarray(m)
-    return popcount(m & p).sum(axis=(1, 2), dtype=np.int64)
+    if stored_bits.shape[2] == 0 or rows.size == 0:
+        return np.zeros(rows.shape, dtype=np.int64)
+    # Rows innermost, as in packed_xor_counts: each query's candidates
+    # are gathered into (bits, K, Q, W) words and XORed in place.
+    s_t = np.ascontiguousarray(_words(stored_bits).transpose(0, 2, 1))
+    q_t = _words(query_bits).transpose(0, 2, 1)
+    diff = np.take(s_t, rows, axis=2)
+    np.bitwise_xor(diff, q_t[:, :, :, None], out=diff)
+    return _fold_counts(diff, stored_bits.shape[2])

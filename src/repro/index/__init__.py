@@ -1,7 +1,7 @@
 """Million-row ANN: memmapped bit-plane store + cluster-routed search.
 
 The scale-out layer above the single in-RAM array:
-:class:`BitPlaneStore` persists packed level bit-planes on disk
+:class:`BitPlaneStore` persists packed stored-level bit-planes on disk
 (crash-safe atomic publish, lazy memmapped shards, checksummed
 components), and :class:`ClusteredTDAMIndex` routes each query batch
 through a coarse quantizer to its ``nprobe`` nearest clusters and
@@ -24,7 +24,6 @@ from repro.index.store import (
     StoreManifestError,
     StoreShard,
     build_store,
-    level_inequality_planes,
 )
 
 __all__ = [
@@ -38,5 +37,4 @@ __all__ = [
     "StoreManifestError",
     "StoreShard",
     "build_store",
-    "level_inequality_planes",
 ]

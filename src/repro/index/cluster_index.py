@@ -3,21 +3,26 @@
 The scale-out shape of Kazemi et al. (arXiv 2011.07095): a coarse
 quantizer routes each query to its ``nprobe`` nearest clusters, and
 exact mismatch counts are then computed *inside only those shards*,
-directly on the store's memmapped planes.  Each shard keeps its
-tie-inclusive top-k candidates (:func:`prune_survivors`), and a
-:func:`grouped_top_k` gather merges the shards under the shared
-(distance, delay, row) ordering.
+directly on the store's memmapped stored-level bit-planes.  As that
+multi-bit CAM searches every probed bank in one shot, a batch is
+counted in one call: the probed shards' planes are concatenated, each
+query's probed rows become one row of a padded position matrix, and
+:func:`packed_pair_counts` counts them all.  One
+:func:`prune_survivors` keeps each query's tie-inclusive top-k
+candidates, and a :func:`grouped_top_k` gather ranks them under the
+shared (distance, delay, row) ordering.  A batch too large for the
+kernels' memory budget is split into tiles of queries x probe columns,
+each counted the same way.
 
 Exactness ladder:
 
-- **Within probed shards the ranking is exact** -- the same packed
+- **Within probed shards the ranking is exact** -- the same XOR
   popcounts, the same delay-law floats, the same TDC decode as the
   in-RAM array.
 - **With ``nprobe = n_clusters`` the result is bit-identical to
-  exhaustive ``top_k_batch``**: every global top-k row is within its
-  own shard's top-k a fortiori, so it survives the shard's candidate
-  cut, and identical per-pair keys make the global merge order
-  identical.
+  exhaustive ``top_k_batch``**: every row is counted, the
+  tie-inclusive candidate cut keeps every global top-k row, and
+  identical per-pair keys make the merge order identical.
 - **With ``nprobe < n_clusters`` recall is tunable**: only rows in
   unprobed clusters can be missed, so recall@k vs. queries/s is set by
   the corpus's cluster structure and ``nprobe`` (measured by the
@@ -31,11 +36,15 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from repro.core.array import resolve_query_chunk
+from repro.core.array import (
+    MIN_QUERY_CHUNK,
+    QUERY_CHUNK_BUDGET_BYTES,
+    _budget_chunk,
+)
 from repro.core.bitplane import (
-    pack_level_planes,
-    pack_query_masks,
-    packed_mismatch_counts,
+    pack_bit_planes,
+    packed_pair_counts,
+    packed_xor_counts,
 )
 from repro.core.config import TDAMConfig
 from repro.core.encoding import validate_levels
@@ -138,21 +147,20 @@ class ClusteredTDAMIndex:
         self.tdc = CounterTDC(self.config, timing)
         self._base_delay = 2 * self.config.n_stages * timing.d_inv
         self._d_c = timing.d_c
-        ladder = np.arange(self.config.levels, dtype=np.int64)[:, None, None]
-        self._centroid_planes = pack_level_planes(
-            ladder != cents[None, :, :]
-        )
+        self._centroid_planes = pack_bit_planes(cents, self.config.bits)
         self.n_clusters = cents.shape[0]
         # Cluster id -> shard position (-1: empty cluster, no shard).
+        # The store has checked that cluster ids are distinct and name
+        # a published centroid.
         self._shard_of = np.full(self.n_clusters, -1, dtype=np.int64)
-        clusters = store.shard_clusters
-        if clusters.size and clusters.max() >= self.n_clusters:
-            raise BitPlaneStoreError(
-                f"store names cluster {int(clusters.max())} but only "
-                f"{self.n_clusters} centroids are published"
-            )
-        self._shard_of[clusters] = np.arange(
-            clusters.shape[0], dtype=np.int64
+        self._shard_of[store.shard_clusters] = np.arange(
+            store.n_shards, dtype=np.int64
+        )
+        # Rows per shard position; the trailing 0 is what position -1
+        # (an empty cluster) reads.
+        self._shard_rows = np.array(
+            [store.shard(i).n_rows for i in range(store.n_shards)] + [0],
+            dtype=np.int64,
         )
         if nprobe < 1:
             raise ValueError(f"nprobe must be >= 1, got {nprobe}")
@@ -182,9 +190,9 @@ class ClusteredTDAMIndex:
         sample; its float centroids are quantized to level vectors
         (member means, rounded and clipped), and the *full* corpus is
         then assigned to its Hamming-nearest quantized centroid with
-        :func:`packed_mismatch_counts` -- the same metric the router
-        uses at query time, so shard membership and routing share one
-        Voronoi geometry.
+        :func:`packed_xor_counts` -- the same metric the router uses at
+        query time, so shard membership and routing share one Voronoi
+        geometry.
 
         Args:
             path: Store directory.
@@ -227,16 +235,14 @@ class ClusteredTDAMIndex:
         cent_levels = np.clip(
             np.rint(cents), 0, config.levels - 1
         ).astype(np.uint8)
-        cent_planes = pack_level_planes(
-            np.arange(config.levels, dtype=np.int64)[:, None, None]
-            != cent_levels[None, :, :]
-        )
+        cent_planes = pack_bit_planes(cent_levels, config.bits)
         assignments = np.empty(n_rows, dtype=np.int64)
         chunk = 65536
         for start in range(0, n_rows, chunk):
-            block = levels_arr[start:start + chunk]
-            masks = pack_query_masks(block, config.levels)
-            counts = packed_mismatch_counts(cent_planes, masks)
+            block = pack_bit_planes(
+                levels_arr[start:start + chunk], config.bits
+            )
+            counts = packed_xor_counts(cent_planes, block)
             assignments[start:start + chunk] = counts.argmin(axis=1)
         store = build_store(
             path,
@@ -268,8 +274,8 @@ class ClusteredTDAMIndex:
         the lower cluster id, deterministically.
         """
         q = self._validate_queries(np.asarray(queries))
-        masks = pack_query_masks(q, self.config.levels)
-        return self._route_masks(masks, self._resolve_nprobe(nprobe))
+        query_bits = pack_bit_planes(q, self.config.bits)
+        return self._route_masks(query_bits, self._resolve_nprobe(nprobe))
 
     def _resolve_nprobe(self, nprobe: Optional[int]) -> int:
         if nprobe is None:
@@ -278,13 +284,17 @@ class ClusteredTDAMIndex:
             raise ValueError(f"nprobe must be >= 1, got {nprobe}")
         return min(int(nprobe), self.n_clusters)
 
-    def _route_masks(self, masks: np.ndarray, nprobe: int) -> np.ndarray:
-        counts = packed_mismatch_counts(self._centroid_planes, masks)
+    def _route_masks(
+        self, query_bits: np.ndarray, nprobe: int
+    ) -> np.ndarray:
+        """Nearest ``nprobe`` clusters of packed query bit-planes
+        ``(bits, Q, B)``, by XOR counts against the centroid planes."""
+        counts = packed_xor_counts(self._centroid_planes, query_bits)
         clusters = top_k_indices(counts, nprobe)
         if _TM.enabled:
             _emit_probe(
                 "index.route",
-                queries=int(masks.shape[0]),
+                queries=int(query_bits.shape[1]),
                 nprobe=int(nprobe),
                 clusters=int(np.unique(clusters).shape[0]),
             )
@@ -312,46 +322,44 @@ class ClusteredTDAMIndex:
             raise ValueError(f"k must be in [1, {self.n_rows}], got {k}")
         nprobe = self._resolve_nprobe(nprobe)
         n_q = q.shape[0]
-        masks = pack_query_masks(q, self.config.levels)
-        clusters = self._route_masks(masks, nprobe)
-        # Invert routing into shard -> queries (a query probes a shard
-        # at most once: routed clusters are distinct).
-        flat_q = np.repeat(np.arange(n_q, dtype=np.int64), nprobe)
-        flat_s = self._shard_of[clusters.ravel()]
-        keep = flat_s >= 0
-        flat_q, flat_s = flat_q[keep], flat_s[keep]
-        order = np.argsort(flat_s, kind="stable")
-        flat_q, flat_s = flat_q[order], flat_s[order]
-        bounds = np.searchsorted(
-            flat_s, np.arange(self.store.n_shards + 1)
+        query_bits = pack_bit_planes(q, self.config.bits)
+        clusters = self._route_masks(query_bits, nprobe)
+        shards = self._shard_of[clusters]
+        sizes = self._shard_rows[shards]
+        rows_probed = int(sizes.sum())
+        # Each (query, candidate row) pair of a tile allocates its
+        # gathered XOR words (bits * B bytes) and about 40 bytes more:
+        # int64 positions and their offsets, counts and the partition
+        # copy, plus byte-wide popcounts and masks.  A tile takes as
+        # many probe columns as MIN_QUERY_CHUNK queries can count within
+        # the budget, then as many queries as the kernels' budget rule
+        # allows its widest one.
+        pair_bytes = query_bits.shape[0] * query_bits.shape[2] + 40
+        column_bytes = (
+            MIN_QUERY_CHUNK * pair_bytes * max(1, int(sizes.max(initial=0)))
         )
-        cand_q: list = []
-        cand_r: list = []
-        cand_t: list = []
-        rows_probed = 0
-        n = self.config.n_stages
-        for s in range(self.store.n_shards):
-            qs = flat_q[bounds[s]:bounds[s + 1]]
-            if qs.shape[0] == 0:
-                continue
-            shard = self.store.shard(s)
-            planes = shard.planes
-            ms = shard.n_rows
-            rows_probed += ms * qs.shape[0]
-            kk = min(k, ms)
-            chunk = resolve_query_chunk(
-                ms, n, working_set_bytes=int(planes.nbytes)
+        cols = min(nprobe, max(1, QUERY_CHUNK_BUDGET_BYTES // column_bytes))
+        parts = []
+        for col in range(0, nprobe, cols):
+            block = shards[:, col:col + cols]
+            widths = sizes[:, col:col + cols].sum(axis=1)
+            chunk = _budget_chunk(
+                pair_bytes * max(1, int(widths.max(initial=0)))
             )
-            for start in range(0, qs.shape[0], chunk):
-                block = qs[start:start + chunk]
-                counts = packed_mismatch_counts(planes, masks[block])
-                q_idx, r_idx = prune_survivors(counts, kk)
-                cand_q.append(block[q_idx])
-                cand_r.append(np.asarray(shard.row_ids)[r_idx])
-                cand_t.append(counts[q_idx, r_idx])
-        q_all = np.concatenate(cand_q) if cand_q else np.empty(0, np.int64)
-        r_all = np.concatenate(cand_r) if cand_r else np.empty(0, np.int64)
-        t_all = np.concatenate(cand_t) if cand_t else np.empty(0, np.int64)
+            parts += [
+                self._count_tile(
+                    query_bits[:, start:start + chunk],
+                    block[start:start + chunk],
+                    widths[start:start + chunk],
+                    k,
+                    start,
+                )
+                for start in range(0, n_q, chunk)
+            ]
+        q_all, r_all, t_all = (
+            map(np.concatenate, zip(*parts))
+            if parts else (np.empty(0, dtype=np.int64),) * 3
+        )
         # Exact re-ranking keys: the same delay-law floats and TDC
         # decode as the exhaustive path, so the merged order is the
         # array's order.
@@ -387,6 +395,63 @@ class ClusteredTDAMIndex:
                 candidates=int(q_all.shape[0]),
             )
         return result
+
+    def _count_tile(
+        self,
+        query_bits: np.ndarray,
+        shards: np.ndarray,
+        widths: np.ndarray,
+        k: int,
+        first: int,
+    ) -> tuple:
+        """Tie-inclusive top-k candidates of one tile, in one count.
+
+        The tile's probed shards are concatenated; query ``i``'s probed
+        rows fill row ``i`` of a ``(Q, W)`` position matrix (``W`` the
+        widest query's), and one :func:`packed_pair_counts` call counts
+        every pair.  Pads count ``n_stages + 1``, above every real
+        count, so they never displace a row and are dropped after one
+        :func:`prune_survivors`.
+
+        Returns:
+            ``(query, global row, count)`` int64 arrays of the
+            surviving pairs; queries are numbered from ``first``.
+        """
+        width = int(widths.max(initial=0))
+        if width == 0:
+            return (np.empty(0, dtype=np.int64),) * 3
+        # Mark the probed shard positions; -1 marks the trailing slot.
+        hit = np.zeros(self._shard_rows.shape, dtype=bool)
+        hit[shards] = True
+        probed = np.flatnonzero(hit[:-1])
+        views = [self.store.shard(int(s)) for s in probed]
+        planes = np.concatenate([v.planes for v in views], axis=1)
+        row_ids = np.concatenate([v.row_ids for v in views])
+        sizes = self._shard_rows[probed]
+        offset = np.zeros_like(self._shard_rows)
+        offset[probed] = np.cumsum(sizes) - sizes
+        # Row i of the position matrix is query i's probe runs, each
+        # counting up from its shard's offset, then one pad run from 0
+        # out to the tile width: flattened, consecutive runs.
+        n_q = shards.shape[0]
+        run_starts = np.zeros((n_q, shards.shape[1] + 1), dtype=np.int64)
+        run_starts[:, :-1] = offset[shards]
+        run_sizes = np.empty_like(run_starts)
+        run_sizes[:, :-1] = self._shard_rows[shards]
+        run_sizes[:, -1] = width - widths
+        run_sizes = run_sizes.ravel()
+        run_begins = np.cumsum(run_sizes) - run_sizes
+        pos = np.repeat(run_starts.ravel() - run_begins, run_sizes)
+        pos += np.arange(n_q * width)
+        pos = pos.reshape(n_q, width)
+        counts = packed_pair_counts(planes, query_bits, pos)
+        n = self.config.n_stages
+        counts[np.arange(width) >= widths[:, None]] = n + 1
+        q_idx, w_idx = prune_survivors(counts, min(k, width))
+        t = counts[q_idx, w_idx]
+        real = t <= n
+        q_idx, w_idx, t = q_idx[real], w_idx[real], t[real]
+        return first + q_idx, row_ids[pos[q_idx, w_idx]], t
 
     def _gather_keys(
         self,

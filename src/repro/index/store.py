@@ -1,38 +1,43 @@
-"""Memory-mapped on-disk store of packed level bit-planes.
+"""Memory-mapped on-disk store of packed stored-level bit-planes.
 
-A million-row corpus is packed into ``(L, M, ceil(N/8))`` level
-bit-planes **once**, published crash-safely, and reopened by any later
-process without re-packing; the packed popcount kernels in
-:mod:`repro.core.bitplane` run directly on the memmapped slices, so a
-corpus much larger than RAM stays servable -- the OS pages in only the
-plane bytes a probe actually touches.
+A million-row corpus is packed into ``(bits, M, B)`` stored-level
+bit-planes **once** (:func:`~repro.core.bitplane.pack_bit_planes`, ``B
+= ceil(N/8)`` padded to whole words), published crash-safely, and
+reopened by any later process without re-packing; the XOR popcount
+kernels in :mod:`repro.core.bitplane` run directly on the memmapped
+slices, so a corpus much larger than RAM stays servable -- the OS pages
+in only the plane bytes a probe actually touches.
 
-On-disk layout (one directory per store)::
+On-disk layout (one directory per store, format 2)::
 
     manifest.json            -- the commit point, written LAST via
                                 repro.io.atomic_write
-    <gen>.shard000.planes    -- raw uint8 (L, M_s, B), C order
+    <gen>.shard000.planes    -- raw uint8 (bits, M_s, B), C order
     <gen>.shard000.rows      -- raw int64 (M_s,), ascending global ids
     <gen>.shard000.levels    -- raw uint8 (M_s, N), the stored levels
     <gen>.centroids.levels   -- raw uint8 (C, N), quantized centroid
                                 levels (present when built clustered)
+
+Format 1 held ``(L, M_s, B)`` level-inequality planes instead -- twice
+the bytes at 2 bits, 8/3 at 3 bits.  A format-1 store is refused with
+:class:`StoreManifestError`; rebuild it from its levels.
 
 Crash-safety contract: every component file of a generation is written
 first (each itself via :func:`repro.io.atomic_write`), and only then is
 ``manifest.json`` atomically replaced.  A crash at *any* point leaves
 the previous manifest -- and therefore the previous, fully verified
 generation -- in charge; stale generations are garbage-collected
-best-effort after a successful publish.  Each component records a
-SHA-256 digest in the manifest and is verified once, on first map; a
-mismatch raises :class:`StoreCorruptionError` instead of serving
-corrupt planes.
+best-effort after a successful publish.  Opening checks that every
+component's recorded shape and dtype agree with the manifest's geometry
+and that cluster ids are distinct and in range; each component also
+records a SHA-256 digest, verified once on first map, and a mismatch
+raises :class:`StoreCorruptionError` instead of serving corrupt planes.
 
-The planes hold the **pure level-inequality** mismatch decision
-(``stored != query`` per stage), which is byte-identical to
-:class:`~repro.core.array.FastTDAMArray`'s write-time planes whenever
-the design point's nominal conduction reduces to level inequality --
-:func:`build_store` proves that against a live probe array and refuses
-geometries where store-served searches would diverge.
+Counting XOR over stored-level bits answers like the live array only
+when the design point's nominal decision is **pure level inequality**
+(``stored != query`` per stage) -- :func:`build_store` proves that
+against a live probe array and refuses geometries where store-served
+searches would diverge.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core.array import FastTDAMArray
-from repro.core.bitplane import pack_level_planes, packed_stage_bytes
+from repro.core.bitplane import pack_bit_planes, packed_stage_bytes
 from repro.core.config import TDAMConfig
 from repro.core.encoding import validate_levels
 from repro.io import atomic_write, config_from_dict, config_to_dict
@@ -60,14 +65,13 @@ __all__ = [
     "StoreManifestError",
     "StoreShard",
     "build_store",
-    "level_inequality_planes",
 ]
 
 #: Name of the store's commit-point file.
 MANIFEST_NAME = "manifest.json"
 
 #: On-disk format tag, bumped on layout changes.
-STORE_FORMAT = 1
+STORE_FORMAT = 2
 
 _CHECKSUM_CHUNK = 1 << 20
 
@@ -93,26 +97,6 @@ def _file_sha256(path: Path) -> str:
                 break
             digest.update(block)
     return digest.hexdigest()
-
-
-def level_inequality_planes(levels_mat: np.ndarray, levels: int) -> np.ndarray:
-    """Packed bit-planes of the pure level-inequality decision.
-
-    ``planes[l]`` marks, per row and stage, whether stored level ``!=
-    l`` -- exactly the write-time planes a nominal
-    :class:`FastTDAMArray` builds (see :func:`build_store`'s
-    eligibility proof).
-
-    Args:
-        levels_mat: Stored levels, shape (M, N), values in
-            ``[0, levels)``.
-        levels: Number of storable levels.
-
-    Returns:
-        uint8 planes, shape ``(levels, M, packed_stage_bytes(N))``.
-    """
-    ladder = np.arange(levels, dtype=np.int64)[:, None, None]
-    return pack_level_planes(ladder != levels_mat[None, :, :])
 
 
 def _assert_pure_inequality(config: TDAMConfig) -> None:
@@ -159,6 +143,20 @@ def _component_spec(payload: Dict[str, Any], what: str) -> _ComponentSpec:
         raise StoreManifestError(
             f"manifest entry for {what} is malformed: {exc!r}"
         ) from None
+
+
+def _check_component(
+    spec: _ComponentSpec, shape: Tuple[int, ...], dtype: str, what: str
+) -> None:
+    """Refuse a component whose recorded shape, dtype or size is not
+    what the manifest's geometry implies."""
+    nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
+    if spec.shape != shape or spec.dtype != dtype or spec.nbytes != nbytes:
+        raise StoreManifestError(
+            f"{what} is recorded as {spec.dtype} {spec.shape} "
+            f"({spec.nbytes} bytes); the geometry implies {dtype} {shape} "
+            f"({nbytes} bytes)"
+        )
 
 
 class StoreShard:
@@ -228,7 +226,7 @@ class StoreShard:
 
     @property
     def planes(self) -> np.ndarray:
-        """Packed level bit-planes, memmapped uint8 ``(L, M_s, B)``."""
+        """Stored-level bit-planes, memmapped uint8 ``(bits, M_s, B)``."""
         return self._map("planes")
 
     @property
@@ -271,8 +269,9 @@ class BitPlaneStore:
             raise StoreManifestError("manifest root must be an object")
         if payload.get("format") != STORE_FORMAT:
             raise StoreManifestError(
-                f"unsupported store format {payload.get('format')!r} "
-                f"(supported: {STORE_FORMAT})"
+                f"unsupported store format {payload.get('format')!r}: "
+                f"this build reads format {STORE_FORMAT} (stored-level "
+                f"bit-planes); rebuild the store from its levels"
             )
         try:
             self.config = config_from_dict(payload["config"])
@@ -302,6 +301,22 @@ class BitPlaneStore:
                 f"geometry byte_width {self.byte_width} is not "
                 f"packed_stage_bytes({self.n_stages})"
             )
+        centroid_spec = payload.get("centroids")
+        self._centroid_spec = (
+            _component_spec(centroid_spec, "centroids")
+            if centroid_spec is not None
+            else None
+        )
+        n_centroids = None
+        if self._centroid_spec is not None:
+            shape = self._centroid_spec.shape
+            _check_component(
+                self._centroid_spec, shape[:1] + (self.n_stages,), "uint8",
+                "centroids",
+            )
+            n_centroids = shape[0]
+        # The search lays candidates out from each shard's n_rows and
+        # routes by cluster id, so neither is trusted unchecked.
         self._shards: List[StoreShard] = []
         total = 0
         for i, spec in enumerate(shard_specs):
@@ -318,6 +333,25 @@ class BitPlaneStore:
                 raise StoreManifestError(
                     f"shard {i} entry is malformed: {exc!r}"
                 ) from None
+            if n_rows < 0 or cluster < 0:
+                raise StoreManifestError(
+                    f"shard {i} has {n_rows} rows in cluster {cluster}; "
+                    f"neither may be negative"
+                )
+            if n_centroids is not None and cluster >= n_centroids:
+                raise StoreManifestError(
+                    f"shard {i} names cluster {cluster} but only "
+                    f"{n_centroids} centroids are published"
+                )
+            for kind, shape, dtype in (
+                ("planes", (self.config.bits, n_rows, self.byte_width),
+                 "uint8"),
+                ("rows", (n_rows,), "int64"),
+                ("levels", (n_rows, self.n_stages), "uint8"),
+            ):
+                _check_component(
+                    components[kind], shape, dtype, f"shard {i} {kind}"
+                )
             total += n_rows
             self._shards.append(
                 StoreShard(self.path, i, cluster, n_rows, components)
@@ -326,12 +360,13 @@ class BitPlaneStore:
             raise StoreManifestError(
                 f"shard rows sum to {total}, geometry says {self.n_rows}"
             )
-        centroid_spec = payload.get("centroids")
-        self._centroid_spec = (
-            _component_spec(centroid_spec, "centroids")
-            if centroid_spec is not None
-            else None
-        )
+        clusters, counts = np.unique(self.shard_clusters, return_counts=True)
+        repeated = counts > 1
+        if repeated.any():
+            raise StoreManifestError(
+                f"cluster {int(clusters[repeated][0])} is named by "
+                f"{int(counts[repeated][0])} shards"
+            )
         self._centroid_levels: Optional[np.ndarray] = None
 
     @property
@@ -502,7 +537,7 @@ def build_store(
     shard_entries = []
     for i, (cluster, members) in enumerate(groups):
         sub = stored_u8[members]
-        planes = level_inequality_planes(sub, config.levels)
+        planes = pack_bit_planes(sub, config.bits)
         base = f"{prefix}shard{i:04d}"
         shard_entries.append(
             {

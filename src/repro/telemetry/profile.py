@@ -122,7 +122,7 @@ PROBE_EVENTS: Dict[str, str] = {
     ),
     "index.probe": (
         "clustered-index probe served: queries, k, nprobe, rows_probed, "
-        "rows_total, candidates (tie-inclusive per-shard top-k pairs)"
+        "rows_total, candidates (tie-inclusive per-query top-k pairs)"
     ),
     "net.frame": (
         "one wire frame processed: direction in {in, out}, type "

@@ -194,22 +194,29 @@ class TestPackedCounts:
         assert np.array_equal(onehot, expected)
         assert np.array_equal(xor, expected)
 
+    @staticmethod
+    def check_pair_counts(bits, n, seed):
+        rng = np.random.default_rng(seed)
+        stored = pack_bit_planes(rng.integers(0, 2**bits, (9, n)), bits)
+        q = pack_bit_planes(rng.integers(0, 2**bits, (5, n)), bits)
+        rows = rng.integers(0, 9, (5, 13))
+        full = packed_xor_counts(stored, q)
+        pairs = packed_pair_counts(stored, q, rows)
+        assert pairs.flags.c_contiguous and pairs.dtype == np.int64
+        assert np.array_equal(pairs, full[np.arange(5)[:, None], rows])
+        empty = packed_pair_counts(stored, q, np.empty((5, 0), np.int64))
+        assert empty.shape == (5, 0)
+        with pytest.raises(ValueError, match="rows"):
+            packed_pair_counts(stored, q, rows[:4])
+
     def test_pair_counts_match_full_cross_product(self):
-        rng = np.random.default_rng(8)
-        stored = rng.integers(0, 4, (6, 21))
-        q = rng.integers(0, 4, (5, 21))
-        ineq = np.arange(4)[:, None, None] != stored[None, :, :]
-        planes = pack_level_planes(ineq)
-        masks = pack_query_masks(q, 4)
-        full = packed_mismatch_counts(planes, masks)
-        q_idx = np.array([0, 0, 2, 4])
-        r_idx = np.array([1, 5, 0, 3])
-        pairs = packed_pair_counts(planes, masks, q_idx, r_idx)
-        assert np.array_equal(pairs, full[q_idx, r_idx])
-        empty = packed_pair_counts(
-            planes, masks, np.empty(0, np.int64), np.empty(0, np.int64)
-        )
-        assert empty.shape == (0,)
+        # 160 stages span three packed words per plane.
+        for bits, n in ((1, 5), (2, 21), (3, 160)):
+            self.check_pair_counts(bits, n, seed=bits)
+
+    def test_pair_counts_match_on_lut_path(self, lut_popcount):
+        for bits, n in ((1, 5), (2, 21), (3, 160)):
+            self.check_pair_counts(bits, n, seed=bits)
 
     def test_shape_validation(self):
         planes = np.zeros((4, 2, 8), dtype=np.uint8)
@@ -355,31 +362,3 @@ class TestChunkRule:
         # would cut it into blocks of MIN_QUERY_CHUNK).
         assert _budget_chunk(2 * 8194 * packed_stage_bytes(128)) >= 32
         assert resolve_query_chunk(8194, 128) < 32
-
-
-class TestResolveQueryChunkWorkingSet:
-    """The working-set budget leg of the chunk auto-sizer."""
-
-    def test_zero_working_set_is_the_old_behavior(self):
-        assert resolve_query_chunk(100, 32) == resolve_query_chunk(
-            100, 32, working_set_bytes=0
-        )
-
-    def test_working_set_shrinks_the_chunk(self):
-        free = resolve_query_chunk(1000, 64)
-        squeezed = resolve_query_chunk(
-            1000, 64, working_set_bytes=28 * 1024 * 1024
-        )
-        assert squeezed < free
-
-    def test_working_set_beyond_budget_floors_at_minimum(self):
-        from repro.core.array import MIN_QUERY_CHUNK
-
-        chunk = resolve_query_chunk(
-            10, 8, working_set_bytes=1 << 40
-        )
-        assert chunk == MIN_QUERY_CHUNK
-
-    def test_negative_working_set_is_rejected(self):
-        with pytest.raises(ValueError, match="working_set_bytes"):
-            resolve_query_chunk(10, 8, working_set_bytes=-1)

@@ -13,6 +13,7 @@ from repro.index import (
     ClusteredTDAMIndex,
     build_store,
 )
+from repro.index import cluster_index
 
 
 def _build(tmp_path, rows, config, n_clusters, **kwargs):
@@ -20,6 +21,150 @@ def _build(tmp_path, rows, config, n_clusters, **kwargs):
         tmp_path / "idx", rows, config,
         n_clusters=n_clusters, seed=3, **kwargs,
     )
+
+
+def _routed_oracle(index, corpus, queries, k, nprobe):
+    """Every result field from first principles: route by Hamming
+    distance to the centroid levels (ties to the lower id), then rank
+    each query's probed rows on a live array, padding with -1/inf."""
+    store = index.store
+    cents = store.centroid_levels.astype(np.int64)
+    members = {
+        store.shard(i).cluster: np.asarray(store.shard(i).row_ids)
+        for i in range(store.n_shards)
+    }
+    array = FastTDAMArray(index.config, n_rows=corpus.shape[0])
+    array.write_all(corpus)
+    full = array.search_batch(queries)
+    n_q = queries.shape[0]
+    rows = np.full((n_q, k), -1, dtype=np.int64)
+    distances = np.full((n_q, k), -1, dtype=np.int64)
+    delays = np.full((n_q, k), np.inf)
+    clusters = np.empty((n_q, nprobe), dtype=np.int64)
+    probed_total = 0
+    for i, query in enumerate(queries):
+        hamming = (cents != query).sum(axis=1)
+        clusters[i] = np.lexsort((np.arange(len(cents)), hamming))[:nprobe]
+        probed = np.sort(np.concatenate(
+            [members.get(c, np.empty(0, np.int64)) for c in clusters[i]]
+        ))
+        probed_total += probed.shape[0]
+        if probed.shape[0] == 0:
+            continue
+        kk = min(k, probed.shape[0])
+        top = array.top_k_batch(query[None, :], kk, rows=probed)[0]
+        rows[i, :kk] = top
+        distances[i, :kk] = full.hamming_distances[i, top]
+        delays[i, :kk] = full.delays_s[i, top]
+    return rows, distances, delays, clusters, probed_total
+
+
+def _assert_matches_oracle(index, corpus, queries, k, nprobe):
+    result = index.top_k(queries, k, nprobe=nprobe)
+    rows, distances, delays, clusters, probed = _routed_oracle(
+        index, corpus, queries, k, nprobe
+    )
+    assert np.array_equal(result.clusters, clusters)
+    assert np.array_equal(result.rows, rows)
+    assert np.array_equal(result.distances, distances)
+    assert np.array_equal(result.delays_s, delays)
+    assert result.rows_probed == probed
+    return result
+
+
+class TestRoutedExactness:
+    """``top_k`` equals the routed oracle at every ``nprobe``."""
+
+    @pytest.mark.parametrize("bits", [1, 2, 3])
+    @pytest.mark.parametrize("n_stages", [37, 64, 160])
+    def test_every_field_matches_the_oracle(self, tmp_path, bits, n_stages):
+        # n_stages=160 spans three packed words per plane.
+        config = TDAMConfig(bits=bits, n_stages=n_stages)
+        corpus, _, _ = make_clustered_levels(
+            240, n_stages, config.levels, 6, noise=0.3, seed=bits + n_stages
+        )
+        queries = perturb_levels(corpus[::24], config.levels, 0.3, seed=1)
+        index = _build(tmp_path, corpus, config, n_clusters=6)
+        for nprobe in (1, 3, 6):
+            _assert_matches_oracle(index, corpus, queries, 7, nprobe)
+
+    def test_empty_cluster_and_shards_smaller_than_k(self, tmp_path, rng):
+        config = TDAMConfig(n_stages=64)
+        corpus = rng.integers(0, config.levels, size=(30, 64))
+        # Cluster 2 holds no rows; clusters 0 and 3 hold fewer than k.
+        assignments = rng.permutation(
+            np.repeat([0, 1, 3, 4], [3, 15, 2, 10])
+        )
+        cents = rng.integers(0, config.levels, size=(5, 64)).astype(np.uint8)
+        store = build_store(
+            tmp_path / "idx", corpus, config,
+            assignments=assignments, centroid_levels=cents,
+        )
+        assert store.n_shards == 4
+        index = ClusteredTDAMIndex(store)
+        # Queries at each centroid route there first, empty one included.
+        queries = np.concatenate(
+            [cents.astype(np.int64), corpus[:4]]
+        )
+        for nprobe in (1, 2, 5):
+            result = _assert_matches_oracle(index, corpus, queries, 6, nprobe)
+        first = index.top_k(queries, 6, nprobe=1)
+        assert np.all(first.rows[2] == -1)
+        assert (first.rows == -1).any(axis=1).sum() >= 3
+        assert result.rows_probed == 30 * queries.shape[0]
+
+    def test_one_count_per_batch(self, tmp_path, rng, config, monkeypatch):
+        rows = rng.integers(0, config.levels, size=(200, config.n_stages))
+        queries = rng.integers(0, config.levels, size=(9, config.n_stages))
+        index = _build(tmp_path, rows, config, n_clusters=6)
+        widths = []
+        real = cluster_index.packed_pair_counts
+
+        def spy(stored_bits, query_bits, positions):
+            widths.append(positions.shape)
+            return real(stored_bits, query_bits, positions)
+
+        monkeypatch.setattr(cluster_index, "packed_pair_counts", spy)
+        index.top_k(queries, 4, nprobe=3)
+        assert len(widths) == 1 and widths[0][0] == 9
+
+    def test_small_budget_splits_the_batch_into_tiles(
+        self, tmp_path, monkeypatch
+    ):
+        config = TDAMConfig(bits=2, n_stages=37)
+        corpus, _, _ = make_clustered_levels(
+            300, 37, config.levels, 5, noise=0.3, seed=11
+        )
+        queries = perturb_levels(corpus[::30], config.levels, 0.3, seed=2)
+        index = _build(tmp_path, corpus, config, n_clusters=5)
+        whole = {n: index.top_k(queries, 6, nprobe=n) for n in (1, 2, 5)}
+        tiles = []
+        real = cluster_index.packed_pair_counts
+
+        def spy(stored_bits, query_bits, positions):
+            tiles.append(positions.shape[0])
+            return real(stored_bits, query_bits, positions)
+
+        monkeypatch.setattr(cluster_index, "packed_pair_counts", spy)
+        monkeypatch.setattr(cluster_index, "_budget_chunk", lambda _: 3)
+        # Tiles of 3 queries over all probe columns, then (a 1-byte
+        # budget) over one probe column each.
+        for budget in (cluster_index.QUERY_CHUNK_BUDGET_BYTES, 1):
+            monkeypatch.setattr(
+                cluster_index, "QUERY_CHUNK_BUDGET_BYTES", budget
+            )
+            for nprobe, want in whole.items():
+                tiles.clear()
+                got = _assert_matches_oracle(
+                    index, corpus, queries, 6, nprobe
+                )
+                columns = 1 if budget > 1 else nprobe
+                assert tiles == [3, 3, 3, 1] * columns
+                for field in ("rows", "distances", "delays_s", "clusters"):
+                    assert np.array_equal(
+                        getattr(got, field), getattr(want, field)
+                    )
+                assert got.rows_probed == want.rows_probed
 
 
 class TestExactness:

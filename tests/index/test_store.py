@@ -6,14 +6,17 @@ import numpy as np
 import pytest
 
 import repro.io
-from repro.core.bitplane import pack_query_masks, packed_mismatch_counts
+from repro.core.bitplane import (
+    pack_bit_planes,
+    packed_stage_bytes,
+    packed_xor_counts,
+)
 from repro.core.config import TDAMConfig
 from repro.index import (
     BitPlaneStore,
     StoreCorruptionError,
     StoreManifestError,
     build_store,
-    level_inequality_planes,
 )
 from repro.index.store import MANIFEST_NAME
 
@@ -42,10 +45,21 @@ class TestRoundTrip:
         shard = store.shard(0)
         assert np.array_equal(shard.levels, corpus.astype(np.uint8))
         assert np.array_equal(shard.row_ids, np.arange(64))
-        expected = level_inequality_planes(
-            corpus.astype(np.uint8), config.levels
-        )
+        expected = pack_bit_planes(corpus, config.bits)
         assert np.array_equal(shard.planes, expected)
+
+    @pytest.mark.parametrize("bits", [1, 2, 3])
+    def test_planes_are_stored_level_bits(self, tmp_path, rng, bits):
+        config = TDAMConfig(bits=bits, n_stages=37)
+        corpus = rng.integers(0, config.levels, size=(50, 37))
+        shard = build_store(tmp_path / "s", corpus, config).shard(0)
+        assert shard.planes.dtype == np.uint8
+        assert np.array_equal(shard.planes, pack_bit_planes(corpus, bits))
+        width = packed_stage_bytes(37)
+        assert shard.planes.nbytes == bits * 50 * width
+        if bits == 2:
+            # Format 1 held one inequality plane per level: twice this.
+            assert 2 * shard.planes.nbytes == config.levels * 50 * width
 
     def test_reopen_without_repacking(self, tmp_path, corpus, config):
         built = build_store(tmp_path / "s", corpus, config)
@@ -87,8 +101,11 @@ class TestRoundTrip:
         queries = rng.integers(
             0, config.levels, size=(5, config.n_stages)
         )
-        masks = pack_query_masks(queries, config.levels)
-        counts = packed_mismatch_counts(store.shard(0).planes, masks)
+        planes = store.shard(0).planes
+        assert isinstance(planes, np.memmap)
+        counts = packed_xor_counts(
+            planes, pack_bit_planes(queries, config.bits)
+        )
         expected = (queries[:, None, :] != corpus[None, :, :]).sum(axis=2)
         assert np.array_equal(counts, expected)
 
@@ -188,7 +205,7 @@ class TestCrashSafety:
         assert store.n_rows == 64
         # The interrupted generation's components must still verify for
         # the *published* generation -- the probe path works unchanged.
-        assert store.shard(0).planes.shape[0] == config.levels
+        assert store.shard(0).planes.shape[0] == config.bits
 
     def test_crash_on_first_build_leaves_no_store(
         self, tmp_path, corpus, config, monkeypatch
@@ -265,3 +282,147 @@ class TestCorruptionDetection:
         (tmp_path / "s" / MANIFEST_NAME).write_text(json.dumps(payload))
         with pytest.raises(StoreManifestError, match="sum"):
             BitPlaneStore(tmp_path / "s")
+
+
+def _edit_manifest(root, edit):
+    path = root / MANIFEST_NAME
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+
+
+def _component(payload, kind, shard=0):
+    return payload["shards"][shard]["components"][kind]
+
+
+def _reshape(payload, kind, shape, dtype="uint8", shard=0):
+    spec = _component(payload, kind, shard)
+    spec["shape"] = list(shape)
+    spec["dtype"] = dtype
+    spec["nbytes"] = int(np.prod(shape)) * np.dtype(dtype).itemsize
+
+
+def _set_rows(payload, n_rows):
+    payload["shards"][0]["n_rows"] = n_rows
+    payload["geometry"]["n_rows"] = sum(
+        shard["n_rows"] for shard in payload["shards"]
+    )
+
+
+def _shard_shape(payload, kind):
+    return _component(payload, kind)["shape"]
+
+
+#: (case, manifest edit, expected message) -- each edit leaves a
+#: manifest that parses but disagrees with itself.
+_INCONSISTENT = [
+    ("format_1", lambda p: p.update(format=1), "format 2"),
+    (
+        "repeated_cluster",
+        lambda p: p["shards"][1].update(cluster=p["shards"][0]["cluster"]),
+        "named by 2 shards",
+    ),
+    (
+        "negative_cluster",
+        lambda p: p["shards"][0].update(cluster=-1),
+        "cluster -1; neither may be negative",
+    ),
+    (
+        "cluster_beyond_centroids",
+        lambda p: p["shards"][0].update(cluster=4),
+        "4 centroids",
+    ),
+    (
+        "permuted_planes",
+        lambda p: _reshape(
+            p, "planes", [_shard_shape(p, "planes")[i] for i in (1, 0, 2)]
+        ),
+        "shard 0 planes",
+    ),
+    (
+        "level_planes",
+        lambda p: _reshape(
+            p, "planes", [4] + _shard_shape(p, "planes")[1:]
+        ),
+        "shard 0 planes",
+    ),
+    (
+        "planes_byte_width",
+        lambda p: _reshape(
+            p, "planes", _shard_shape(p, "planes")[:2] + [16]
+        ),
+        "shard 0 planes",
+    ),
+    (
+        "planes_dtype",
+        lambda p: _component(p, "planes").update(dtype="int8"),
+        "shard 0 planes",
+    ),
+    (
+        "planes_nbytes",
+        lambda p: _component(p, "planes").update(
+            nbytes=_component(p, "planes")["nbytes"] + 8
+        ),
+        "shard 0 planes",
+    ),
+    (
+        "rows_disagree_with_n_rows",
+        lambda p: _set_rows(p, p["shards"][0]["n_rows"] + 1),
+        "shard 0 planes",
+    ),
+    (
+        "negative_n_rows",
+        lambda p: _set_rows(p, -3),
+        "shard 0 has -3 rows",
+    ),
+    (
+        "row_ids_dtype",
+        lambda p: _component(p, "rows").update(dtype="float64"),
+        "shard 0 rows",
+    ),
+    (
+        "levels_stages",
+        lambda p: _reshape(
+            p, "levels", [_shard_shape(p, "levels")[0], 33]
+        ),
+        "shard 0 levels",
+    ),
+    (
+        "centroid_stages",
+        lambda p: p["centroids"].update(
+            shape=[4, 31], nbytes=4 * 31
+        ),
+        "centroids",
+    ),
+]
+
+
+class TestManifestConsistency:
+    """Opening refuses a manifest that disagrees with itself: the
+    search lays its candidates out from the recorded geometry."""
+
+    @pytest.fixture
+    def clustered(self, tmp_path, corpus, config):
+        cents = corpus[:4].astype(np.uint8)
+        build_store(
+            tmp_path / "s", corpus, config,
+            assignments=np.arange(64, dtype=np.int64) % 4,
+            centroid_levels=cents,
+        )
+        return tmp_path / "s"
+
+    def test_consistent_manifest_opens(self, clustered):
+        store = BitPlaneStore(clustered)
+        assert sorted(store.shard_clusters.tolist()) == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [case[1:] for case in _INCONSISTENT],
+        ids=[case[0] for case in _INCONSISTENT],
+    )
+    def test_inconsistent_manifest_raises_manifest_error(
+        self, clustered, edit, message
+    ):
+        _edit_manifest(clustered, edit)
+        with pytest.raises(StoreManifestError, match=message):
+            BitPlaneStore(clustered)

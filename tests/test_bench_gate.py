@@ -29,8 +29,8 @@ def make_report(**overrides):
         "resilient": {"speedup": 21.0, "bit_exact": True},
         "monte_carlo": {"speedup": 1.0, "bit_identical": True},
         "ann": {
-            "speedup": 40.0,
-            "recall_at_10": 1.0,
+            "speedup": 27.0,
+            "recall_at_10": 0.85,
             "exact_full_probe": True,
             "reopen_identical": True,
         },
@@ -109,6 +109,32 @@ class TestCompareToBaseline:
             bench_report.compare_to_baseline(report, make_report())
         )
         assert rows["resilient.bit_exact"]["status"] == "fail"
+
+    def test_ann_probe_no_faster_than_its_full_probe_fails(self):
+        # ann.speedup is the index's full probe over its routed probe.
+        # A router that probes every cluster reads ~1; at 200k rows the
+        # routed probe read 17.2-28.9x faster (16.3-22.7x before the
+        # one-count-per-tile probe).
+        for speedup, status in ((1.0, "fail"), (13.0, "fail"), (17.2, "pass")):
+            report = make_report(**{"ann.speedup": speedup})
+            rows = rows_by_metric(
+                bench_report.compare_to_baseline(report, make_report())
+            )
+            assert rows["ann.speedup"]["status"] == status, speedup
+            assert rows["ann.speedup"]["threshold"] == 13.5
+
+    def test_ann_recall_is_gated_on_the_noisy_corpus(self):
+        # The noise-0.35 corpus reads recall@10 0.852 at nprobe=8 of 256
+        # clusters (200k rows); the old noise-0.08 corpus read 1.0 at
+        # every nprobe, so its 0.95 floor could not fail.
+        cases = ((0.70, "fail"), (0.79, "fail"), (0.852, "pass"))
+        for recall, status in cases:
+            report = make_report(**{"ann.recall_at_10": recall})
+            rows = rows_by_metric(
+                bench_report.compare_to_baseline(report, make_report())
+            )
+            assert rows["ann.recall_at_10"]["status"] == status, recall
+            assert rows["ann.recall_at_10"]["threshold"] == 0.80
 
     def test_rel_min_tracks_the_baseline(self):
         baseline = make_report(**{"monte_carlo.speedup": 2.0})

@@ -37,8 +37,9 @@ plus two direct wall-clock studies, and writes ``BENCH_search.json``:
    class rows + 2 spares x 2048 stages at V_DD = 0.6 V, 32-query
    batches), with every result field compared; gated at >= 10x.
 7. **Clustered ANN**: the memmapped ``ClusteredTDAMIndex`` routed probe
-   against exhaustive in-RAM ``top_k_batch`` on a million-row clustered
-   corpus (``--ann-rows`` scales it down for CI): queries/s, recall@10,
+   against the same index probing every cluster, on a million-row
+   clustered ``noise=0.35`` corpus (``--ann-rows`` scales it down for
+   CI): queries/s, recall@10 against exhaustive in-RAM ``top_k_batch``,
    and the nprobe=n_clusters bit-identity check.
 8. **HDC encode**: the nonlinear ``RandomProjectionEncoder`` on the
    committed microbench workload (64 samples x 617 features -> D=2048)
@@ -85,7 +86,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro import telemetry  # noqa: E402
-from repro.core.array import FastTDAMArray, resolve_query_chunk  # noqa: E402
+from repro.core.array import FastTDAMArray  # noqa: E402
 from repro.core.config import TDAMConfig  # noqa: E402
 from repro.resilience.resilient import ResilientTDAMArray  # noqa: E402
 from repro.experiments.fig6_montecarlo import Fig6Trial  # noqa: E402
@@ -446,17 +447,22 @@ def bench_ann(
     k: int = 10,
     repeats: int = 3,
 ) -> dict:
-    """Recall@k vs queries/s: clustered memmapped ANN vs exhaustive.
+    """Recall@k vs queries/s: the clustered memmapped ANN index.
 
-    Builds a clustered synthetic corpus, packs it into a
-    ``BitPlaneStore`` + ``ClusteredTDAMIndex`` in a temp directory, and
-    measures the routed probe against the exhaustive in-RAM
-    ``top_k_batch`` on the same queries.  Tracked gates: ``speedup``
-    (>= 10x at the operating point), ``recall_at_10`` (>= 0.95),
-    ``exact_full_probe`` (bit-identical to exhaustive at
-    ``nprobe = n_clusters``), and ``reopen_identical`` (a freshly
-    reopened store serves the identical answer).  A small nprobe sweep
-    records the recall/throughput tradeoff curve.
+    Builds the clustered ``noise=0.35`` corpus the repository benchmark
+    (``bench/``) serves, packs it into a ``BitPlaneStore`` +
+    ``ClusteredTDAMIndex`` in a temp directory, and times the routed
+    probe against the *same index* probing every cluster
+    (``nprobe = n_clusters``), so the ratio measures what routing
+    saves, not how fast some other search path is.  Tracked gates:
+    ``speedup`` (full probe / routed probe), ``recall_at_10`` against
+    exhaustive in-RAM ``top_k_batch`` (this corpus has neighbors
+    outside the probed clusters, so the gate can fail),
+    ``exact_full_probe`` (bit-identical to exhaustive at ``nprobe =
+    n_clusters``), and ``reopen_identical`` (a freshly reopened store
+    serves the identical answer).  The exhaustive wall clock is
+    reported for reference, and a small nprobe sweep records the
+    recall/throughput tradeoff curve.
     """
     from repro.datasets.synthetic import make_clustered_levels, perturb_levels
     from repro.index import BitPlaneStore, ClusteredTDAMIndex
@@ -465,11 +471,11 @@ def bench_ann(
     rng = np.random.default_rng(7)
     rows, _, _ = make_clustered_levels(
         n_rows, config.n_stages, config.levels, n_clusters,
-        noise=0.08, seed=7,
+        noise=0.35, seed=7,
     )
     picks = rng.integers(0, n_rows, size=n_queries)
     queries = perturb_levels(
-        rows[picks], config.levels, noise=0.08, seed=9
+        rows[picks], config.levels, noise=0.35, seed=9
     ).astype(np.int64)
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -483,6 +489,9 @@ def bench_ann(
             lambda: index.top_k(queries, k, nprobe=nprobe), repeats
         )
         full = index.top_k(queries, k, nprobe=n_clusters)
+        t_full = _best_of(
+            lambda: index.top_k(queries, k, nprobe=n_clusters), repeats
+        )
         reopened = ClusteredTDAMIndex(BitPlaneStore(tmp))
         reopen_identical = bool(
             np.array_equal(
@@ -524,17 +533,20 @@ def bench_ann(
     return {
         "workload": (
             f"{n_rows} rows x {config.n_stages} stages, "
-            f"{n_clusters} clusters, {n_queries} queries, k={k}"
+            f"{n_clusters} clusters, noise 0.35, {n_queries} queries, "
+            f"k={k}"
         ),
         "rows": n_rows,
         "clusters": n_clusters,
         "nprobe": nprobe,
         "build_s": build_s,
+        "full_probe_s": t_full,
         "exhaustive_s": t_exhaustive,
         "ann_s": t_ann,
+        "full_probe_queries_per_s": n_queries / t_full,
         "exhaustive_queries_per_s": n_queries / t_exhaustive,
         "ann_queries_per_s": n_queries / t_ann,
-        "speedup": t_exhaustive / t_ann,
+        "speedup": t_full / t_ann,
         "recall_at_10": recall,
         "probe_fraction": ann.probe_fraction,
         "exact_full_probe": exact_full_probe,
@@ -698,8 +710,8 @@ TRACKED_GATES = (
     ("resilient.bit_exact", "true", None),
     ("monte_carlo.speedup", "rel_min", 0.75),
     ("monte_carlo.bit_identical", "true", None),
-    ("ann.speedup", "abs_min", 10.0),
-    ("ann.recall_at_10", "abs_min", 0.95),
+    ("ann.speedup", "abs_min", 13.5),
+    ("ann.recall_at_10", "abs_min", 0.80),
     ("ann.exact_full_probe", "true", None),
     ("ann.reopen_identical", "true", None),
     ("encode.speedup_vs_committed", "abs_min", 5.0),
@@ -879,7 +891,7 @@ def main(argv=None) -> int:
               f"mean batch {row['mean_batch_size']:.1f})")
     ann = report["ann"]
     print(f"ann:          {ann['ann_queries_per_s']:,.0f} queries/s on "
-          f"{ann['rows']:,} rows ({ann['speedup']:.1f}x vs exhaustive, "
+          f"{ann['rows']:,} rows ({ann['speedup']:.1f}x vs its full probe, "
           f"recall@10 {ann['recall_at_10']:.4f}, "
           f"exact_full_probe={ann['exact_full_probe']}, "
           f"reopen_identical={ann['reopen_identical']})")
