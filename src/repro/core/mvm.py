@@ -152,7 +152,9 @@ class MVMPlan:
     Validates and stores the weight matrix once (the fabric's one-time
     program step) and serves activation batches through one exact GEMM;
     the float cast of the weights it needs is built on first use and
-    reused.
+    reused.  The cast is held as the C-contiguous ``(n_in, n_out)``
+    transpose, the layout BLAS reads fastest for ``acts @ cast``; every
+    partial sum is exact in either layout, so it moves only the time.
 
     Args:
         weights: Integer weight matrix, shape ``(n_out, n_in)``.
@@ -215,7 +217,8 @@ class MVMPlan:
                 single ``(n_in,)`` vector yields a ``(n_out,)`` result,
                 matching numpy matmul semantics).
             bits: Activation width; inferred when omitted.
-            signed: Activation signedness; inferred when omitted.
+            signed: Activation signedness; inferred when omitted.  When
+                both are given the activations are only range-checked.
 
         Returns:
             int64 products, shape ``(S, n_out)``; bit-identical to
@@ -236,9 +239,11 @@ class MVMPlan:
             raise TypeError(
                 f"activations must be integers, got dtype {acts.dtype}"
             )
-        inf_bits, inf_signed = infer_operand_bits(acts)
-        a_bits = inf_bits if bits is None else int(bits)
-        a_signed = inf_signed if signed is None else bool(signed)
+        if bits is None or signed is None:
+            inf_bits, inf_signed = infer_operand_bits(acts)
+            bits = inf_bits if bits is None else bits
+            signed = inf_signed if signed is None else signed
+        a_bits, a_signed = int(bits), bool(signed)
         _validate_operand(acts, a_bits, a_signed, "activation")
         if acts.shape[0] == 0:
             return np.zeros((0, self.n_out), dtype=np.int64)
@@ -251,8 +256,10 @@ class MVMPlan:
             dtype = np.float32 if bound <= 2**24 else np.float64
             cast = self._float_cast.get(dtype)
             if cast is None:
-                cast = self._float_cast[dtype] = self.weights.astype(dtype)
-            out = np.matmul(acts.astype(dtype), cast.T).astype(np.int64)
+                cast = self._float_cast[dtype] = np.ascontiguousarray(
+                    self.weights.T, dtype=dtype
+                )
+            out = np.matmul(acts.astype(dtype), cast).astype(np.int64)
         else:
             out = acts.astype(np.int64) @ self.weights.T
         if _TM.enabled:

@@ -15,6 +15,10 @@ query is a single encoding, so both are L2-normalized per row before the
 shared bins apply (the classifier already centers and normalizes its
 encodings; see :class:`repro.hdc.model.HDCClassifier`).
 
+Stored rows, queries and bin centers share one level rule: the number
+of edges at or below the value (``np.digitize``'s answer on strictly
+increasing edges), counted with one vectorized compare per edge.
+
 A plain uniform quantizer is included for the ablation bench.
 """
 
@@ -37,6 +41,11 @@ class QuantizedModel:
             reconstruct approximate float prototypes.
         bits: Element precision.
         method: "equal-area" or "uniform".
+
+    Raises:
+        ValueError: ``bits`` outside 1..8, or ``edges`` other than the
+            finite, strictly increasing ``2**bits - 1`` values the level
+            rule needs (models rebuilt from files are checked too).
     """
 
     levels: np.ndarray
@@ -44,6 +53,20 @@ class QuantizedModel:
     centers: np.ndarray
     bits: int
     method: str
+
+    def __post_init__(self) -> None:
+        if not 1 <= self.bits <= 8:
+            raise ValueError(f"bits must be in 1..8, got {self.bits}")
+        edges = np.asarray(self.edges)
+        if edges.ndim != 1 or not np.isfinite(edges).all():
+            raise ValueError("edges must be a finite 1-D array")
+        if (np.diff(edges) <= 0).any():
+            raise ValueError("edges must be strictly increasing")
+        if edges.size != 2**self.bits - 1:
+            raise ValueError(
+                f"a {self.bits}-bit model needs {2**self.bits - 1} edges, "
+                f"got {edges.size}"
+            )
 
     @property
     def n_levels(self) -> int:
@@ -62,6 +85,10 @@ class QuantizedModel:
 
         Queries are L2-normalized per row first, matching the prototype
         normalization applied when the edges were fitted.
+
+        Raises:
+            ValueError: A wrong dimension, or a row without a finite L2
+                norm (NaN/Inf, which has no meaningful level, or overflow).
         """
         q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
         if q.shape[1] != self.dimension:
@@ -69,8 +96,12 @@ class QuantizedModel:
                 f"query dimension {q.shape[1]} != model dimension {self.dimension}"
             )
         norms = np.linalg.norm(q, axis=1, keepdims=True)
+        if not np.isfinite(norms).all():
+            raise ValueError(
+                "query rows must be finite (NaN/Inf or norm overflow)"
+            )
         q = q / np.maximum(norms, 1e-12)
-        return np.digitize(q, self.edges).astype(np.int64)
+        return _levels(q, self.edges)
 
     def reconstruct(self) -> np.ndarray:
         """Approximate float prototypes from the level centers."""
@@ -97,21 +128,15 @@ class QuantizedModel:
         return float((self.predict_cosine(queries) == labels).mean())
 
 
-def quantize_equal_area(
-    prototypes: np.ndarray, bits: int, per_class: bool = False
-) -> QuantizedModel:
+def quantize_equal_area(prototypes: np.ndarray, bits: int) -> QuantizedModel:
     """Equal-probability-area quantization of class hypervectors.
+
+    One set of edges is fitted over every class, as in the paper:
+    queries are quantized with the same edges.
 
     Args:
         prototypes: Float class hypervectors, shape (n_classes, D).
         bits: Element precision; ``2**bits`` levels.
-        per_class: Fit edges per class instead of globally.  The paper
-            fits one mapping for the model (queries must share the edges),
-            so the default is global; per-class is exposed for analysis.
-
-    Returns:
-        The quantized model (with globally fitted edges even when
-        ``per_class`` statistics are requested -- see note above).
     """
     p = _check_prototypes(prototypes, bits)
     p = p / np.maximum(np.linalg.norm(p, axis=1, keepdims=True), 1e-12)
@@ -120,22 +145,11 @@ def quantize_equal_area(
     quantiles = np.linspace(0, 1, n_levels + 1)[1:-1]
     edges = np.quantile(values, quantiles)
     # Degenerate distributions can produce duplicate edges; nudge them so
-    # np.digitize stays monotone.
+    # the level rule stays monotone.
     edges = _make_strictly_increasing(edges)
-    levels = np.digitize(p, edges).astype(np.int64)
     centers = _level_centers(values, edges, n_levels)
-    if per_class:
-        # Informational only: per-class digitization with shared centers.
-        levels = np.stack(
-            [
-                np.digitize(
-                    p[c], _make_strictly_increasing(np.quantile(p[c], quantiles))
-                )
-                for c in range(p.shape[0])
-            ]
-        ).astype(np.int64)
     return QuantizedModel(
-        levels=levels, edges=edges, centers=centers, bits=bits,
+        levels=_levels(p, edges), edges=edges, centers=centers, bits=bits,
         method="equal-area",
     )
 
@@ -149,10 +163,9 @@ def quantize_uniform(prototypes: np.ndarray, bits: int) -> QuantizedModel:
     if hi <= lo:
         raise ValueError("prototypes are constant; nothing to quantize")
     edges = np.linspace(lo, hi, n_levels + 1)[1:-1]
-    levels = np.digitize(p, edges).astype(np.int64)
     centers = _level_centers(p.reshape(-1), edges, n_levels)
     return QuantizedModel(
-        levels=levels, edges=edges, centers=centers, bits=bits,
+        levels=_levels(p, edges), edges=edges, centers=centers, bits=bits,
         method="uniform",
     )
 
@@ -166,6 +179,19 @@ def _check_prototypes(prototypes: np.ndarray, bits: int) -> np.ndarray:
     return p
 
 
+def _levels(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """How many edges lie at or below each value, as int64.
+
+    Equals ``np.digitize(values, edges)`` for strictly increasing edges
+    and non-NaN values.  Counts in ``uint8`` (255 edges at 8 bits), an
+    eighth of int64's bytes per compare.
+    """
+    out = np.zeros(np.shape(values), dtype=np.uint8)
+    for edge in edges:
+        out += values >= edge
+    return out.astype(np.int64)
+
+
 def _make_strictly_increasing(edges: np.ndarray) -> np.ndarray:
     edges = np.asarray(edges, dtype=np.float64).copy()
     for k in range(1, len(edges)):
@@ -176,7 +202,7 @@ def _make_strictly_increasing(edges: np.ndarray) -> np.ndarray:
 
 def _level_centers(values: np.ndarray, edges: np.ndarray, n_levels: int) -> np.ndarray:
     """Median value of each bin (empty bins fall back to edge midpoints)."""
-    assignments = np.digitize(values, edges)
+    assignments = _levels(values, edges)
     centers = np.empty(n_levels)
     padded = np.concatenate([[values.min()], edges, [values.max()]])
     for level in range(n_levels):

@@ -221,7 +221,7 @@ class ServiceCheckpointer:
         Raises:
             CheckpointNotFoundError: No artifact at the location.
             CheckpointCorruptError: Unreadable container, missing
-                fields, or checksum mismatch.
+                fields, checksum mismatch, or a malformed model.
         """
         target = Path(path) if path is not None else self.path
         if not target.exists():
@@ -251,7 +251,15 @@ class ServiceCheckpointer:
             self._reject(target, f"unsupported format {version}")
         if _payload_checksum(arrays) != manifest.get("checksum"):
             self._reject(target, "payload checksum mismatch")
-        arrays["_model"] = model_arrays  # type: ignore[assignment]
+        model = None
+        if model_arrays is not None:
+            # Built here so a malformed model is refused before restore
+            # touches the array.
+            try:
+                model = QuantizedModel(**model_arrays)
+            except ValueError as exc:
+                self._reject(target, f"malformed model: {exc}")
+        arrays["_model"] = model  # type: ignore[assignment]
         return arrays, CheckpointInfo(target, manifest, metadata)
 
     def _reject(self, target: Path, reason: str) -> None:
@@ -317,10 +325,7 @@ class ServiceCheckpointer:
         array._retired = {int(r) for r in arrays["retired"]}
         array._searches_since_bist = int(manifest["searches_since_bist"])
         phys.invalidate_threshold_cache()
-        model = None
-        model_arrays = arrays.get("_model")
-        if model_arrays is not None:
-            model = QuantizedModel(**model_arrays)
+        model = arrays.get("_model")
         if _TM.enabled:
             _CHECKPOINTS.inc(op="restore")
             _emit_probe(

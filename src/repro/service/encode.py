@@ -13,7 +13,8 @@ same request deadline -- a request whose encode step ate the budget
 misses its deadline honestly rather than starting a search it cannot
 finish.  Feature-level admission (shape, finiteness) raises
 :class:`~repro.service.errors.InvalidRequestError` before any encoding
-or shard work happens.
+or shard work happens, and so does an encoding that comes out NaN/Inf
+(finite float32 features large enough to overflow the projection).
 """
 
 from __future__ import annotations
@@ -82,7 +83,13 @@ class EncodeSearchService:
         return x
 
     def _levels(self, features) -> np.ndarray:
-        return self.pipeline.query_levels(self._admit_features(features))
+        x = self._admit_features(features)
+        try:
+            return self.pipeline.query_levels(x)
+        except ValueError as exc:
+            # Admitted rows have the right shape, so the quantizer can
+            # only refuse a non-finite encoding.
+            raise InvalidRequestError(f"encoding not finite: {exc}") from exc
 
     def search(
         self,

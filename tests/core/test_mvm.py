@@ -10,6 +10,8 @@ not a multiple of 64, single-row weights, single-sample batches), and
 each precision branch of the kernel (float32, float64, int64).
 """
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,49 @@ class TestExactness:
         np.testing.assert_array_equal(
             mvm(a, b), a.astype(np.int64) @ b.astype(np.int64)
         )
+
+    # (weight bits, activation bits, n_in) per precision tier: partial
+    # sums bounded by 2**24 (float32), by 2**53 (float64), and beyond.
+    TIERS = {
+        np.float32: (8, 8, 100),
+        np.float64: (8, 8, 4096),
+        np.int64: (8, 40, 200),
+    }
+
+    @pytest.mark.parametrize("tier", list(TIERS), ids=lambda t: t.__name__)
+    @pytest.mark.parametrize("n_batch", [0, 1, 7, 64, 300])
+    def test_every_tier_exact_and_c_contiguous(self, tier, n_batch):
+        w_bits, a_bits, n_in = self.TIERS[tier]
+        rng = np.random.default_rng(n_batch)
+        weights = operand(rng, (33, n_in), w_bits, True)
+        acts = operand(rng, (n_batch, n_in), a_bits, True)
+        plan = MVMPlan(weights, bits=w_bits, signed=True)
+        out = plan.matmul(acts, bits=a_bits, signed=True)
+        np.testing.assert_array_equal(out, reference(acts, weights))
+        assert out.dtype == np.int64
+        assert out.shape == (n_batch, 33)
+        assert out.flags.c_contiguous
+        if n_batch:
+            floats = [] if tier is np.int64 else [tier]
+            assert list(plan._float_cast) == floats
+
+    def test_given_width_skips_inference(self, monkeypatch):
+        # ``repro.core.mvm`` the attribute is the function; take the module.
+        mvm_module = importlib.import_module("repro.core.mvm")
+
+        def no_inference(values):
+            raise AssertionError("operand bits inferred")
+
+        rng = np.random.default_rng(8)
+        weights = operand(rng, (5, 16), 4, True)
+        acts = operand(rng, (3, 16), 6, True)
+        plan = MVMPlan(weights, bits=4, signed=True)
+        monkeypatch.setattr(mvm_module, "infer_operand_bits", no_inference)
+        np.testing.assert_array_equal(
+            plan.matmul(acts, bits=6, signed=True), reference(acts, weights)
+        )
+        with pytest.raises(ValueError, match="range"):
+            plan.matmul(acts, bits=3, signed=True)
 
     def test_gemm_wide_accumulator_path(self):
         # 8b x 8b over a long inner axis exceeds the fp32-exact window;

@@ -2,12 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import TDAMConfig
+from repro.datasets.synthetic import (
+    make_face_like,
+    make_isolet_like,
+    make_ucihar_like,
+)
 from repro.hdc.encoder import RandomProjectionEncoder
 from repro.hdc.model import HDCClassifier
 from repro.hdc.pipeline import EncodePipeline, build_pipeline
 from repro.hdc.quantize import quantize_equal_area
+from tests.oracles import reference_query_levels
 
 
 @pytest.fixture(scope="module")
@@ -90,3 +98,42 @@ class TestEncodePipeline:
         clf, _ = trained
         assert "fabric" in repr(build_pipeline(clf, bits=2, fabric=True))
         assert "float" in repr(build_pipeline(clf, bits=2))
+
+
+DATASETS = {
+    "isolet": make_isolet_like,
+    "ucihar": make_ucihar_like,
+    "face": make_face_like,
+}
+
+
+class TestQueryLevelsOracle:
+    """query_levels equals the int64-MVM, np.digitize reference."""
+
+    @given(
+        dataset=st.sampled_from(sorted(DATASETS)),
+        seed=st.integers(0, 20),
+        dimension=st.sampled_from([64, 500, 2048]),
+        bits=st.integers(1, 3),
+        encoder=st.sampled_from(["float", "8/8", "4/6", "2/2"]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_matches_reference(self, dataset, seed, dimension, bits, encoder):
+        ds = DATASETS[dataset](390, 40, seed=seed)
+        enc = RandomProjectionEncoder(ds.n_features, dimension, seed=seed)
+        clf = HDCClassifier(enc, ds.n_classes).fit(
+            ds.x_train, ds.y_train, epochs=1
+        )
+        if encoder == "float":
+            pipe = build_pipeline(clf, bits)
+        else:
+            w_bits, a_bits = map(int, encoder.split("/"))
+            pipe = build_pipeline(
+                clf, bits, fabric=True, weight_bits=w_bits, act_bits=a_bits
+            )
+        for features in (ds.x_test, ds.x_test[:1]):
+            levels = pipe.query_levels(features)
+            assert levels.dtype == np.int64
+            np.testing.assert_array_equal(
+                levels, reference_query_levels(pipe, features)
+            )

@@ -29,3 +29,27 @@ def batched_mismatch_counts(queries, vth_a, vth_b, vsl, levels, von):
     fa_on = (vsl_a - vth_a[None, :, :]) >= von
     fb_on = (vsl_b - vth_b[None, :, :]) >= von
     return (fa_on | fb_on).sum(axis=2)
+
+
+def reference_query_levels(pipeline, features):
+    """Query levels of an encode pipeline, from reference kernels.
+
+    Encodes with :meth:`repro.core.mvm.MVMPlan.matmul` replaced by the
+    plain int64 product ``acts @ weights.T``, renormalizes the encoding
+    in float64 and bins it with ``np.digitize`` over the model's edges:
+    the arithmetic of :meth:`repro.hdc.pipeline.EncodePipeline
+    .query_levels` with neither the float GEMM nor the comparison-count
+    level rule.
+    """
+    from unittest import mock
+
+    from repro.core.mvm import MVMPlan
+
+    def int64_matmul(plan, activations, bits=None, signed=None):
+        return np.asarray(activations).astype(np.int64) @ plan.weights.T
+
+    with mock.patch.object(MVMPlan, "matmul", int64_matmul):
+        encoded = pipeline.encode(features)
+    q = np.asarray(encoded, dtype=np.float64)
+    q = q / np.maximum(np.linalg.norm(q, axis=1, keepdims=True), 1e-12)
+    return np.digitize(q, pipeline.model.edges).astype(np.int64)

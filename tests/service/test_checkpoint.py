@@ -130,6 +130,30 @@ class TestRoundTrip:
         assert np.array_equal(loaded.levels, model.levels)
         assert np.allclose(loaded.edges, model.edges)
 
+    def test_malformed_model_rejected_before_restore(
+        self, tmp_path, config, stored, rng
+    ):
+        # The model fields sit outside the payload checksum; a model
+        # with too few edges for its bits is refused as corrupt before
+        # the target array is touched, and restore_latest falls back.
+        model = quantize_equal_area(rng.normal(size=(4, 64)), bits=2)
+        array = make_array(config, stored)
+        ckpt = ServiceCheckpointer(tmp_path / "shard.npz")
+        ckpt.save(array, model=model, trigger="good")
+        ckpt.save(array, model=model, trigger="bad")
+        with np.load(ckpt.path) as data:
+            fields = {name: data[name] for name in data.files}
+        fields["model_edges"] = fields["model_edges"][:2].copy()
+        np.savez(ckpt.path, **fields)
+        target = make_array(config, stored[::-1].copy())
+        before = target._shadow.copy()
+        with pytest.raises(CheckpointCorruptError, match="malformed model"):
+            ckpt.restore(target)
+        assert np.array_equal(target._shadow, before)
+        info, loaded = ckpt.restore_latest(target)
+        assert info.manifest["trigger"] == "good"
+        assert np.array_equal(loaded.edges, model.edges)
+
     def test_geometry_mismatch_rejected(self, tmp_path, config, stored):
         array = make_array(config, stored)
         ckpt = ServiceCheckpointer(tmp_path / "shard.npz")

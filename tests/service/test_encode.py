@@ -30,6 +30,22 @@ def pipelines():
     )
 
 
+@pytest.fixture(scope="module")
+def wide_pipelines():
+    # ISOLET-wide (617 features): wide enough for finite float32
+    # features to overflow the projection.
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(80, 617)).astype(np.float32)
+    enc = RandomProjectionEncoder(617, DIMENSION, seed=4)
+    clf = HDCClassifier(enc, N_CLASSES).fit(
+        x, rng.integers(0, N_CLASSES, size=80), epochs=1
+    )
+    return {
+        False: build_pipeline(clf, bits=2),
+        True: build_pipeline(clf, bits=2, fabric=True),
+    }, x
+
+
 @pytest.fixture
 def endpoint(pipelines):
     float_pipe, fabric_pipe, _ = pipelines
@@ -81,6 +97,39 @@ class TestEncodeSearchService:
         bad[3] = np.inf
         with pytest.raises(InvalidRequestError, match="NaN/Inf"):
             endpoint.search(bad)
+
+    @pytest.mark.parametrize("fabric,scale", [(True, 1e36), (False, 3e38)])
+    @pytest.mark.parametrize("call", ["search", "search_batch", "top_k"])
+    def test_rejects_non_finite_encoding(
+        self, wide_pipelines, monkeypatch, fabric, scale, call
+    ):
+        # Finite float32 features this large overflow the projection:
+        # the fabric encoder's dequantized product at 1e36, the float
+        # encoder's GEMM at 3e38.  The hypervector comes out NaN and no
+        # level is meaningful for it.
+        pipes, x = wide_pipelines
+        pipe = pipes[fabric]
+        rows = x[:2] / np.abs(x[:2]).max() * np.float32(scale)
+        assert np.isfinite(rows).all()
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(pipe.encode(rows)).all()
+        config = TDAMConfig(bits=2, n_stages=DIMENSION, vdd=0.6)
+        service = TDAMSearchService(
+            [ResilientTDAMArray(config, n_rows=N_CLASSES)]
+        )
+        service.write_all(pipe.model.levels)
+        endpoint = EncodeSearchService(service, pipe)
+
+        def no_shard_work(*args, **kwargs):
+            raise AssertionError("search reached the level service")
+
+        for name in ("search", "search_batch", "top_k"):
+            monkeypatch.setattr(service, name, no_shard_work)
+        args = {"search": (rows[0],), "search_batch": (rows,),
+                "top_k": (rows, 2)}[call]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(InvalidRequestError, match="not finite"):
+                getattr(endpoint, call)(*args)
 
     def test_rejects_batch_through_search(self, endpoint):
         with pytest.raises(InvalidRequestError, match="search_batch"):

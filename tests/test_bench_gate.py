@@ -36,6 +36,7 @@ def make_report(**overrides):
         },
         "encode": {"speedup_vs_committed": 5.2, "encode_s": 1.5e-3},
         "mvm": {"bit_exact": True},
+        "hdc_query": {"speedup": 4.8, "bit_exact": True},
     }
     for path, value in overrides.items():
         section, key = path.split(".")
@@ -135,6 +136,23 @@ class TestCompareToBaseline:
             )
             assert rows["ann.recall_at_10"]["status"] == status, recall
             assert rows["ann.recall_at_10"]["threshold"] == 0.80
+
+    def test_query_quantizer_at_the_digitize_speed_fails(self):
+        # np.digitize timed against itself reads ~1.0; the comparison
+        # count read 4.2-5.1 at the hdc-refresh geometry.
+        cases = ((1.0, "fail"), (2.9, "fail"), (4.2, "pass"))
+        for speedup, status in cases:
+            report = make_report(**{"hdc_query.speedup": speedup})
+            rows = rows_by_metric(
+                bench_report.compare_to_baseline(report, make_report())
+            )
+            assert rows["hdc_query.speedup"]["status"] == status, speedup
+            assert rows["hdc_query.speedup"]["threshold"] == 3.0
+        report = make_report(**{"hdc_query.bit_exact": False})
+        rows = rows_by_metric(
+            bench_report.compare_to_baseline(report, make_report())
+        )
+        assert rows["hdc_query.bit_exact"]["status"] == "fail"
 
     def test_rel_min_tracks_the_baseline(self):
         baseline = make_report(**{"monte_carlo.speedup": 2.0})

@@ -73,6 +73,18 @@ class TestModelRoundtrip:
         assert loaded.bits == 2
         assert metadata["dataset"] == "isolet"
 
+    def test_malformed_edges_refused(self, tmp_path, model):
+        # A file whose edges the level rule cannot count (here out of
+        # order) is refused when the model is rebuilt, not at query time.
+        path = tmp_path / "model.npz"
+        save_quantized_model(model, path)
+        with np.load(path) as data:
+            fields = {name: data[name] for name in data.files}
+        fields["edges"] = fields["edges"][::-1].copy()
+        np.savez_compressed(path, **fields)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            load_quantized_model(path)
+
     def test_loaded_model_quantizes_queries_identically(self, tmp_path,
                                                         model, rng):
         path = tmp_path / "model.npz"

@@ -50,6 +50,10 @@ plus two direct wall-clock studies, and writes ``BENCH_search.json``:
 9. **MVM**: ``MVMPlan.matmul`` (the exact-by-bounds GEMM) against the
    int64 numpy loop on an 8b x 8b product, with bit-exactness asserted
    (gated).
+10. **HDC query quantizer**: ``QuantizedModel.quantize_queries`` (one
+    comparison per bin edge) against the ``np.digitize`` rule it
+    replaced, on one encoded batch at the ``hdc-refresh`` benchmark
+    workload's geometry, with level equality asserted; gated at 3x.
 
 Regression gate.  With ``--baseline BENCH_search.json`` the report is
 compared against the committed numbers metric-by-metric
@@ -111,6 +115,12 @@ RESILIENT_ROWS = 26
 RESILIENT_SPARES = 2
 RESILIENT_STAGES = 2048
 RESILIENT_QUERIES = 32
+# The HDC query bench runs at the ``hdc-refresh`` benchmark workload's
+# geometry: 32 ISOLET-like samples x 617 features -> D = 2048, a 2-bit
+# model, the in-fabric encoder.
+HDC_QUERY_SAMPLES = 32
+HDC_QUERY_DIMENSION = 2048
+HDC_QUERY_BITS = 2
 
 
 def _best_of(fn, repeats: int) -> float:
@@ -633,6 +643,62 @@ def bench_mvm(repeats: int = 10) -> dict:
     }
 
 
+def bench_hdc_query(repeats: int = 50) -> dict:
+    """The query quantizer against the binary-search rule it replaced.
+
+    On one encoded batch, times ``QuantizedModel.quantize_queries``
+    against that rule: float64 upcast, renormalize, ``np.digitize``.
+    ``bit_exact`` compares both over the encoded test set;
+    ``query_levels_s``, the whole feature-to-level path, rides along
+    untracked.
+    """
+    from repro.datasets.synthetic import make_isolet_like
+    from repro.hdc.encoder import RandomProjectionEncoder
+    from repro.hdc.model import HDCClassifier
+    from repro.hdc.pipeline import build_pipeline
+
+    ds = make_isolet_like(seed=1)
+    encoder = RandomProjectionEncoder(
+        ds.n_features, HDC_QUERY_DIMENSION, seed=0
+    )
+    clf = HDCClassifier(encoder, ds.n_classes).fit(
+        ds.x_train, ds.y_train, epochs=1
+    )
+    pipe = build_pipeline(clf, bits=HDC_QUERY_BITS, fabric=True)
+    model = pipe.model
+    features = ds.x_test[:HDC_QUERY_SAMPLES]
+    encoded = pipe.encode(features)
+
+    def digitize(queries):
+        q = np.asarray(queries, dtype=np.float64)
+        q = q / np.maximum(np.linalg.norm(q, axis=1, keepdims=True), 1e-12)
+        return np.digitize(q, model.edges).astype(np.int64)
+
+    test_set = pipe.encode(ds.x_test)
+    exact = bool(
+        np.array_equal(model.quantize_queries(test_set), digitize(test_set))
+    )
+    # Interleaved, so a burst of machine noise hits both rules alike.
+    t_quantize = t_digitize = float("inf")
+    for _ in range(repeats):
+        t_quantize = min(
+            t_quantize, _best_of(lambda: model.quantize_queries(encoded), 1)
+        )
+        t_digitize = min(t_digitize, _best_of(lambda: digitize(encoded), 1))
+    t_levels = _best_of(lambda: pipe.query_levels(features), repeats)
+    return {
+        "workload": (
+            f"{HDC_QUERY_SAMPLES} samples x {ds.n_features} features -> "
+            f"D={HDC_QUERY_DIMENSION}, {HDC_QUERY_BITS}-bit, fabric encoder"
+        ),
+        "quantize_s": t_quantize,
+        "digitize_s": t_digitize,
+        "speedup": t_digitize / t_quantize,
+        "bit_exact": exact,
+        "query_levels_s": t_levels,
+    }
+
+
 def export_telemetry_artifacts(metrics_out, trace_out) -> None:
     """Run a traced reference workload and dump metrics/trace artifacts."""
     config = TDAMConfig.fig8_system()
@@ -717,6 +783,11 @@ TRACKED_GATES = (
     ("encode.speedup_vs_committed", "abs_min", 5.0),
     ("encode.encode_s", "rel_max", 1.5),
     ("mvm.bit_exact", "true", None),
+    # Both timings run the same code before the comparison-count rule,
+    # so the parent commit reads ~1.0; the rule read 4.2-5.1 in 10 runs
+    # on a shared 2-core VM.
+    ("hdc_query.speedup", "abs_min", 3.0),
+    ("hdc_query.bit_exact", "true", None),
 )
 
 
@@ -852,6 +923,7 @@ def main(argv=None) -> int:
         "ann": bench_ann(n_rows=args.ann_rows),
         "encode": bench_encode(),
         "mvm": bench_mvm(),
+        "hdc_query": bench_hdc_query(),
     }
     if not args.skip_microbench:
         report["microbench"] = run_microbench()
@@ -903,6 +975,11 @@ def main(argv=None) -> int:
     mvm = report["mvm"]
     print(f"mvm:          gemm {mvm['gemm_s'] * 1e3:.2f} ms, loop "
           f"{mvm['loop_s'] * 1e3:.2f} ms (bit_exact={mvm['bit_exact']})")
+    hq = report["hdc_query"]
+    print(f"hdc_query:    quantize {hq['quantize_s'] * 1e3:.3f} ms "
+          f"({hq['speedup']:.2f}x vs np.digitize, "
+          f"bit_exact={hq['bit_exact']}), query_levels "
+          f"{hq['query_levels_s'] * 1e3:.2f} ms")
     print(f"wrote {args.output}")
     if args.metrics_out:
         print(f"wrote {args.metrics_out}")
