@@ -367,7 +367,10 @@ def packed_pair_counts(
 
     which equals ``packed_xor_counts(stored_bits, query_bits)[
     arange(Q)[:, None], rows]`` without the ``(Q, M)`` cross product.
-    Each pair allocates ``bits * B`` bytes of gathered XOR words.
+    Only the asked-for rows are read: a memmapped corpus is gathered in
+    place, never transposed or copied whole.  Each pair allocates
+    ``bits * B`` bytes of gathered XOR words, held twice past one word
+    (``B > 8``) while they are moved word-major.
 
     Args:
         stored_bits: uint8 bit-planes of the written levels, shape
@@ -389,10 +392,12 @@ def packed_pair_counts(
         )
     if stored_bits.shape[2] == 0 or rows.size == 0:
         return np.zeros(rows.shape, dtype=np.int64)
-    # Rows innermost, as in packed_xor_counts: each query's candidates
-    # are gathered into (bits, K, Q, W) words and XORed in place.
-    s_t = np.ascontiguousarray(_words(stored_bits).transpose(0, 2, 1))
+    # Only the gathered (bits, Q, W, K) words are moved word-major, so
+    # the XOR and the fold run rows innermost, as in packed_xor_counts;
+    # at K = 1 the move copies nothing.
+    diff = np.ascontiguousarray(
+        np.moveaxis(np.take(_words(stored_bits), rows, axis=1), 3, 1)
+    )
     q_t = _words(query_bits).transpose(0, 2, 1)
-    diff = np.take(s_t, rows, axis=2)
     np.bitwise_xor(diff, q_t[:, :, :, None], out=diff)
     return _fold_counts(diff, stored_bits.shape[2])

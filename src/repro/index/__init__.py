@@ -1,9 +1,9 @@
 """Million-row ANN: memmapped bit-plane store + cluster-routed search.
 
 The scale-out layer above the single in-RAM array:
-:class:`BitPlaneStore` persists packed stored-level bit-planes on disk
-(crash-safe atomic publish, lazy memmapped shards, checksummed
-components), and :class:`ClusteredTDAMIndex` routes each query batch
+:class:`BitPlaneStore` persists packed stored-level bit-planes on
+disk (crash-safe atomic publish, one lazily memmapped, checksummed file
+per component), and :class:`ClusteredTDAMIndex` routes each query batch
 through a coarse quantizer to its ``nprobe`` nearest clusters and
 ranks exact mismatch counts inside only those shards.
 :class:`IndexSearchService` adapts the index to the serving layer's

@@ -4,10 +4,12 @@ The scale-out shape of Kazemi et al. (arXiv 2011.07095): a coarse
 quantizer routes each query to its ``nprobe`` nearest clusters, and
 exact mismatch counts are then computed *inside only those shards*,
 directly on the store's memmapped stored-level bit-planes.  As that
-multi-bit CAM searches every probed bank in one shot, a batch is
-counted in one call: the probed shards' planes are concatenated, each
-query's probed rows become one row of a padded position matrix, and
-:func:`packed_pair_counts` counts them all.  One
+multi-bit CAM searches every probed bank where it is stored, in one
+shot, a batch is counted in one call: each shard is a contiguous run
+of the corpus components whose offset is fixed at open, each query's
+probed runs become one row of a padded position matrix, and
+:func:`packed_pair_counts` gathers every pair straight from the mapped
+planes -- nothing is concatenated per batch.  One
 :func:`prune_survivors` keeps each query's tie-inclusive top-k
 candidates, and a :func:`grouped_top_k` gather ranks them under the
 shared (distance, delay, row) ordering.  A batch too large for the
@@ -156,11 +158,14 @@ class ClusteredTDAMIndex:
         self._shard_of[store.shard_clusters] = np.arange(
             store.n_shards, dtype=np.int64
         )
-        # Rows per shard position; the trailing 0 is what position -1
-        # (an empty cluster) reads.
+        # Corpus offset and rows of each shard position; the trailing
+        # zeros are what position -1 (an empty cluster) reads.
+        shards = [store.shard(i) for i in range(store.n_shards)]
+        self._shard_start = np.array(
+            [s.offset for s in shards] + [0], dtype=np.int64
+        )
         self._shard_rows = np.array(
-            [store.shard(i).n_rows for i in range(store.n_shards)] + [0],
-            dtype=np.int64,
+            [s.n_rows for s in shards] + [0], dtype=np.int64
         )
         if nprobe < 1:
             raise ValueError(f"nprobe must be >= 1, got {nprobe}")
@@ -328,13 +333,15 @@ class ClusteredTDAMIndex:
         sizes = self._shard_rows[shards]
         rows_probed = int(sizes.sum())
         # Each (query, candidate row) pair of a tile allocates its
-        # gathered XOR words (bits * B bytes) and about 40 bytes more:
-        # int64 positions and their offsets, counts and the partition
-        # copy, plus byte-wide popcounts and masks.  A tile takes as
-        # many probe columns as MIN_QUERY_CHUNK queries can count within
-        # the budget, then as many queries as the kernels' budget rule
-        # allows its widest one.
-        pair_bytes = query_bits.shape[0] * query_bits.shape[2] + 40
+        # gathered XOR words (bits * B bytes, held twice past one word
+        # while packed_pair_counts moves them word-major) and about 40
+        # bytes more: int64 positions and their offsets, counts and the
+        # partition copy, plus byte-wide popcounts and masks.  A tile
+        # takes as many probe columns as MIN_QUERY_CHUNK queries can
+        # count within the budget, then as many queries as the kernels'
+        # budget rule allows its widest one.
+        words = query_bits.shape[0] * query_bits.shape[2]
+        pair_bytes = (words if query_bits.shape[2] == 8 else 2 * words) + 40
         column_bytes = (
             MIN_QUERY_CHUNK * pair_bytes * max(1, int(sizes.max(initial=0)))
         )
@@ -406,12 +413,12 @@ class ClusteredTDAMIndex:
     ) -> tuple:
         """Tie-inclusive top-k candidates of one tile, in one count.
 
-        The tile's probed shards are concatenated; query ``i``'s probed
-        rows fill row ``i`` of a ``(Q, W)`` position matrix (``W`` the
-        widest query's), and one :func:`packed_pair_counts` call counts
-        every pair.  Pads count ``n_stages + 1``, above every real
-        count, so they never displace a row and are dropped after one
-        :func:`prune_survivors`.
+        Query ``i``'s probed shards fill row ``i`` of a ``(Q, W)``
+        matrix of corpus positions (``W`` the widest query's), and one
+        :func:`packed_pair_counts` call counts every pair against the
+        store's mapped planes.  Pads count ``n_stages + 1``, above every
+        real count, so they never displace a row and are dropped after
+        one :func:`prune_survivors`.
 
         Returns:
             ``(query, global row, count)`` int64 arrays of the
@@ -420,22 +427,12 @@ class ClusteredTDAMIndex:
         width = int(widths.max(initial=0))
         if width == 0:
             return (np.empty(0, dtype=np.int64),) * 3
-        # Mark the probed shard positions; -1 marks the trailing slot.
-        hit = np.zeros(self._shard_rows.shape, dtype=bool)
-        hit[shards] = True
-        probed = np.flatnonzero(hit[:-1])
-        views = [self.store.shard(int(s)) for s in probed]
-        planes = np.concatenate([v.planes for v in views], axis=1)
-        row_ids = np.concatenate([v.row_ids for v in views])
-        sizes = self._shard_rows[probed]
-        offset = np.zeros_like(self._shard_rows)
-        offset[probed] = np.cumsum(sizes) - sizes
         # Row i of the position matrix is query i's probe runs, each
-        # counting up from its shard's offset, then one pad run from 0
-        # out to the tile width: flattened, consecutive runs.
+        # counting up from its shard's corpus offset, then one pad run
+        # from 0 out to the tile width: flattened, consecutive runs.
         n_q = shards.shape[0]
         run_starts = np.zeros((n_q, shards.shape[1] + 1), dtype=np.int64)
-        run_starts[:, :-1] = offset[shards]
+        run_starts[:, :-1] = self._shard_start[shards]
         run_sizes = np.empty_like(run_starts)
         run_sizes[:, :-1] = self._shard_rows[shards]
         run_sizes[:, -1] = width - widths
@@ -444,14 +441,14 @@ class ClusteredTDAMIndex:
         pos = np.repeat(run_starts.ravel() - run_begins, run_sizes)
         pos += np.arange(n_q * width)
         pos = pos.reshape(n_q, width)
-        counts = packed_pair_counts(planes, query_bits, pos)
+        counts = packed_pair_counts(self.store.planes, query_bits, pos)
         n = self.config.n_stages
         counts[np.arange(width) >= widths[:, None]] = n + 1
         q_idx, w_idx = prune_survivors(counts, min(k, width))
         t = counts[q_idx, w_idx]
         real = t <= n
         q_idx, w_idx, t = q_idx[real], w_idx[real], t[real]
-        return first + q_idx, row_ids[pos[q_idx, w_idx]], t
+        return first + q_idx, self.store.row_ids[pos[q_idx, w_idx]], t
 
     def _gather_keys(
         self,

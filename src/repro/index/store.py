@@ -3,35 +3,39 @@
 A million-row corpus is packed into ``(bits, M, B)`` stored-level
 bit-planes **once** (:func:`~repro.core.bitplane.pack_bit_planes`, ``B
 = ceil(N/8)`` padded to whole words), published crash-safely, and
-reopened by any later process without re-packing; the XOR popcount
-kernels in :mod:`repro.core.bitplane` run directly on the memmapped
-slices, so a corpus much larger than RAM stays servable -- the OS pages
-in only the plane bytes a probe actually touches.
+reopened by any later process without re-packing;
+:func:`~repro.core.bitplane.packed_pair_counts` gathers each query's
+candidate rows straight from the memmapped file, so a corpus much
+larger than RAM stays servable -- the OS pages in only the plane bytes
+a probe actually touches.
 
-On-disk layout (one directory per store, format 2)::
+On-disk layout (one directory per store, format 3)::
 
-    manifest.json            -- the commit point, written LAST via
-                                repro.io.atomic_write
-    <gen>.shard000.planes    -- raw uint8 (bits, M_s, B), C order
-    <gen>.shard000.rows      -- raw int64 (M_s,), ascending global ids
-    <gen>.shard000.levels    -- raw uint8 (M_s, N), the stored levels
-    <gen>.centroids.levels   -- raw uint8 (C, N), quantized centroid
-                                levels (present when built clustered)
+    manifest.json    -- the commit point, written LAST via
+                        repro.io.atomic_write; lists each shard's
+                        cluster and row count
+    <gen>.planes     -- raw uint8 (bits, M, B), C order
+    <gen>.rows       -- raw int64 (M,), each position's global row id
+    <gen>.levels     -- raw uint8 (M, N), the stored levels
+    <gen>.centroids  -- raw uint8 (C, N), quantized centroid levels
+                        (present when built clustered)
 
-Format 1 held ``(L, M_s, B)`` level-inequality planes instead -- twice
-the bytes at 2 bits, 8/3 at 3 bits.  A format-1 store is refused with
-:class:`StoreManifestError`; rebuild it from its levels.
+The corpus components hold the rows shard after shard, each shard's
+global ids ascending.  Format 1 (level-inequality planes) and format 2
+(three files per shard) are refused with :class:`StoreManifestError`;
+rebuild the store from its levels.
 
 Crash-safety contract: every component file of a generation is written
 first (each itself via :func:`repro.io.atomic_write`), and only then is
 ``manifest.json`` atomically replaced.  A crash at *any* point leaves
 the previous manifest -- and therefore the previous, fully verified
-generation -- in charge; stale generations are garbage-collected
-best-effort after a successful publish.  Opening checks that every
-component's recorded shape and dtype agree with the manifest's geometry
-and that cluster ids are distinct and in range; each component also
-records a SHA-256 digest, verified once on first map, and a mismatch
-raises :class:`StoreCorruptionError` instead of serving corrupt planes.
+generation -- in charge; the files of stale generations (and only
+those, ``g<6 digits>.*``) are garbage-collected best-effort after a
+successful publish.  Opening checks that every component's recorded
+shape and dtype agree with the manifest's geometry and that cluster
+ids are distinct and in range; each component also records a SHA-256
+digest, verified once on first map, and a mismatch raises
+:class:`StoreCorruptionError` instead of serving corrupt planes.
 
 Counting XOR over stored-level bits answers like the live array only
 when the design point's nominal decision is **pure level inequality**
@@ -44,6 +48,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
@@ -71,9 +76,12 @@ __all__ = [
 MANIFEST_NAME = "manifest.json"
 
 #: On-disk format tag, bumped on layout changes.
-STORE_FORMAT = 2
+STORE_FORMAT = 3
 
 _CHECKSUM_CHUNK = 1 << 20
+
+# Component files of any generation: ``g`` + six digits + ``.``.
+_GENERATION_FILE = re.compile(r"g\d{6}\.")
 
 
 class BitPlaneStoreError(RuntimeError):
@@ -160,92 +168,45 @@ def _check_component(
 
 
 class StoreShard:
-    """Lazy memmapped views over one shard's component files.
+    """One shard: a contiguous run of the store's corpus components.
 
-    Nothing is opened until a component property is first touched; each
-    file is then size- and checksum-verified exactly once before the
-    memmap is handed out.  All views are read-only.
+    The views are slices of the store's lazily mapped components, so
+    touching one maps (and verifies) that component for every shard.
 
     Attributes:
-        index: Shard position within the store.
-        cluster: Coarse-quantizer cluster this shard holds (equals
-            ``index`` for unclustered stores).
+        cluster: Coarse-quantizer cluster this shard holds (0 for an
+            unclustered store's one shard).
+        offset: First corpus position of this shard's rows.
         n_rows: Rows stored in this shard.
     """
 
     def __init__(
-        self,
-        root: Path,
-        index: int,
-        cluster: int,
-        n_rows: int,
-        components: Dict[str, _ComponentSpec],
+        self, store: "BitPlaneStore", cluster: int, offset: int, n_rows: int
     ) -> None:
-        self._root = root
-        self.index = index
+        self._store = store
         self.cluster = cluster
+        self.offset = offset
         self.n_rows = n_rows
-        self._components = components
-        self._maps: Dict[str, np.ndarray] = {}
-
-    def _map(self, kind: str) -> np.ndarray:
-        cached = self._maps.get(kind)
-        if cached is not None:
-            return cached
-        spec = self._components[kind]
-        path = self._root / spec.name
-        try:
-            actual_bytes = path.stat().st_size
-        except OSError as exc:
-            raise StoreCorruptionError(
-                f"shard {self.index} component {spec.name!r} is missing: "
-                f"{exc}"
-            ) from exc
-        if actual_bytes != spec.nbytes:
-            raise StoreCorruptionError(
-                f"shard {self.index} component {spec.name!r} is "
-                f"{actual_bytes} bytes, manifest says {spec.nbytes}"
-            )
-        digest = _file_sha256(path)
-        if digest != spec.sha256:
-            raise StoreCorruptionError(
-                f"shard {self.index} component {spec.name!r} failed its "
-                f"checksum (got {digest[:16]}, manifest "
-                f"{spec.sha256[:16]})"
-            )
-        view = np.memmap(
-            path, dtype=np.dtype(spec.dtype), mode="r", shape=spec.shape
-        )
-        self._maps[kind] = view
-        return view
-
-    @property
-    def mapped(self) -> bool:
-        """Whether any component of this shard has been mapped yet."""
-        return bool(self._maps)
-
-    @property
-    def planes(self) -> np.ndarray:
-        """Stored-level bit-planes, memmapped uint8 ``(bits, M_s, B)``."""
-        return self._map("planes")
 
     @property
     def row_ids(self) -> np.ndarray:
         """Ascending global row ids, memmapped int64 ``(M_s,)``."""
-        return self._map("rows")
+        return self._store.row_ids[self.offset:self.offset + self.n_rows]
 
     @property
     def levels(self) -> np.ndarray:
         """Stored level vectors, memmapped uint8 ``(M_s, N)``."""
-        return self._map("levels")
+        return self._store._map("levels")[
+            self.offset:self.offset + self.n_rows
+        ]
 
 
 class BitPlaneStore:
     """A published bit-plane store, opened from its manifest.
 
-    Opening reads *only* the manifest; shards map lazily on first
-    touch (:meth:`shard`), so a search process pays for exactly the
-    shards it probes.
+    Opening reads *only* the manifest; each corpus component maps
+    lazily on first touch, after a one-time size and checksum check,
+    so a process that never probes never reads the corpus.
 
     Raises:
         StoreManifestError: Missing/corrupt manifest, unsupported
@@ -270,8 +231,8 @@ class BitPlaneStore:
         if payload.get("format") != STORE_FORMAT:
             raise StoreManifestError(
                 f"unsupported store format {payload.get('format')!r}: "
-                f"this build reads format {STORE_FORMAT} (stored-level "
-                f"bit-planes); rebuild the store from its levels"
+                f"this build reads format {STORE_FORMAT} (one bit-plane "
+                f"file per store); rebuild the store from its levels"
             )
         try:
             self.config = config_from_dict(payload["config"])
@@ -281,7 +242,14 @@ class BitPlaneStore:
             self.n_stages = int(geometry["n_stages"])
             self.levels = int(geometry["levels"])
             self.byte_width = int(geometry["byte_width"])
-            shard_specs = payload["shards"]
+            shard_specs = [
+                (int(spec["cluster"]), int(spec["n_rows"]))
+                for spec in payload["shards"]
+            ]
+            self._components = {
+                kind: _component_spec(payload["components"][kind], kind)
+                for kind in ("planes", "rows", "levels")
+            }
         except (KeyError, TypeError, ValueError) as exc:
             raise StoreManifestError(
                 f"manifest is structurally invalid: {exc!r}"
@@ -315,24 +283,12 @@ class BitPlaneStore:
                 "centroids",
             )
             n_centroids = shape[0]
-        # The search lays candidates out from each shard's n_rows and
-        # routes by cluster id, so neither is trusted unchecked.
+        # The search lays candidates out from each shard's offset and
+        # n_rows and routes by cluster id, so neither is trusted
+        # unchecked.
         self._shards: List[StoreShard] = []
         total = 0
-        for i, spec in enumerate(shard_specs):
-            try:
-                cluster = int(spec["cluster"])
-                n_rows = int(spec["n_rows"])
-                components = {
-                    kind: _component_spec(
-                        spec["components"][kind], f"shard {i} {kind}"
-                    )
-                    for kind in ("planes", "rows", "levels")
-                }
-            except (KeyError, TypeError, ValueError) as exc:
-                raise StoreManifestError(
-                    f"shard {i} entry is malformed: {exc!r}"
-                ) from None
+        for i, (cluster, n_rows) in enumerate(shard_specs):
             if n_rows < 0 or cluster < 0:
                 raise StoreManifestError(
                     f"shard {i} has {n_rows} rows in cluster {cluster}; "
@@ -343,19 +299,8 @@ class BitPlaneStore:
                     f"shard {i} names cluster {cluster} but only "
                     f"{n_centroids} centroids are published"
                 )
-            for kind, shape, dtype in (
-                ("planes", (self.config.bits, n_rows, self.byte_width),
-                 "uint8"),
-                ("rows", (n_rows,), "int64"),
-                ("levels", (n_rows, self.n_stages), "uint8"),
-            ):
-                _check_component(
-                    components[kind], shape, dtype, f"shard {i} {kind}"
-                )
+            self._shards.append(StoreShard(self, cluster, total, n_rows))
             total += n_rows
-            self._shards.append(
-                StoreShard(self.path, i, cluster, n_rows, components)
-            )
         if total != self.n_rows:
             raise StoreManifestError(
                 f"shard rows sum to {total}, geometry says {self.n_rows}"
@@ -367,7 +312,62 @@ class BitPlaneStore:
                 f"cluster {int(clusters[repeated][0])} is named by "
                 f"{int(counts[repeated][0])} shards"
             )
+        for kind, shape, dtype in (
+            ("planes", (self.config.bits, self.n_rows, self.byte_width),
+             "uint8"),
+            ("rows", (self.n_rows,), "int64"),
+            ("levels", (self.n_rows, self.n_stages), "uint8"),
+        ):
+            _check_component(
+                self._components[kind], shape, dtype, f"{kind} component"
+            )
+        self._maps: Dict[str, np.ndarray] = {}
         self._centroid_levels: Optional[np.ndarray] = None
+
+    def _verified(self, spec: _ComponentSpec) -> Path:
+        """The component's path, once its size and digest check out."""
+        path = self.path / spec.name
+        try:
+            actual_bytes = path.stat().st_size
+        except OSError as exc:
+            raise StoreCorruptionError(
+                f"component {spec.name!r} is missing: {exc}"
+            ) from exc
+        if actual_bytes != spec.nbytes:
+            raise StoreCorruptionError(
+                f"component {spec.name!r} is {actual_bytes} bytes, "
+                f"manifest says {spec.nbytes}"
+            )
+        digest = _file_sha256(path)
+        if digest != spec.sha256:
+            raise StoreCorruptionError(
+                f"component {spec.name!r} failed its checksum (got "
+                f"{digest[:16]}, manifest {spec.sha256[:16]})"
+            )
+        return path
+
+    def _map(self, kind: str) -> np.ndarray:
+        view = self._maps.get(kind)
+        if view is None:
+            spec = self._components[kind]
+            view = np.memmap(
+                self._verified(spec), dtype=np.dtype(spec.dtype), mode="r",
+                shape=spec.shape,
+            )
+            self._maps[kind] = view
+        return view
+
+    @property
+    def planes(self) -> np.ndarray:
+        """Stored-level bit-planes of every corpus position, memmapped
+        uint8 ``(bits, M, B)``."""
+        return self._map("planes")
+
+    @property
+    def row_ids(self) -> np.ndarray:
+        """Global row id of each corpus position, memmapped int64
+        ``(M,)``."""
+        return self._map("rows")
 
     @property
     def n_shards(self) -> int:
@@ -376,8 +376,10 @@ class BitPlaneStore:
 
     @property
     def n_mapped_shards(self) -> int:
-        """Shards with at least one component mapped (laziness probe)."""
-        return sum(1 for shard in self._shards if shard.mapped)
+        """Shards with a corpus component mapped (laziness probe):
+        every shard lives in every component, so this reads 0 or
+        :attr:`n_shards`."""
+        return self.n_shards if self._maps else 0
 
     def shard(self, i: int) -> StoreShard:
         """The ``i``-th shard's lazy component views."""
@@ -396,19 +398,8 @@ class BitPlaneStore:
             return None
         if self._centroid_levels is None:
             spec = self._centroid_spec
-            path = self.path / spec.name
-            try:
-                nbytes = path.stat().st_size
-            except OSError as exc:
-                raise StoreCorruptionError(
-                    f"centroid component {spec.name!r} is missing: {exc}"
-                ) from exc
-            if nbytes != spec.nbytes or _file_sha256(path) != spec.sha256:
-                raise StoreCorruptionError(
-                    f"centroid component {spec.name!r} failed verification"
-                )
             self._centroid_levels = np.fromfile(
-                path, dtype=np.dtype(spec.dtype)
+                self._verified(spec), dtype=np.dtype(spec.dtype)
             ).reshape(spec.shape)
         return self._centroid_levels
 
@@ -425,11 +416,10 @@ def _write_component(
 ) -> Dict[str, Any]:
     """Atomically publish one raw component; returns its manifest entry."""
     data = np.ascontiguousarray(array)
-    path = root / name
-    atomic_write(path, lambda handle: handle.write(data.tobytes()))
+    atomic_write(root / name, lambda handle: handle.write(data))
     return {
         "name": name,
-        "sha256": _file_sha256(path),
+        "sha256": hashlib.sha256(data).hexdigest(),
         "nbytes": int(data.nbytes),
         "shape": list(data.shape),
         "dtype": data.dtype.name,
@@ -446,13 +436,14 @@ def _next_generation(root: Path) -> int:
 
 
 def _collect_stale(root: Path, keep_prefix: str) -> List[Path]:
-    stale = []
-    for child in root.iterdir():
-        if child.name == MANIFEST_NAME or child.name.startswith("."):
-            continue
-        if not child.name.startswith(keep_prefix):
-            stale.append(child)
-    return stale
+    """Component files of every generation but the kept one; nothing
+    else in the directory is the store's to delete."""
+    return [
+        child
+        for child in root.iterdir()
+        if _GENERATION_FILE.match(child.name)
+        and not child.name.startswith(keep_prefix)
+    ]
 
 
 def build_store(
@@ -465,13 +456,16 @@ def build_store(
     """Pack a level corpus into a published :class:`BitPlaneStore`.
 
     Rows are grouped by ``assignments`` into one shard per (non-empty)
-    cluster, each shard keeping its global row ids in ascending order;
-    with ``assignments=None`` the whole corpus becomes a single shard.
-    Every component is written through :func:`repro.io.atomic_write`,
-    and the manifest -- the commit point -- is replaced last, so a
-    crash anywhere mid-build leaves a previously published store fully
-    intact.  Stale generations are removed best-effort *after* the new
-    manifest is live.
+    cluster, in cluster order, each shard keeping its global row ids in
+    ascending order; with ``assignments=None`` the whole corpus becomes
+    a single shard.  The shards' rows are laid out one after another in
+    one planes, one row-id and one level component.  Every component is
+    written through
+    :func:`repro.io.atomic_write`, and the manifest -- the commit point
+    -- is replaced last, so a crash anywhere mid-build leaves a
+    previously published store fully intact.  Stale generations' files
+    are removed best-effort *after* the new manifest is live; nothing
+    else in ``path`` is touched.
 
     Args:
         path: Store directory (created if needed).
@@ -533,25 +527,19 @@ def build_store(
     root.mkdir(parents=True, exist_ok=True)
     generation = _next_generation(root)
     prefix = f"g{generation:06d}."
-    stored_u8 = levels_arr.astype(np.uint8)
-    shard_entries = []
-    for i, (cluster, members) in enumerate(groups):
-        sub = stored_u8[members]
-        planes = pack_bit_planes(sub, config.bits)
-        base = f"{prefix}shard{i:04d}"
-        shard_entries.append(
-            {
-                "cluster": cluster,
-                "n_rows": int(members.shape[0]),
-                "components": {
-                    "planes": _write_component(
-                        root, f"{base}.planes", planes
-                    ),
-                    "rows": _write_component(root, f"{base}.rows", members),
-                    "levels": _write_component(root, f"{base}.levels", sub),
-                },
-            }
-        )
+    order = (
+        np.concatenate([members for _, members in groups])
+        if groups
+        else np.empty(0, dtype=np.int64)
+    )
+    stored = levels_arr[order].astype(np.uint8, copy=False)
+    components = {
+        "planes": _write_component(
+            root, f"{prefix}planes", pack_bit_planes(stored, config.bits)
+        ),
+        "rows": _write_component(root, f"{prefix}rows", order),
+        "levels": _write_component(root, f"{prefix}levels", stored),
+    }
     manifest: Dict[str, Any] = {
         "format": STORE_FORMAT,
         "generation": generation,
@@ -562,9 +550,13 @@ def build_store(
             "levels": int(config.levels),
             "byte_width": int(packed_stage_bytes(config.n_stages)),
         },
-        "shards": shard_entries,
+        "shards": [
+            {"cluster": cluster, "n_rows": int(members.shape[0])}
+            for cluster, members in groups
+        ],
+        "components": components,
         "centroids": (
-            _write_component(root, f"{prefix}centroids.levels", cents)
+            _write_component(root, f"{prefix}centroids", cents)
             if cents is not None
             else None
         ),
@@ -574,7 +566,7 @@ def build_store(
         root / MANIFEST_NAME,
         lambda handle: handle.write(doc.encode("utf-8")),
     )
-    # The new generation is live; anything older is unreferenced.
+    # The new generation is live; older generations are unreferenced.
     for stale in _collect_stale(root, prefix):
         try:
             stale.unlink()

@@ -209,13 +209,15 @@ class TestPackedCounts:
         with pytest.raises(ValueError, match="rows"):
             packed_pair_counts(stored, q, rows[:4])
 
+    # 130 and 160 stages span three packed words per plane (K = 3).
+    PAIR_GEOMETRIES = ((1, 5), (2, 21), (2, 130), (3, 160))
+
     def test_pair_counts_match_full_cross_product(self):
-        # 160 stages span three packed words per plane.
-        for bits, n in ((1, 5), (2, 21), (3, 160)):
+        for bits, n in self.PAIR_GEOMETRIES:
             self.check_pair_counts(bits, n, seed=bits)
 
     def test_pair_counts_match_on_lut_path(self, lut_popcount):
-        for bits, n in ((1, 5), (2, 21), (3, 160)):
+        for bits, n in self.PAIR_GEOMETRIES:
             self.check_pair_counts(bits, n, seed=bits)
 
     def test_shape_validation(self):

@@ -8,12 +8,13 @@ import pytest
 import repro.io
 from repro.core.bitplane import (
     pack_bit_planes,
+    packed_pair_counts,
     packed_stage_bytes,
-    packed_xor_counts,
 )
 from repro.core.config import TDAMConfig
 from repro.index import (
     BitPlaneStore,
+    ClusteredTDAMIndex,
     StoreCorruptionError,
     StoreManifestError,
     build_store,
@@ -46,28 +47,29 @@ class TestRoundTrip:
         assert np.array_equal(shard.levels, corpus.astype(np.uint8))
         assert np.array_equal(shard.row_ids, np.arange(64))
         expected = pack_bit_planes(corpus, config.bits)
-        assert np.array_equal(shard.planes, expected)
+        assert np.array_equal(store.planes, expected)
 
     @pytest.mark.parametrize("bits", [1, 2, 3])
     def test_planes_are_stored_level_bits(self, tmp_path, rng, bits):
         config = TDAMConfig(bits=bits, n_stages=37)
         corpus = rng.integers(0, config.levels, size=(50, 37))
-        shard = build_store(tmp_path / "s", corpus, config).shard(0)
-        assert shard.planes.dtype == np.uint8
-        assert np.array_equal(shard.planes, pack_bit_planes(corpus, bits))
+        store = build_store(tmp_path / "s", corpus, config)
+        assert store.planes.dtype == np.uint8
+        assert np.array_equal(store.planes, pack_bit_planes(corpus, bits))
         width = packed_stage_bytes(37)
-        assert shard.planes.nbytes == bits * 50 * width
+        assert store.planes.nbytes == bits * 50 * width
+        assert (tmp_path / "s" / "g000000.planes").stat().st_size == (
+            bits * width * 50
+        )
         if bits == 2:
             # Format 1 held one inequality plane per level: twice this.
-            assert 2 * shard.planes.nbytes == config.levels * 50 * width
+            assert 2 * store.planes.nbytes == config.levels * 50 * width
 
     def test_reopen_without_repacking(self, tmp_path, corpus, config):
         built = build_store(tmp_path / "s", corpus, config)
         reopened = BitPlaneStore(tmp_path / "s")
         assert reopened.generation == built.generation
-        assert np.array_equal(
-            reopened.shard(0).planes, built.shard(0).planes
-        )
+        assert np.array_equal(reopened.planes, built.planes)
 
     def test_clustered_shards_partition_the_corpus(
         self, tmp_path, corpus, config, rng
@@ -81,18 +83,28 @@ class TestRoundTrip:
             assignments=assignments, centroid_levels=cents,
         )
         seen = []
+        offset = 0
         for i in range(store.n_shards):
             shard = store.shard(i)
             ids = np.asarray(shard.row_ids)
-            # Ascending global ids within a shard, levels match source.
+            # Shards are consecutive runs of the corpus components, in
+            # cluster order, with ascending global ids.
+            assert shard.offset == offset
+            offset += shard.n_rows
             assert np.all(np.diff(ids) > 0)
             assert np.array_equal(
                 shard.levels, corpus[ids].astype(np.uint8)
             )
             assert np.all(assignments[ids] == shard.cluster)
             seen.append(ids)
+        assert np.all(np.diff(store.shard_clusters) > 0)
         assert np.array_equal(np.sort(np.concatenate(seen)), np.arange(64))
         assert np.array_equal(store.centroid_levels, cents)
+        # One planes component, packed from the shard-ordered levels.
+        ordered = corpus[np.asarray(store.row_ids)]
+        assert np.array_equal(
+            store.planes, pack_bit_planes(ordered, config.bits)
+        )
 
     def test_memmapped_planes_feed_the_packed_kernels(
         self, tmp_path, corpus, config, rng
@@ -101,12 +113,13 @@ class TestRoundTrip:
         queries = rng.integers(
             0, config.levels, size=(5, config.n_stages)
         )
-        planes = store.shard(0).planes
+        planes = store.planes
         assert isinstance(planes, np.memmap)
-        counts = packed_xor_counts(
-            planes, pack_bit_planes(queries, config.bits)
+        rows = rng.integers(0, 64, size=(5, 20))
+        counts = packed_pair_counts(
+            planes, pack_bit_planes(queries, config.bits), rows
         )
-        expected = (queries[:, None, :] != corpus[None, :, :]).sum(axis=2)
+        expected = (queries[:, None, :] != corpus[rows]).sum(axis=2)
         assert np.array_equal(counts, expected)
 
     def test_shards_map_lazily(self, tmp_path, corpus, config, rng):
@@ -119,9 +132,12 @@ class TestRoundTrip:
             assignments=assignments, centroid_levels=cents,
         )
         store = BitPlaneStore(tmp_path / "s")
+        index = ClusteredTDAMIndex(store, nprobe=1)
         assert store.n_mapped_shards == 0
-        store.shard(0).planes
-        assert store.n_mapped_shards == 1
+        # Every shard lives in every corpus component, so the first
+        # probe maps them all at once.
+        index.top_k(corpus[:2], 3)
+        assert store.n_mapped_shards == store.n_shards == 4
 
     def test_rebuild_bumps_generation_and_collects_stale(
         self, tmp_path, corpus, config
@@ -131,6 +147,27 @@ class TestRoundTrip:
         assert second.generation == first.generation + 1
         assert not list((tmp_path / "s").glob("g000000.*"))
         assert second.n_rows == 32
+
+    def test_rebuild_leaves_foreign_files_alone(
+        self, tmp_path, corpus, config
+    ):
+        root = tmp_path / "s"
+        root.mkdir()
+        foreign = {
+            "notes.txt": b"keep me",
+            "results.csv": b"a,b\n1,2\n",
+            "g1.txt": b"not a generation file",
+        }
+        for name, data in foreign.items():
+            (root / name).write_bytes(data)
+        build_store(root, corpus, config)
+        build_store(root, corpus[:32], config)
+        for name, data in foreign.items():
+            assert (root / name).read_bytes() == data
+        assert not list(root.glob("g000000.*"))
+        assert sorted(p.name for p in root.glob("g000001.*")) == [
+            "g000001.levels", "g000001.planes", "g000001.rows",
+        ]
 
 
 class TestValidation:
@@ -176,7 +213,7 @@ class TestCrashSafety:
         root = tmp_path / "s"
         build_store(root, corpus, config)
         before = BitPlaneStore(root)
-        planes_before = np.array(before.shard(0).planes)
+        planes_before = np.array(before.planes)
         self._crash_on_manifest(monkeypatch)
         with pytest.raises(_SimulatedCrash):
             build_store(root, corpus[:16], config)
@@ -184,7 +221,7 @@ class TestCrashSafety:
         after = BitPlaneStore(root)
         assert after.generation == before.generation
         assert after.n_rows == 64
-        assert np.array_equal(after.shard(0).planes, planes_before)
+        assert np.array_equal(after.planes, planes_before)
 
     def test_crash_mid_components_keeps_previous_generation(
         self, tmp_path, corpus, config, monkeypatch
@@ -205,7 +242,7 @@ class TestCrashSafety:
         assert store.n_rows == 64
         # The interrupted generation's components must still verify for
         # the *published* generation -- the probe path works unchanged.
-        assert store.shard(0).planes.shape[0] == config.bits
+        assert store.planes.shape[0] == config.bits
 
     def test_crash_on_first_build_leaves_no_store(
         self, tmp_path, corpus, config, monkeypatch
@@ -230,7 +267,7 @@ class TestCorruptionDetection:
         victim.write_bytes(bytes(blob))
         store = BitPlaneStore(tmp_path / "s")
         with pytest.raises(StoreCorruptionError, match="checksum"):
-            store.shard(0).planes
+            store.planes
 
     def test_truncated_component_raises_typed_error(
         self, tmp_path, corpus, config
@@ -291,12 +328,12 @@ def _edit_manifest(root, edit):
     path.write_text(json.dumps(payload))
 
 
-def _component(payload, kind, shard=0):
-    return payload["shards"][shard]["components"][kind]
+def _component(payload, kind):
+    return payload["components"][kind]
 
 
-def _reshape(payload, kind, shape, dtype="uint8", shard=0):
-    spec = _component(payload, kind, shard)
+def _reshape(payload, kind, shape, dtype="uint8"):
+    spec = _component(payload, kind)
     spec["shape"] = list(shape)
     spec["dtype"] = dtype
     spec["nbytes"] = int(np.prod(shape)) * np.dtype(dtype).itemsize
@@ -309,14 +346,15 @@ def _set_rows(payload, n_rows):
     )
 
 
-def _shard_shape(payload, kind):
+def _shape(payload, kind):
     return _component(payload, kind)["shape"]
 
 
 #: (case, manifest edit, expected message) -- each edit leaves a
 #: manifest that parses but disagrees with itself.
 _INCONSISTENT = [
-    ("format_1", lambda p: p.update(format=1), "format 2"),
+    ("format_1", lambda p: p.update(format=1), "format 3"),
+    ("format_2", lambda p: p.update(format=2), "format 3"),
     (
         "repeated_cluster",
         lambda p: p["shards"][1].update(cluster=p["shards"][0]["cluster"]),
@@ -335,40 +373,36 @@ _INCONSISTENT = [
     (
         "permuted_planes",
         lambda p: _reshape(
-            p, "planes", [_shard_shape(p, "planes")[i] for i in (1, 0, 2)]
+            p, "planes", [_shape(p, "planes")[i] for i in (1, 0, 2)]
         ),
-        "shard 0 planes",
+        "planes component",
     ),
     (
         "level_planes",
-        lambda p: _reshape(
-            p, "planes", [4] + _shard_shape(p, "planes")[1:]
-        ),
-        "shard 0 planes",
+        lambda p: _reshape(p, "planes", [4] + _shape(p, "planes")[1:]),
+        "planes component",
     ),
     (
         "planes_byte_width",
-        lambda p: _reshape(
-            p, "planes", _shard_shape(p, "planes")[:2] + [16]
-        ),
-        "shard 0 planes",
+        lambda p: _reshape(p, "planes", _shape(p, "planes")[:2] + [16]),
+        "planes component",
     ),
     (
         "planes_dtype",
         lambda p: _component(p, "planes").update(dtype="int8"),
-        "shard 0 planes",
+        "planes component",
     ),
     (
         "planes_nbytes",
         lambda p: _component(p, "planes").update(
             nbytes=_component(p, "planes")["nbytes"] + 8
         ),
-        "shard 0 planes",
+        "planes component",
     ),
     (
         "rows_disagree_with_n_rows",
         lambda p: _set_rows(p, p["shards"][0]["n_rows"] + 1),
-        "shard 0 planes",
+        "planes component",
     ),
     (
         "negative_n_rows",
@@ -378,14 +412,24 @@ _INCONSISTENT = [
     (
         "row_ids_dtype",
         lambda p: _component(p, "rows").update(dtype="float64"),
-        "shard 0 rows",
+        "rows component",
+    ),
+    (
+        "row_ids_length",
+        lambda p: _reshape(
+            p, "rows", [_shape(p, "rows")[0] - 1], dtype="int64"
+        ),
+        "rows component",
     ),
     (
         "levels_stages",
-        lambda p: _reshape(
-            p, "levels", [_shard_shape(p, "levels")[0], 33]
-        ),
-        "shard 0 levels",
+        lambda p: _reshape(p, "levels", [_shape(p, "levels")[0], 33]),
+        "levels component",
+    ),
+    (
+        "missing_component",
+        lambda p: p["components"].pop("levels"),
+        "structurally invalid",
     ),
     (
         "centroid_stages",

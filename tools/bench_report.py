@@ -494,7 +494,8 @@ def bench_ann(
             tmp, rows, config, n_clusters=n_clusters, seed=7,
         )
         build_s = time.perf_counter() - start
-        ann = index.top_k(queries, k, nprobe=nprobe)  # warm (maps shards)
+        # Warm: the first probe maps and checksums the corpus components.
+        ann = index.top_k(queries, k, nprobe=nprobe)
         t_ann = _best_of(
             lambda: index.top_k(queries, k, nprobe=nprobe), repeats
         )
