@@ -192,12 +192,14 @@ class ClusteredTDAMIndex:
         """Cluster a corpus, pack it, publish the store, open the index.
 
         The coarse quantizer is :class:`HDCluster` fit on a random
-        sample; its float centroids are quantized to level vectors
-        (member means, rounded and clipped), and the *full* corpus is
+        sample, less its all-zero rows (they have no cosine); its float
+        centroids are quantized to level vectors (member means, rounded
+        and clipped), and the *full* corpus, zero rows included, is
         then assigned to its Hamming-nearest quantized centroid with
         :func:`packed_xor_counts` -- the same metric the router uses at
         query time, so shard membership and routing share one Voronoi
-        geometry.
+        geometry.  The assignment counts the corpus in row chunks sized
+        by the kernels' memory budget.
 
         Args:
             path: Store directory.
@@ -210,10 +212,15 @@ class ClusteredTDAMIndex:
             n_init: Clustering restarts (small: the quantizer only
                 needs to be roughly right, routing recall is tunable).
             max_iterations: Lloyd iteration cap per restart.
+
+        Raises:
+            ValueError: Invalid levels or ``n_clusters``, or fewer
+                sampled rows that are not all-zero than ``n_clusters``.
         """
+        # uint8 holds every level (bits <= 8) in an eighth of the bytes.
         levels_arr = validate_levels(
             levels_mat, config.levels, ndim=2, name="levels matrix"
-        )
+        ).astype(np.uint8)
         n_rows = levels_arr.shape[0]
         if not 2 <= n_clusters <= n_rows:
             raise ValueError(
@@ -222,7 +229,16 @@ class ClusteredTDAMIndex:
         rng = np.random.default_rng(seed)
         take = min(sample_size, n_rows)
         sample_idx = np.sort(rng.choice(n_rows, size=take, replace=False))
-        sample = levels_arr[sample_idx].astype(np.float64)
+        sample = levels_arr[sample_idx]
+        # An all-zero row has no cosine; the quantizer fits without it
+        # and the Hamming assignment below still places it.
+        sample = sample[sample.any(axis=1)].astype(np.float64)
+        if sample.shape[0] < n_clusters:
+            raise ValueError(
+                f"only {sample.shape[0]} of {take} sampled rows are not "
+                f"all-zero; the quantizer needs at least n_clusters="
+                f"{n_clusters}"
+            )
         result = HDCluster(
             k=n_clusters,
             max_iterations=max_iterations,
@@ -242,7 +258,11 @@ class ClusteredTDAMIndex:
         ).astype(np.uint8)
         cent_planes = pack_bit_planes(cent_levels, config.bits)
         assignments = np.empty(n_rows, dtype=np.int64)
-        chunk = 65536
+        # Each corpus row allocates, against every centroid, its XOR
+        # words (bits * B bytes), about a byte of popcounts and its
+        # int64 count.
+        words = cent_planes.shape[0] * cent_planes.shape[2]
+        chunk = _budget_chunk(n_clusters * (words + 9))
         for start in range(0, n_rows, chunk):
             block = pack_bit_planes(
                 levels_arr[start:start + chunk], config.bits

@@ -490,9 +490,9 @@ def build_store(
     _assert_pure_inequality(config)
     n_rows = levels_arr.shape[0]
     if assignments is None:
-        groups: List[Tuple[int, np.ndarray]] = [
-            (0, np.arange(n_rows, dtype=np.int64))
-        ]
+        order = np.arange(n_rows, dtype=np.int64)
+        clusters = np.zeros(1, dtype=np.int64)
+        sizes = np.array([n_rows], dtype=np.int64)
     else:
         assign = np.asarray(assignments, dtype=np.int64)
         if assign.shape != (n_rows,):
@@ -502,10 +502,9 @@ def build_store(
             )
         if assign.size and (assign.min() < 0):
             raise ValueError("assignments must be non-negative")
-        groups = []
-        for cluster in np.unique(assign):
-            members = np.flatnonzero(assign == cluster).astype(np.int64)
-            groups.append((int(cluster), members))
+        # A stable sort keeps each cluster's rows in ascending order.
+        order = np.argsort(assign, kind="stable")
+        clusters, sizes = np.unique(assign, return_counts=True)
     cents: Optional[np.ndarray] = None
     if centroid_levels is not None:
         cents = validate_levels(
@@ -516,23 +515,17 @@ def build_store(
                 f"centroid levels have {cents.shape[1]} stages, config "
                 f"says {config.n_stages}"
             )
-        if assignments is not None:
-            max_cluster = max(cluster for cluster, _ in groups)
-            if max_cluster >= cents.shape[0]:
-                raise ValueError(
-                    f"assignment names cluster {max_cluster} but only "
-                    f"{cents.shape[0]} centroids were given"
-                )
+        last = int(clusters[-1]) if clusters.size else -1
+        if assignments is not None and last >= cents.shape[0]:
+            raise ValueError(
+                f"assignment names cluster {last} but only "
+                f"{cents.shape[0]} centroids were given"
+            )
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     generation = _next_generation(root)
     prefix = f"g{generation:06d}."
-    order = (
-        np.concatenate([members for _, members in groups])
-        if groups
-        else np.empty(0, dtype=np.int64)
-    )
-    stored = levels_arr[order].astype(np.uint8, copy=False)
+    stored = levels_arr.astype(np.uint8)[order]
     components = {
         "planes": _write_component(
             root, f"{prefix}planes", pack_bit_planes(stored, config.bits)
@@ -551,8 +544,8 @@ def build_store(
             "byte_width": int(packed_stage_bytes(config.n_stages)),
         },
         "shards": [
-            {"cluster": cluster, "n_rows": int(members.shape[0])}
-            for cluster, members in groups
+            {"cluster": int(cluster), "n_rows": int(size)}
+            for cluster, size in zip(clusters, sizes)
         ],
         "components": components,
         "centroids": (

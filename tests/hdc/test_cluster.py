@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datasets.synthetic import make_face_like
 from repro.hdc.cluster import HDCluster, clustering_accuracy
 from repro.hdc.encoder import RandomProjectionEncoder
+from tests.oracles import exact_init_indices
 
 
 def encoded_blobs(n_clusters=3, n_per=40, dimension=1024, seed=6):
@@ -26,6 +29,26 @@ def encoded_blobs(n_clusters=3, n_per=40, dimension=1024, seed=6):
     encoded = encoder.encode(x)
     encoded -= encoded.mean(axis=0)
     return encoded, np.array(labels)
+
+
+@st.composite
+def tied_level_samples(draw):
+    """Integer level rows (0-3) drawn from a small pool, so duplicate
+    rows and equal cosines are common; no row is all-zero."""
+    dimension = draw(st.integers(1, 16))
+    pool = np.array(draw(st.lists(
+        st.lists(st.integers(0, 3), min_size=dimension,
+                 max_size=dimension),
+        min_size=1, max_size=10,
+    )))
+    n = draw(st.integers(2, 60))
+    picks = draw(st.lists(
+        st.integers(0, len(pool) - 1), min_size=n, max_size=n
+    ))
+    rows = pool[picks]
+    rows[~rows.any(axis=1), 0] = 1
+    k = draw(st.integers(2, min(8, n)))
+    return rows.astype(np.float64), k, draw(st.integers(0, 2**32 - 1))
 
 
 class TestHDCluster:
@@ -90,6 +113,22 @@ class TestHDCluster:
             HDCluster(k=5).fit(np.ones((3, 8)))
         with pytest.raises(ValueError, match="2-D"):
             HDCluster(k=2).fit(np.ones(8))
+        with_zero_row = np.ones((6, 4))
+        with_zero_row[3] = 0.0
+        with pytest.raises(ValueError, match="zero vectors"):
+            HDCluster(k=2).fit(with_zero_row)
+
+    @settings(max_examples=150, deadline=None)
+    @given(tied_level_samples())
+    def test_init_picks_match_the_exact_rational_oracle(self, case):
+        """Equal cosines tie exactly: the incremental float keys pick
+        what exact Fraction keys pick, lowest index first."""
+        rows, k, seed = case
+        got = HDCluster(k=k)._init_indices(
+            rows, np.random.default_rng(seed)
+        )
+        want = exact_init_indices(rows, k, np.random.default_rng(seed))
+        assert got.tolist() == want
 
 
 class TestClusteringAccuracy:

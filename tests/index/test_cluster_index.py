@@ -1,4 +1,6 @@
-"""Clustered index: exactness ladder, routing, recall, padding."""
+"""Clustered index: build, exactness ladder, routing, recall, padding."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from repro import telemetry
 from repro.core.array import FastTDAMArray
 from repro.core.config import TDAMConfig
 from repro.datasets.synthetic import make_clustered_levels, perturb_levels
+from repro.hdc.metrics import hamming_distance
 from repro.index import (
     BitPlaneStore,
     BitPlaneStoreError,
@@ -70,6 +73,88 @@ def _assert_matches_oracle(index, corpus, queries, k, nprobe):
     assert np.array_equal(result.delays_s, delays)
     assert result.rows_probed == probed
     return result
+
+
+def _store_assignments(store):
+    """Each corpus row's cluster, read back from the shard layout."""
+    assignments = np.empty(store.n_rows, dtype=np.int64)
+    for i in range(store.n_shards):
+        shard = store.shard(i)
+        assignments[shard.row_ids] = shard.cluster
+    return assignments
+
+
+class TestBuild:
+    def test_all_zero_rows_are_placed_and_answered_exactly(
+        self, tmp_path, rng
+    ):
+        # An all-zero row is valid content but has no cosine, so the
+        # quantizer's sample leaves it out; the assignment places it.
+        config = TDAMConfig(n_stages=16)
+        corpus = rng.integers(0, config.levels, size=(500, 16))
+        corpus[[0, 137, 499]] = 0
+        queries = np.concatenate([
+            np.zeros((1, 16), dtype=np.int64),
+            rng.integers(0, config.levels, size=(8, 16)),
+        ])
+        index = _build(tmp_path, corpus, config, n_clusters=6)
+        result = index.top_k(queries, 5, nprobe=index.n_clusters)
+        array = FastTDAMArray(config, n_rows=500)
+        array.write_all(corpus)
+        assert np.array_equal(result.rows, array.top_k_batch(queries, 5))
+        assert set(result.rows[0, :3].tolist()) == {0, 137, 499}
+        for nprobe in (1, 3):
+            _assert_matches_oracle(index, corpus, queries, 5, nprobe)
+
+    def test_too_few_nonzero_sampled_rows_are_rejected(
+        self, tmp_path, config
+    ):
+        corpus = np.zeros((40, config.n_stages), dtype=np.int64)
+        corpus[:3, 0] = 1
+        with pytest.raises(ValueError, match="only 3 of 40 sampled rows"):
+            _build(tmp_path, corpus, config, n_clusters=4)
+
+    def test_assignment_is_the_hamming_nearest_centroid(
+        self, tmp_path, monkeypatch
+    ):
+        config = TDAMConfig(bits=2, n_stages=37)
+        corpus, _, _ = make_clustered_levels(
+            1000, 37, config.levels, 6, noise=0.3, seed=2
+        )
+        per_row = []
+
+        def chunk(per_row_bytes):
+            per_row.append(per_row_bytes)
+            return 96  # 1000 rows: ten whole chunks and a partial one
+
+        monkeypatch.setattr(cluster_index, "_budget_chunk", chunk)
+        index = _build(tmp_path, corpus, config, n_clusters=6)
+        # One corpus row against 6 centroids: two 8-byte bit-plane
+        # words, a popcount byte and an int64 count each.
+        assert per_row == [6 * (2 * 8 + 9)]
+        want = hamming_distance(
+            corpus, index.store.centroid_levels
+        ).argmin(axis=1)
+        assert np.array_equal(_store_assignments(index.store), want)
+
+    def test_build_transients_stay_near_the_corpus(self, tmp_path):
+        # Counting the whole corpus against 128 centroids at once
+        # would hold (bits, 1, 20000, 128) uint64 XOR words, 39 MiB,
+        # more than the bound; budget-sized chunks hold a few MiB.
+        config = TDAMConfig(n_stages=64)
+        corpus, _, _ = make_clustered_levels(
+            20_000, 64, config.levels, 128, noise=0.35, seed=1
+        )
+        tracemalloc.start()
+        try:
+            _build(tmp_path, corpus, config, n_clusters=128,
+                   sample_size=1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Three int64 copies of the corpus: the store's validated
+        # levels dominate what is left.
+        assert peak < 3 * corpus.size * 8
 
 
 class TestRoutedExactness:

@@ -4,6 +4,8 @@ Each recomputes a quantity from first principles, sharing no cache or
 kernel with the code under test.
 """
 
+from fractions import Fraction
+
 import numpy as np
 
 
@@ -53,3 +55,32 @@ def reference_query_levels(pipeline, features):
     q = np.asarray(encoded, dtype=np.float64)
     q = q / np.maximum(np.linalg.norm(q, axis=1, keepdims=True), 1e-12)
     return np.digitize(q, pipeline.model.edges).astype(np.int64)
+
+
+def exact_init_indices(encoded, k, rng):
+    """Greedy max-dissimilarity centroid picks in exact rationals.
+
+    The rule of :meth:`repro.hdc.cluster.HDCluster._init_indices` on
+    integer samples: the first pick is ``rng.integers(n)``; each next
+    pick is the unchosen sample whose closest chosen centroid is least
+    close, ties to the lowest index.  Closeness is the ``Fraction``
+    key ``d * |d| / (|x|^2 * |c|^2)`` with ``d = x . c`` in Python
+    integers (the signed square of the cosine), re-scored over every
+    chosen centroid at each step.
+    """
+    rows = [[int(v) for v in row] for row in np.asarray(encoded)]
+    sq = [sum(v * v for v in row) for row in rows]
+
+    def key(i, c):
+        d = sum(a * b for a, b in zip(rows[i], rows[c]))
+        return Fraction(d * abs(d), sq[i] * sq[c])
+
+    chosen = [int(rng.integers(len(rows)))]
+    while len(chosen) < k:
+        closeness = [
+            (max(key(i, c) for c in chosen), i)
+            for i in range(len(rows))
+            if i not in chosen
+        ]
+        chosen.append(min(closeness)[1])
+    return chosen

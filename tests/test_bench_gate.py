@@ -37,6 +37,7 @@ def make_report(**overrides):
         "encode": {"speedup_vs_committed": 5.2, "encode_s": 1.5e-3},
         "mvm": {"bit_exact": True},
         "hdc_query": {"speedup": 4.8, "bit_exact": True},
+        "cluster_init": {"speedup": 25.0, "exact": True},
     }
     for path, value in overrides.items():
         section, key = path.split(".")
@@ -153,6 +154,24 @@ class TestCompareToBaseline:
             bench_report.compare_to_baseline(report, make_report())
         )
         assert rows["hdc_query.bit_exact"]["status"] == "fail"
+
+    def test_init_at_the_rescoring_speed_fails(self):
+        # An init that re-scores every chosen centroid read 1.1-1.3;
+        # the running maximum read 23.6-46.0.  A running maximum that
+        # drops or misorders a key picks other centroids.
+        cases = ((1.0, "fail"), (18.0, "fail"), (23.6, "pass"))
+        for speedup, status in cases:
+            report = make_report(**{"cluster_init.speedup": speedup})
+            rows = rows_by_metric(
+                bench_report.compare_to_baseline(report, make_report())
+            )
+            assert rows["cluster_init.speedup"]["status"] == status, speedup
+            assert rows["cluster_init.speedup"]["threshold"] == 18.8
+        report = make_report(**{"cluster_init.exact": False})
+        rows = rows_by_metric(
+            bench_report.compare_to_baseline(report, make_report())
+        )
+        assert rows["cluster_init.exact"]["status"] == "fail"
 
     def test_rel_min_tracks_the_baseline(self):
         baseline = make_report(**{"monte_carlo.speedup": 2.0})
