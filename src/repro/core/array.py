@@ -504,6 +504,15 @@ class FastTDAMArray:
         self._base_delay = 2 * config.n_stages * self.timing.d_inv
         self._d_c = self.timing.d_c
         self._delay_sens = config.delay_variation_sensitivity / config.vdd
+        # Whether delay strictly increases with the mismatch count.
+        # Then, under nominal timing, (distance, delay, row) order is
+        # (count, row) order: the TDC decode is monotone in the delay,
+        # so ranking exact counts is ranking the search result.  True
+        # for any physical design point (d_C well above the ulp of the
+        # base delay); checked so a degenerate config ranks the full
+        # search instead of silently misordering ties.
+        ladder = self._base_delay + np.arange(config.n_stages + 1) * self._d_c
+        self._delay_monotone = bool(np.all(np.diff(ladder) > 0))
         self._written = np.zeros(n_rows, dtype=bool)
         self._all_written = False
         self._design_ineq: Optional[bool] = None
@@ -1057,9 +1066,12 @@ class FastTDAMArray:
         of XOR words, or ``L * M * B`` for the one-hot AND.
 
         ``reduce``, when given, maps each chunk's C-contiguous
-        ``(chunk, M)`` counts as they leave the kernel, and the reduced
-        chunks are stacked instead: the nominal top-k ranks there, so
-        it never holds the full ``(Q, M)`` count matrix.
+        ``(chunk, M)`` counts as they leave the kernel, in the kernels'
+        narrow count dtype, and the reduced chunks are stacked instead:
+        the nominal top-k ranks there, so it never holds the full
+        ``(Q, M)`` count matrix.  Without it the counts are int64, the
+        dtype of the public count matrices, to which fault corrections
+        add signed terms.
         """
         _check_chunk(chunk)
         planes = self._xor_bit_planes()
@@ -1088,7 +1100,9 @@ class FastTDAMArray:
 
         def block(start: int) -> np.ndarray:
             counts = count(queries[start:start + chunk])
-            return counts if reduce is None else reduce(counts)
+            if reduce is None:
+                return counts.astype(np.int64)
+            return reduce(counts)
 
         def run() -> np.ndarray:
             first = block(0)
@@ -1250,21 +1264,6 @@ class FastTDAMArray:
             counts, delay_adders_s=self._delay_adders(q, chunk)
         )
 
-    def _delay_strictly_monotone(self) -> bool:
-        """Whether delay strictly increases with the mismatch count.
-
-        Then, under nominal timing, (distance, delay, row) order equals
-        (count, row) order: the TDC decode is monotone in the delay, so
-        ranking exact counts is ranking the search result.  True for
-        any physical design point (``d_C > 0`` well above the ulp of
-        the base delay); checked explicitly so a degenerate config
-        ranks the full search instead of silently misordering ties.
-        """
-        ladder = self._base_delay + (
-            np.arange(self.config.n_stages + 1) * self._d_c
-        )
-        return bool(np.all(np.diff(ladder) > 0))
-
     def top_k_batch(
         self,
         queries: np.ndarray,
@@ -1336,7 +1335,7 @@ class FastTDAMArray:
             raise ValueError(f"k must be in [1, {m}], got {k}")
         if q.shape[0] == 0:
             return np.empty((0, k), dtype=np.int64)
-        if self._timing_is_nominal() and self._delay_strictly_monotone():
+        if self._timing_is_nominal() and self._delay_monotone:
             top = self._counts_packed(
                 q, chunk, reduce=lambda c: top_k_indices(c[:, cols], k)
             )

@@ -21,6 +21,13 @@ ufunc; on older numpy the :func:`popcount` helper falls back to a
 256-entry uint8 lookup table (the classic LUT method).  Both paths are
 exact on every input, so kernel results are independent of the numpy
 version -- the property tests drive the LUT path explicitly.
+
+Count dtype.  A pair's count never exceeds the padded bit width
+``8 * B``, so every count kernel returns the narrowest unsigned dtype
+holding ``8 * B``: uint8 up to 192 stages (``B <= 24``), uint16 up to
+65472 -- the software image of the array's ``log2(N + 1)``-bit counter
+TDC.  Callers rank these narrow counts directly; the array widens them
+to int64 only where a signed correction is added.
 """
 
 from __future__ import annotations
@@ -143,7 +150,7 @@ def pack_bit_planes(levels_mat: np.ndarray, bits: int) -> np.ndarray:
         raise ValueError(f"levels must be (M, N), got shape {lv.shape}")
     if not 1 <= bits <= 8:
         raise ValueError(f"bits must be in [1, 8], got {bits}")
-    u8 = lv.astype(np.uint8)
+    u8 = lv.astype(np.uint8, copy=False)
     extracted = np.empty((bits,) + u8.shape, dtype=np.uint8)
     for b in range(bits):
         np.bitwise_and(u8, 1 << b, out=extracted[b])
@@ -241,7 +248,7 @@ def packed_mismatch_counts(
             byte width.
 
     Returns:
-        C-contiguous int64 counts, shape ``(Q, M)``.
+        C-contiguous narrow counts (module docstring), shape ``(Q, M)``.
     """
     if planes.ndim != 3 or masks.ndim != 3:
         raise ValueError(
@@ -255,7 +262,8 @@ def packed_mismatch_counts(
         )
     if masks.shape[2] == 0 or masks.shape[0] == 0:
         return np.zeros(
-            (masks.shape[0], planes.shape[1]), dtype=np.int64
+            (masks.shape[0], planes.shape[1]),
+            dtype=_count_dtype(masks.shape[2]),
         )
     p = _words(planes)
     m = _words(masks)
@@ -265,11 +273,12 @@ def packed_mismatch_counts(
     # queries are the short axis on every caller, so the broadcast AND
     # runs long contiguous row loops, and summing the L*K leading slabs
     # leaves C-contiguous (Q, M) counts for the ranking to read.
-    # Callers bound Q with their query chunking.
+    # Callers bound Q with their query chunking.  Each stage bit is set
+    # in one level's mask only, so the L*K slabs fold like XOR words.
     p_t = np.ascontiguousarray(p.transpose(0, 2, 1)).reshape(-1, n_rows)
     m_t = np.ascontiguousarray(m.transpose(1, 2, 0)).reshape(-1, n_q)
-    matched = popcount(p_t[:, None, :] & m_t[:, :, None])
-    return matched.sum(axis=0, dtype=np.int64)
+    matched = p_t[:, None, :] & m_t[:, :, None]
+    return _fold_counts(matched[None], masks.shape[2])
 
 
 def _check_bit_planes(
@@ -291,27 +300,35 @@ def _check_bit_planes(
         )
 
 
+def _count_dtype(byte_width: int) -> np.dtype:
+    """The narrowest unsigned dtype holding ``8 * byte_width``."""
+    return np.min_scalar_type(8 * byte_width)
+
+
 def _fold_counts(diff: np.ndarray, byte_width: int) -> np.ndarray:
     """Mismatch counts from XOR words shaped ``(bits, K, ...)``.
 
     A stage mismatches iff any bit of its level differs, so the
     bit-planes are OR-folded (in place, into ``diff[0]``), popcounted
-    and summed over the ``K`` words of each pair.
+    and summed over the ``K`` words of each pair, in the count dtype.
+    A pair's slab popcounts sum to at most ``8 * B``, which that dtype
+    holds, so the accumulation cannot overflow.
     """
     mism = diff[0]
     for b in range(1, diff.shape[0]):
         np.bitwise_or(mism, diff[b], out=mism)
     pops = popcount(mism)
-    if 8 * byte_width > 255:
-        return pops.sum(axis=0, dtype=np.int64)
-    # A pair's slab popcounts sum to at most the real bit width
-    # (8B <= 255), so uint8 accumulation cannot overflow.
+    dtype = _count_dtype(byte_width)
+    if dtype != np.uint8:
+        return pops.sum(axis=0, dtype=dtype)
+    # Slab-by-slab uint8 adds beat a uint8 sum over axis 0 (about 2x
+    # at 32 x 8192, K = 2), and K = 1 needs no add at all.
     total = pops[0]
     if pops.shape[0] > 1:
         total = np.add(total, pops[1])
         for i in range(2, pops.shape[0]):
             np.add(total, pops[i], out=total)
-    return total.astype(np.int64)
+    return total
 
 
 def packed_xor_counts(
@@ -338,13 +355,15 @@ def packed_xor_counts(
             ``(bits, Q, B)``, same byte width.
 
     Returns:
-        C-contiguous int64 counts, shape ``(Q, M)``.
+        C-contiguous narrow counts (module docstring), shape ``(Q, M)``.
     """
     _check_bit_planes(stored_bits, query_bits)
     n_rows = stored_bits.shape[1]
     n_q = query_bits.shape[1]
     if stored_bits.shape[2] == 0 or n_q == 0:
-        return np.zeros((n_q, n_rows), dtype=np.int64)
+        return np.zeros(
+            (n_q, n_rows), dtype=_count_dtype(stored_bits.shape[2])
+        )
     # Same rows-innermost layout as packed_mismatch_counts, with one
     # fused XOR over all bit-planes.
     s_t = np.ascontiguousarray(_words(stored_bits).transpose(0, 2, 1))
@@ -381,7 +400,7 @@ def packed_pair_counts(
             ``(Q, W)``.
 
     Returns:
-        C-contiguous int64 counts, shape ``(Q, W)``.
+        C-contiguous narrow counts (module docstring), shape ``(Q, W)``.
     """
     _check_bit_planes(stored_bits, query_bits)
     rows = np.asarray(rows)
@@ -391,7 +410,7 @@ def packed_pair_counts(
             f"shape {rows.shape}"
         )
     if stored_bits.shape[2] == 0 or rows.size == 0:
-        return np.zeros(rows.shape, dtype=np.int64)
+        return np.zeros(rows.shape, dtype=_count_dtype(stored_bits.shape[2]))
     # Only the gathered (bits, Q, W, K) words are moved word-major, so
     # the XOR and the fold run rows innermost, as in packed_xor_counts;
     # at K = 1 the move copies nothing.

@@ -29,6 +29,7 @@ def validate_levels(
     *,
     ndim: int = 1,
     name: str = "vector",
+    dtype: np.typing.DTypeLike = np.int64,
 ) -> np.ndarray:
     """Validate an array of stored/query levels; never clips silently.
 
@@ -43,9 +44,12 @@ def validate_levels(
         levels: Number of storable levels (``config.levels``).
         ndim: Required dimensionality (1 for vectors, 2 for matrices).
         name: What to call the input in error messages.
+        dtype: Integer dtype of the result.  An integer input is
+            range-checked in place and cast once, so ``np.uint8``
+            validates a level corpus without an 8-byte-per-level copy.
 
     Returns:
-        The validated values as an ``int64`` array.
+        The validated values as a new ``dtype`` array.
     """
     arr = np.asarray(values)
     if arr.ndim != ndim:
@@ -66,7 +70,7 @@ def validate_levels(
             f"{name} elements must be in [0, {levels - 1}], "
             f"got range [{arr.min()}, {arr.max()}]"
         )
-    return arr.astype(np.int64)
+    return arr.astype(dtype)
 
 
 @dataclass(frozen=True)

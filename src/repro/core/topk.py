@@ -100,11 +100,16 @@ def top_k_indices(
 def _fits_int32_keys(dist: np.ndarray) -> bool:
     """Whether a non-empty integer ``(Q, M)`` matrix ranks by int32
     keys ``d * M + row``: ``(max|d| + 1) * M < 2**31``.  Exact counts
-    always fit; floats and wider integers take the pruning path."""
+    always fit; floats and wider integers take the pruning path.  The
+    dtype's own range settles it without a scan when it suffices, as it
+    does for the count kernels' narrow counts."""
     if dist.dtype.kind not in "iu" or not dist.size:
         return False
-    bound = (max(-int(dist.min()), int(dist.max())) + 1) * dist.shape[1]
-    return bound < 2 ** 31
+    info = np.iinfo(dist.dtype)
+    top = max(-int(info.min), int(info.max))
+    if (top + 1) * dist.shape[1] >= 2 ** 31:
+        top = max(-int(dist.min()), int(dist.max()))
+    return (top + 1) * dist.shape[1] < 2 ** 31
 
 
 def prune_survivors(
@@ -130,6 +135,10 @@ def prune_survivors(
         raise ValueError(
             f"k must be in [1, {distances.shape[1]}], got {k}"
         )
+    if distances.dtype.itemsize == 1 and distances.dtype.kind in "iu":
+        # numpy partitions 1-byte integers with many ties ~15x slower
+        # than int16 (docs/PERFORMANCE.md, "Narrow counts").
+        distances = distances.astype(np.int16)
     kth = np.partition(distances, k - 1, axis=1)[:, k - 1]
     # A flat scan of the survivor mask is ~10x faster than a 2-D
     # np.nonzero; row-major order keeps pairs grouped by query.

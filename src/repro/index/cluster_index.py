@@ -219,8 +219,9 @@ class ClusteredTDAMIndex:
         """
         # uint8 holds every level (bits <= 8) in an eighth of the bytes.
         levels_arr = validate_levels(
-            levels_mat, config.levels, ndim=2, name="levels matrix"
-        ).astype(np.uint8)
+            levels_mat, config.levels, ndim=2, name="levels matrix",
+            dtype=np.uint8,
+        )
         n_rows = levels_arr.shape[0]
         if not 2 <= n_clusters <= n_rows:
             raise ValueError(
@@ -260,14 +261,15 @@ class ClusteredTDAMIndex:
         assignments = np.empty(n_rows, dtype=np.int64)
         # Each corpus row allocates, against every centroid, its XOR
         # words (bits * B bytes), about a byte of popcounts and its
-        # int64 count.
+        # count widened to int64: numpy's argmin runs several times
+        # faster on int64 than on the kernel's narrow counts.
         words = cent_planes.shape[0] * cent_planes.shape[2]
         chunk = _budget_chunk(n_clusters * (words + 9))
         for start in range(0, n_rows, chunk):
             block = pack_bit_planes(
                 levels_arr[start:start + chunk], config.bits
             )
-            counts = packed_xor_counts(cent_planes, block)
+            counts = packed_xor_counts(cent_planes, block).astype(np.int64)
             assignments[start:start + chunk] = counts.argmin(axis=1)
         store = build_store(
             path,
@@ -354,9 +356,10 @@ class ClusteredTDAMIndex:
         rows_probed = int(sizes.sum())
         # Each (query, candidate row) pair of a tile allocates its
         # gathered XOR words (bits * B bytes, held twice past one word
-        # while packed_pair_counts moves them word-major) and about 40
-        # bytes more: int64 positions and their offsets, counts and the
-        # partition copy, plus byte-wide popcounts and masks.  A tile
+        # while packed_pair_counts moves them word-major) and at most 40
+        # bytes more: int64 positions and their offsets, byte-wide
+        # counts, popcounts and masks, and two int16 copies of the
+        # counts in prune_survivors.  A tile
         # takes as many probe columns as MIN_QUERY_CHUNK queries can
         # count within the budget, then as many queries as the kernels'
         # budget rule allows its widest one.
@@ -441,8 +444,9 @@ class ClusteredTDAMIndex:
         one :func:`prune_survivors`.
 
         Returns:
-            ``(query, global row, count)`` int64 arrays of the
-            surviving pairs; queries are numbered from ``first``.
+            ``(query, global row, count)`` arrays of the surviving
+            pairs, the counts in the kernel's narrow dtype; queries
+            are numbered from ``first``.
         """
         width = int(widths.max(initial=0))
         if width == 0:

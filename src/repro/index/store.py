@@ -480,7 +480,8 @@ def build_store(
         The freshly opened store.
     """
     levels_arr = validate_levels(
-        levels_mat, config.levels, ndim=2, name="levels matrix"
+        levels_mat, config.levels, ndim=2, name="levels matrix",
+        dtype=np.uint8,
     )
     if levels_arr.shape[1] != config.n_stages:
         raise ValueError(
@@ -508,8 +509,9 @@ def build_store(
     cents: Optional[np.ndarray] = None
     if centroid_levels is not None:
         cents = validate_levels(
-            centroid_levels, config.levels, ndim=2, name="centroid levels"
-        ).astype(np.uint8)
+            centroid_levels, config.levels, ndim=2, name="centroid levels",
+            dtype=np.uint8,
+        )
         if cents.shape[1] != config.n_stages:
             raise ValueError(
                 f"centroid levels have {cents.shape[1]} stages, config "
@@ -525,7 +527,7 @@ def build_store(
     root.mkdir(parents=True, exist_ok=True)
     generation = _next_generation(root)
     prefix = f"g{generation:06d}."
-    stored = levels_arr.astype(np.uint8)[order]
+    stored = levels_arr[order]
     components = {
         "planes": _write_component(
             root, f"{prefix}planes", pack_bit_planes(stored, config.bits)

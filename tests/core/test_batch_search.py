@@ -537,6 +537,40 @@ class TestFaultCorrectionProperty:
         array.advance_time(dt)
         assert_resilient_batch_is_the_loop(array, queries)
 
+    @pytest.mark.parametrize("n_stages", [192, 193, 2048])
+    def test_corrected_counts_stay_exact_int64_past_narrow_kernels(
+        self, n_stages
+    ):
+        # The kernel counts are uint8 up to 192 stages and uint16 past
+        # them; the signed corrections need the int64 public counts.
+        # Query 0 is row 1 itself and query 1 its complement, so the
+        # corrections meet counts of 0 and of every stage.
+        config = TDAMConfig(n_stages=n_stages)
+        rng = np.random.default_rng(n_stages)
+        array = FastTDAMArray(config, 5)
+        stored = rng.integers(0, 4, (5, n_stages))
+        array.write_all(stored)
+        last = n_stages - 1
+        faults = [
+            Fault(FaultType.STUCK_MISMATCH, 1, 0),
+            Fault(FaultType.STUCK_MATCH, 1, last),
+            Fault(FaultType.STUCK_MATCH, 2, 3),
+            Fault(FaultType.STUCK_MISMATCH, 2, last),
+            Fault(FaultType.DEAD_ROW, 4),
+        ]
+        faulty = FaultyTDAMArray(array, faults)
+        queries = np.concatenate(
+            [stored[1:2], 3 - stored[1:2], rng.integers(0, 4, (3, n_stages))]
+        )
+        for masked in ([], [0, last]):
+            counts = faulty.mismatch_count_batch(
+                queries, chunk=2, masked_stages=masked
+            )
+            assert counts.dtype == np.int64
+            assert np.array_equal(
+                counts, faulted_matrix_sums(faulty, queries, masked)
+            )
+
 
 FAST_STEPS = (
     "write", "write_all", "edit_offsets", "assign_offsets", "assign_vsl",

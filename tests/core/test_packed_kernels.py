@@ -151,7 +151,7 @@ class TestPackedCounts:
         counts = packed_mismatch_counts(
             pack_level_planes(ineq), pack_query_masks(q, levels)
         )
-        assert counts.dtype == np.int64
+        assert counts.dtype == np.uint8
         assert counts.flags.c_contiguous
         assert np.array_equal(counts, self.naive_counts(q, stored))
 
@@ -164,7 +164,7 @@ class TestPackedCounts:
         counts = packed_xor_counts(
             pack_bit_planes(stored, bits), pack_bit_planes(q, bits)
         )
-        assert counts.dtype == np.int64
+        assert counts.dtype == np.uint8
         assert counts.flags.c_contiguous
         assert np.array_equal(counts, self.naive_counts(q, stored))
 
@@ -202,7 +202,7 @@ class TestPackedCounts:
         rows = rng.integers(0, 9, (5, 13))
         full = packed_xor_counts(stored, q)
         pairs = packed_pair_counts(stored, q, rows)
-        assert pairs.flags.c_contiguous and pairs.dtype == np.int64
+        assert pairs.flags.c_contiguous and pairs.dtype == np.uint8
         assert np.array_equal(pairs, full[np.arange(5)[:, None], rows])
         empty = packed_pair_counts(stored, q, np.empty((5, 0), np.int64))
         assert empty.shape == (5, 0)
@@ -327,6 +327,91 @@ class TestPropertyExactness:
             assert np.array_equal(counts["packed"], counts["loop"])
 
         inner()
+
+
+class TestCountDtype:
+    """Counts leave every kernel exact, C-contiguous and as narrow as the
+    padded width allows: uint8 up to 192 stages, uint16 past them."""
+
+    hypothesis = pytest.importorskip("hypothesis")
+
+    def test_kernels_match_naive_counts_in_the_narrow_dtype(self):
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        @settings(max_examples=120, deadline=None)
+        @given(
+            bits=st.integers(1, 3),
+            # K = 1-5 words, and both sides of the uint8/uint16 switch.
+            n=st.one_of(
+                st.sampled_from([64, 65, 192, 193, 255, 256, 320]),
+                st.integers(1, 320),
+            ),
+            n_rows=st.integers(1, 6),
+            n_q=st.integers(1, 5),
+            native=st.booleans(),
+            seed=st.integers(0, 2**32 - 1),
+        )
+        def inner(bits, n, n_rows, n_q, native, seed):
+            levels = 2 ** bits
+            rng = np.random.default_rng(seed)
+            stored = rng.integers(0, levels, (n_rows, n))
+            q = rng.integers(0, levels, (n_q, n))
+            # Some queries equal stored rows or their complement, so
+            # counts of 0 and of every stage occur.
+            q[0] = stored[0]
+            if n_q > 1:
+                q[1] = levels - 1 - stored[-1]
+            rows = rng.integers(0, n_rows, (n_q, 7))
+            want = (q[:, None, :] != stored[None, :, :]).sum(axis=2)
+            dtype = np.uint8 if n <= 192 else np.uint16
+            ineq = np.arange(levels)[:, None, None] != stored[None, :, :]
+            saved = bitplane._use_native
+            bitplane._use_native = native and bitplane.HAVE_BITWISE_COUNT
+            try:
+                s_bits = pack_bit_planes(stored, bits)
+                q_bits = pack_bit_planes(q, bits)
+                got = {
+                    "xor": packed_xor_counts(s_bits, q_bits),
+                    "onehot": packed_mismatch_counts(
+                        pack_level_planes(ineq), pack_query_masks(q, levels)
+                    ),
+                    "pair": packed_pair_counts(s_bits, q_bits, rows),
+                }
+            finally:
+                bitplane._use_native = saved
+            expected = {
+                "xor": want,
+                "onehot": want,
+                "pair": want[np.arange(n_q)[:, None], rows],
+            }
+            for name, counts in got.items():
+                assert counts.dtype == dtype, name
+                assert counts.flags.c_contiguous, name
+                assert np.array_equal(counts, expected[name]), name
+
+        inner()
+
+    @pytest.mark.parametrize("n", [192, 193, 2048])
+    def test_array_count_matrices_stay_int64(self, n):
+        # The public count matrices keep their int64 dtype on either
+        # side of the switch; top_k_batch ranks the narrow chunks.
+        array, rng = make_array(2, n, 9)
+        queries = rng.integers(0, 4, (6, n))
+        loop = array._counts_loop(queries)
+        counts = array.mismatch_count_batch(queries, chunk=4)
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, loop)
+        batch = array.search_batch(queries)
+        want = array.batch_result_from_mismatch_counts(loop)
+        for field in ("delays_s", "counts", "hamming_distances",
+                      "best_rows", "energies_j"):
+            assert np.array_equal(
+                getattr(batch, field), getattr(want, field)
+            ), field
+        assert np.array_equal(
+            array.top_k_batch(queries, 4, chunk=4), batch.top_k(4)
+        )
 
 
 class TestChunkRule:

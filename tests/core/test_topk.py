@@ -396,6 +396,48 @@ class TestRankingProperty:
             )
             assert np.array_equal(got, want[0] if one_d else want)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        dtype=st.sampled_from([np.uint8, np.uint16]),
+        n_q=st.integers(1, 4),
+        m=st.integers(1, 300),
+        n_values=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        with_row_ids=st.booleans(),
+    )
+    def test_narrow_counts_rank_like_int64(
+        self, dtype, n_q, m, n_values, seed, with_row_ids
+    ):
+        # The count kernels hand uint8/uint16 counts to the ranking
+        # helpers; they must rank and prune exactly as on int64.  Few
+        # distinct values near the dtype's top make heavy ties.
+        rng = np.random.default_rng(seed)
+        top = np.iinfo(dtype).max
+        wide = top - rng.integers(0, n_values, (n_q, m))
+        narrow = wide.astype(dtype)
+        row_ids = np.cumsum(rng.integers(1, 4, m)) if with_row_ids else None
+        for k in sorted({1, min(3, m), m // 2 or 1, m}):
+            got = top_k_indices(narrow, k, row_ids=row_ids)
+            assert np.array_equal(got, top_k_indices(wide, k, row_ids=row_ids))
+            assert np.array_equal(
+                got, lexsort_top_k(wide, k, row_ids=row_ids)
+            )
+            for a, b in zip(prune_survivors(narrow, k),
+                            prune_survivors(wide, k)):
+                assert a.dtype == b.dtype == np.int64
+                assert np.array_equal(a, b)
+
+    def test_uint16_counts_past_the_dtype_bound_still_rank(self):
+        # 65536 * M >= 2**31 past M = 32767: the dtype alone cannot
+        # prove int32 keys fit, so the values are scanned.
+        rng = np.random.default_rng(3)
+        wide = rng.integers(0, 3, (2, 40_000))
+        wide[1, ::7] = 65_535
+        narrow = wide.astype(np.uint16)
+        got = top_k_indices(narrow, 5)
+        assert np.array_equal(got, top_k_indices(wide, 5))
+        assert np.array_equal(got, lexsort_top_k(wide, 5))
+
     @settings(max_examples=100, deadline=None)
     @given(
         variation=st.booleans(),

@@ -4,9 +4,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import telemetry
 from repro.core.array import FastTDAMArray
+from repro.core.bitplane import pack_bit_planes, packed_pair_counts
 from repro.core.config import TDAMConfig
 from repro.datasets.synthetic import make_clustered_levels, perturb_levels
 from repro.hdc.metrics import hamming_distance
@@ -156,14 +159,45 @@ class TestBuild:
         # levels dominate what is left.
         assert peak < 3 * corpus.size * 8
 
+    def test_build_holds_no_int64_copy_of_the_corpus(self, tmp_path):
+        # Validation casts the levels once to uint8, and build_store
+        # does not widen what build validated: the traced peak stays
+        # below one 8-byte-per-level copy of the corpus (17.7 MiB with
+        # two such copies against 9.8 MiB for one).
+        config = TDAMConfig(n_stages=64)
+        corpus, _, _ = make_clustered_levels(
+            20_000, 64, config.levels, 128, noise=0.35, seed=1
+        )
+        tracemalloc.start()
+        try:
+            _build(tmp_path, corpus, config, n_clusters=128,
+                   sample_size=1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < corpus.size * 8
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_stages=st.one_of(
+        st.sampled_from([192, 193, 255, 256, 65_472, 65_473]),
+        st.integers(1, 70_000),
+    ))
+    def test_pad_count_fits_the_count_dtype(self, n_stages):
+        # A tile pads short rows with count n_stages + 1, written into
+        # the kernel's narrow counts: it must not wrap.
+        bits = pack_bit_planes(np.zeros((1, n_stages), np.uint8), 1)
+        counts = packed_pair_counts(bits, bits, np.zeros((1, 1), np.int64))
+        assert n_stages + 1 <= np.iinfo(counts.dtype).max
+
 
 class TestRoutedExactness:
     """``top_k`` equals the routed oracle at every ``nprobe``."""
 
     @pytest.mark.parametrize("bits", [1, 2, 3])
-    @pytest.mark.parametrize("n_stages", [37, 64, 160])
+    @pytest.mark.parametrize("n_stages", [37, 64, 160, 192, 193])
     def test_every_field_matches_the_oracle(self, tmp_path, bits, n_stages):
-        # n_stages=160 spans three packed words per plane.
+        # n_stages=160 spans three packed words per plane; 192 is the
+        # widest uint8 count and 193 the first uint16 one.
         config = TDAMConfig(bits=bits, n_stages=n_stages)
         corpus, _, _ = make_clustered_levels(
             240, n_stages, config.levels, 6, noise=0.3, seed=bits + n_stages

@@ -177,6 +177,30 @@ class TestValidation:
                 tmp_path / "s", corpus[:, :16], config
             )
 
+    @pytest.mark.parametrize(
+        "levels,message",
+        [
+            (lambda c: c - 1, r"levels matrix elements must be in \[0, 3\], "
+                              r"got range \[-1, 2\]"),
+            (lambda c: c + 1, r"must be in \[0, 3\], got range \[1, 4\]"),
+            (lambda c: c + 0.5, "levels matrix elements must be integers"),
+            (lambda c: c[0], "expected a 2-D levels matrix"),
+        ],
+        ids=["negative", "too_high", "non_integral", "one_d"],
+    )
+    def test_invalid_levels_rejected(
+        self, tmp_path, corpus, config, levels, message
+    ):
+        with pytest.raises(ValueError, match=message):
+            build_store(tmp_path / "s", levels(corpus.astype(np.int64)), config)
+
+    def test_integral_floats_store_as_uint8_levels(
+        self, tmp_path, corpus, config
+    ):
+        store = build_store(tmp_path / "s", corpus.astype(float), config)
+        assert store.shard(0).levels.dtype == np.uint8
+        assert np.array_equal(store.shard(0).levels, corpus)
+
     def test_bad_assignment_shape_rejected(self, tmp_path, corpus, config):
         with pytest.raises(ValueError, match="assignments"):
             build_store(

@@ -9,7 +9,6 @@ benchmarks themselves.
 import sys
 from pathlib import Path
 
-import pytest
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "tools"))
@@ -34,7 +33,7 @@ def make_report(**overrides):
             "exact_full_probe": True,
             "reopen_identical": True,
         },
-        "encode": {"speedup_vs_committed": 5.2, "encode_s": 1.5e-3},
+        "encode": {"speedup": 1.5},
         "mvm": {"bit_exact": True},
         "hdc_query": {"speedup": 4.8, "bit_exact": True},
         "cluster_init": {"speedup": 25.0, "exact": True},
@@ -186,30 +185,21 @@ class TestCompareToBaseline:
         assert ok["status"] == "pass"
         assert bad["status"] == "fail"
 
-    def test_rel_max_caps_growth_over_the_baseline(self):
-        # encode.encode_s is a timing: 1.5x the baseline is the ceiling.
-        baseline = make_report(**{"encode.encode_s": 1.0e-3})
-        passing = make_report(**{"encode.encode_s": 1.4e-3})
-        failing = make_report(**{"encode.encode_s": 1.6e-3})
-        ok = rows_by_metric(
-            bench_report.compare_to_baseline(passing, baseline)
-        )["encode.encode_s"]
-        bad = rows_by_metric(
-            bench_report.compare_to_baseline(failing, baseline)
-        )["encode.encode_s"]
-        assert ok["status"] == "pass"
-        assert bad["status"] == "fail"
-        assert bad["threshold"] == pytest.approx(1.5e-3)
-
-    def test_rel_max_missing_from_baseline_is_skipped(self):
-        baseline = make_report()
-        del baseline["encode"]["encode_s"]
-        rows = rows_by_metric(
-            bench_report.compare_to_baseline(make_report(), baseline)
+    def test_encode_slower_than_its_rewrite_gain_fails(self):
+        # encode.speedup times the rewrite against the direct rule it
+        # replaced, interleaved: losing the rewrite reads ~1.0, a
+        # float64 promotion of the encode reads below 1, and a 30%
+        # slower encode ~1.04; the rewrite read 1.35-2.81.
+        cases = (
+            (0.3, "fail"), (1.0, "fail"), (1.04, "fail"), (1.35, "pass"),
         )
-        row = rows["encode.encode_s"]
-        assert row["status"] == "skipped"
-        assert "baseline" in row["reason"]
+        for speedup, status in cases:
+            report = make_report(**{"encode.speedup": speedup})
+            rows = rows_by_metric(
+                bench_report.compare_to_baseline(report, make_report())
+            )
+            assert rows["encode.speedup"]["status"] == status, speedup
+            assert rows["encode.speedup"]["threshold"] == 1.08
 
     def test_true_gate_fails_on_flipped_flag(self):
         report = make_report(**{"kernels.bit_exact": False})
