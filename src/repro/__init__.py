@@ -33,28 +33,15 @@ Quickstart::
     print(result.hamming_distances)
 """
 
+from repro._lazy import lazy_exports
+
 __version__ = "1.0.0"
 
-__all__ = ["TDAMArray", "TDAMConfig", "SearchResult", "__version__"]
-
-_LAZY_EXPORTS = {
-    "TDAMArray": ("repro.core.array", "TDAMArray"),
-    "SearchResult": ("repro.core.array", "SearchResult"),
-    "TDAMConfig": ("repro.core.config", "TDAMConfig"),
+_EXPORTS = {
+    "TDAMArray": "core.array",
+    "TDAMConfig": "core.config",
+    "SearchResult": "core.array",
 }
 
-
-def __getattr__(name):
-    """Lazily resolve top-level re-exports.
-
-    Keeps ``import repro.devices`` cheap (no circuit-layer import cost) while
-    still offering ``from repro import TDAMArray``.
-    """
-    try:
-        module_name, attr = _LAZY_EXPORTS[name]
-    except KeyError:
-        raise AttributeError(f"module 'repro' has no attribute {name!r}") from None
-    import importlib
-
-    module = importlib.import_module(module_name)
-    return getattr(module, attr)
+__all__ = [*_EXPORTS, "__version__"]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -1,26 +1,18 @@
 """Sweep helpers, statistics, and text rendering of tables/figure series."""
 
-from repro.analysis.pareto import (
-    DesignPoint,
-    evaluate_design_space,
-    knee_point,
-    pareto_front,
-)
-from repro.analysis.reporting import (
-    format_engineering,
-    format_series,
-    format_table,
-)
-from repro.analysis.sweeps import SweepResult, grid_sweep
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "grid_sweep",
-    "SweepResult",
-    "format_table",
-    "format_series",
-    "format_engineering",
-    "DesignPoint",
-    "evaluate_design_space",
-    "pareto_front",
-    "knee_point",
-]
+_EXPORTS = {
+    "grid_sweep": "sweeps",
+    "SweepResult": "sweeps",
+    "format_table": "reporting",
+    "format_series": "reporting",
+    "format_engineering": "reporting",
+    "DesignPoint": "pareto",
+    "evaluate_design_space": "pareto",
+    "pareto_front": "pareto",
+    "knee_point": "pareto",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -19,30 +19,24 @@ to produce quantitative similarity).
 - :mod:`~repro.baselines.registry` -- Table I assembly.
 """
 
-from repro.baselines.base import BaselineDesign, SCType
-from repro.baselines.crossbar import CosineCrossbarAM, MultiBitFeCAMCrossbar
-from repro.baselines.fecam import FeFETTCAM
-from repro.baselines.fefinfet import FeFinFETTimeDomainIMC
-from repro.baselines.gpu import GPUCostModel, GPUWorkload
-from repro.baselines.registry import TableIRow, build_table_i
-from repro.baselines.rram_tdcam import RRAMTimeDomainCAM
-from repro.baselines.tcam16t import CMOSTCAM16T
-from repro.baselines.td_cim import TDCIMFabric
-from repro.baselines.timaq import TIMAQ
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BaselineDesign",
-    "SCType",
-    "CMOSTCAM16T",
-    "FeFETTCAM",
-    "TIMAQ",
-    "FeFinFETTimeDomainIMC",
-    "TDCIMFabric",
-    "GPUCostModel",
-    "GPUWorkload",
-    "TableIRow",
-    "build_table_i",
-    "MultiBitFeCAMCrossbar",
-    "CosineCrossbarAM",
-    "RRAMTimeDomainCAM",
-]
+_EXPORTS = {
+    "BaselineDesign": "base",
+    "SCType": "base",
+    "CMOSTCAM16T": "tcam16t",
+    "FeFETTCAM": "fecam",
+    "TIMAQ": "timaq",
+    "FeFinFETTimeDomainIMC": "fefinfet",
+    "TDCIMFabric": "td_cim",
+    "GPUCostModel": "gpu",
+    "GPUWorkload": "gpu",
+    "TableIRow": "registry",
+    "build_table_i": "registry",
+    "MultiBitFeCAMCrossbar": "crossbar",
+    "CosineCrossbarAM": "crossbar",
+    "RRAMTimeDomainCAM": "rram_tdcam",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -907,9 +907,8 @@ def _serve(args: argparse.Namespace) -> int:
     """``repro serve``: socket server until SIGTERM/SIGINT, then drain."""
     import math as _math
 
-    from repro.net.loadgen import build_server_stack
     from repro.net.server import serve_until_signal
-    from repro.service.loadgen import LoadConfig
+    from repro.service.stack import LoadConfig, build_server_stack
 
     config = LoadConfig(
         deadline_s=args.deadline,

@@ -23,102 +23,69 @@ Layered exactly as the paper presents the design:
   of cells, stages, and chains for waveform-level validation.
 """
 
-from repro.core.area import AreaReport, cell_area_comparison, tdam_area
-from repro.core.array import (
-    BatchSearchResult,
-    FastTDAMArray,
-    SearchResult,
-    TDAMArray,
-    calibrate_turn_on_overdrive,
-    resolve_best_batch,
-    resolve_query_chunk,
-)
-from repro.core.bitplane import (
-    HAVE_BITWISE_COUNT,
-    pack_level_planes,
-    pack_query_masks,
-    packed_mismatch_counts,
-    packed_pair_counts,
-    popcount,
-)
-from repro.core.cell import CellState, MultiBitIMCCell
-from repro.core.chain import ChainResult, DelayChain
-from repro.core.controller import ArrayController, Command, Event, Phase
-from repro.core.config import TDAMConfig
-from repro.core.encoding import LevelEncoding, validate_levels
-from repro.core.faults import Fault, FaultInjector, FaultType, FaultyTDAMArray
-from repro.core.energy import TimingEnergyModel
-from repro.core.mvm import MVMCost, MVMPlan, infer_operand_bits, mvm
-from repro.core.noise import (
-    JitteryTDC,
-    droop_delay_factor,
-    jitter_tolerance_s,
-    max_tolerable_droop,
-)
-from repro.core.programming import ProgrammingModel, ProgrammingReport
-from repro.core.replica import (
-    ReplicaCalibratedTDC,
-    ReplicaMeasurement,
-    measure_replica,
-)
-from repro.core.scheduler import OperationScheduler, PhaseSchedule, TileSchedule
-from repro.core.sensing import CounterTDC, SensingAnalysis
-from repro.core.stage import DelayStage
-from repro.core.topk import grouped_top_k, prune_survivors, top_k_indices
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "TDAMConfig",
-    "LevelEncoding",
-    "validate_levels",
-    "MultiBitIMCCell",
-    "CellState",
-    "DelayStage",
-    "DelayChain",
-    "ChainResult",
-    "TDAMArray",
-    "FastTDAMArray",
-    "SearchResult",
-    "BatchSearchResult",
-    "calibrate_turn_on_overdrive",
-    "resolve_best_batch",
-    "resolve_query_chunk",
-    "HAVE_BITWISE_COUNT",
-    "pack_level_planes",
-    "pack_query_masks",
-    "packed_mismatch_counts",
-    "packed_pair_counts",
-    "popcount",
-    "MVMCost",
-    "MVMPlan",
-    "infer_operand_bits",
-    "mvm",
-    "top_k_indices",
-    "grouped_top_k",
-    "prune_survivors",
-    "CounterTDC",
-    "SensingAnalysis",
-    "TimingEnergyModel",
-    "AreaReport",
-    "tdam_area",
-    "cell_area_comparison",
-    "OperationScheduler",
-    "PhaseSchedule",
-    "TileSchedule",
-    "ArrayController",
-    "Command",
-    "Event",
-    "Phase",
-    "Fault",
-    "FaultType",
-    "FaultInjector",
-    "FaultyTDAMArray",
-    "ProgrammingModel",
-    "ProgrammingReport",
-    "ReplicaCalibratedTDC",
-    "ReplicaMeasurement",
-    "measure_replica",
-    "JitteryTDC",
-    "jitter_tolerance_s",
-    "droop_delay_factor",
-    "max_tolerable_droop",
-]
+_EXPORTS = {
+    "TDAMConfig": "config",
+    "LevelEncoding": "encoding",
+    "validate_levels": "encoding",
+    "MultiBitIMCCell": "cell",
+    "CellState": "cell",
+    "DelayStage": "stage",
+    "DelayChain": "chain",
+    "ChainResult": "chain",
+    "TDAMArray": "array",
+    "FastTDAMArray": "array",
+    "SearchResult": "array",
+    "BatchSearchResult": "array",
+    "calibrate_turn_on_overdrive": "array",
+    "resolve_best_batch": "array",
+    "resolve_query_chunk": "array",
+    "HAVE_BITWISE_COUNT": "bitplane",
+    "pack_level_planes": "bitplane",
+    "pack_query_masks": "bitplane",
+    "packed_mismatch_counts": "bitplane",
+    "packed_pair_counts": "bitplane",
+    "popcount": "bitplane",
+    "MVMCost": "mvm",
+    "MVMPlan": "mvm",
+    "infer_operand_bits": "mvm",
+    "mvm": "mvm",
+    "top_k_indices": "topk",
+    "grouped_top_k": "topk",
+    "prune_survivors": "topk",
+    "CounterTDC": "sensing",
+    "SensingAnalysis": "sensing",
+    "TimingEnergyModel": "energy",
+    "AreaReport": "area",
+    "tdam_area": "area",
+    "cell_area_comparison": "area",
+    "OperationScheduler": "scheduler",
+    "PhaseSchedule": "scheduler",
+    "TileSchedule": "scheduler",
+    "ArrayController": "controller",
+    "Command": "controller",
+    "Event": "controller",
+    "Phase": "controller",
+    "Fault": "faults",
+    "FaultType": "faults",
+    "FaultInjector": "faults",
+    "FaultyTDAMArray": "faults",
+    "ProgrammingModel": "programming",
+    "ProgrammingReport": "programming",
+    "ReplicaCalibratedTDC": "replica",
+    "ReplicaMeasurement": "replica",
+    "measure_replica": "replica",
+    "JitteryTDC": "noise",
+    "jitter_tolerance_s": "noise",
+    "droop_delay_factor": "noise",
+    "max_tolerable_droop": "noise",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+
+# ``mvm`` names both a submodule and its entry point.  Binding the
+# function here keeps a later ``import repro.core.mvm`` from rebinding
+# the package attribute to the module.
+from repro.core.mvm import mvm  # noqa: E402,F401

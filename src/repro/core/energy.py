@@ -211,6 +211,26 @@ class TimingEnergyModel:
             raise ValueError(
                 f"n_mismatch_even={n_mismatch_even} outside [0, {n_mismatch}]"
             )
+        energy_j, breakdown = self._energy(n_mismatch, include_tdc)
+        d_rise = n * self.d_inv + n_mismatch_even * self.d_c
+        d_fall = n * self.d_inv + (n_mismatch - n_mismatch_even) * self.d_c
+        return SearchCost(
+            delay_s=d_rise + d_fall,
+            delay_rising_s=d_rise,
+            delay_falling_s=d_fall,
+            energy_j=energy_j,
+            energy_breakdown_j=breakdown,
+        )
+
+    def _energy(self, n_mismatch, include_tdc: bool):
+        """The energy law: ``(total, per-mechanism energy)`` of one
+        2-step search with ``n_mismatch`` mismatched stages.
+
+        ``n_mismatch`` is one count or an array of counts; either way
+        every term is the same operations in the same order, so an
+        array entry equals the scalar evaluation exactly.
+        """
+        n = self.config.n_stages
         vdd = self.config.vdd
         v_sq = vdd * vdd
 
@@ -237,36 +257,25 @@ class TimingEnergyModel:
             "search_lines": e_sl,
             "tdc": e_tdc,
         }
-        d_rise = n * self.d_inv + n_mismatch_even * self.d_c
-        d_fall = n * self.d_inv + (n_mismatch - n_mismatch_even) * self.d_c
-        return SearchCost(
-            delay_s=d_rise + d_fall,
-            delay_rising_s=d_rise,
-            delay_falling_s=d_fall,
-            energy_j=sum(breakdown.values()),
-            energy_breakdown_j=breakdown,
-        )
+        # Summed left to right: ``sum()`` compensates float rounding on
+        # Python >= 3.12 but not for arrays.
+        return e_inv + e_load + e_mn + e_sl + e_tdc, breakdown
 
     def search_energy_table(self, include_tdc: bool = True) -> np.ndarray:
         """Per-chain search energy for every mismatch count 0..N (J).
 
-        ``search_cost`` is affine in the mismatch count, so the whole
-        table is evaluated once and cached; batched searches then turn
-        energy accounting into an array lookup instead of one
-        :meth:`search_cost` object per row.  Entry ``m`` equals
-        ``search_cost(m, include_tdc=...).energy_j`` exactly (the table
-        is built from those very calls, so scalar and batched paths
-        cannot drift apart).  The returned array is cached -- treat it
-        as read-only.
+        The whole table is one evaluation of the energy law over every
+        count, cached; batched searches then turn energy accounting into
+        an array lookup instead of one :meth:`search_cost` object per
+        row.  Entry ``m`` equals ``search_cost(m,
+        include_tdc=...).energy_j`` exactly (both evaluate the one law,
+        so scalar and batched paths cannot drift apart).  The returned
+        array is cached -- treat it as read-only.
         """
         table = self._energy_tables.get(include_tdc)
         if table is None:
-            table = np.array(
-                [
-                    self.search_cost(m, include_tdc=include_tdc).energy_j
-                    for m in range(self.config.n_stages + 1)
-                ]
-            )
+            counts = np.arange(self.config.n_stages + 1)
+            table = self._energy(counts, include_tdc)[0]
             self._energy_tables[include_tdc] = table
         return table
 

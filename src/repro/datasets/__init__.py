@@ -13,26 +13,20 @@ section 2 for the substitution rationale):
 - **FACE** [42]: face detection, 608 features, binary, well separated.
 """
 
-from repro.datasets.loaders import load_csv_dataset, load_isolet, load_ucihar
-from repro.datasets.synthetic import (
-    Dataset,
-    make_clustered_levels,
-    make_face_like,
-    make_isolet_like,
-    make_ucihar_like,
-    perturb_levels,
-    standard_suite,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Dataset",
-    "make_isolet_like",
-    "make_ucihar_like",
-    "make_face_like",
-    "make_clustered_levels",
-    "perturb_levels",
-    "standard_suite",
-    "load_csv_dataset",
-    "load_isolet",
-    "load_ucihar",
-]
+_EXPORTS = {
+    "Dataset": "synthetic",
+    "make_isolet_like": "synthetic",
+    "make_ucihar_like": "synthetic",
+    "make_face_like": "synthetic",
+    "make_clustered_levels": "synthetic",
+    "perturb_levels": "synthetic",
+    "standard_suite": "synthetic",
+    "load_csv_dataset": "loaders",
+    "load_isolet": "loaders",
+    "load_ucihar": "loaders",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

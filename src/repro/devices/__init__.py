@@ -18,48 +18,33 @@ FeFET compact model of Ni et al., VLSI'18) with behavioral equivalents:
   V_TH states (erase-then-partial-program, after Reis et al. [36]).
 """
 
-from repro.devices.fefet import FeFET, FeFETParams
-from repro.devices.mosfet import MOSFET, MOSFETParams, nmos, pmos
-from repro.devices.params import TechnologyParams, UMC40_LIKE
-from repro.devices.nonideal import (
-    DisturbModel,
-    EnduranceModel,
-    RetentionModel,
-    aged_match_margin,
-    compensated_vsl_levels,
-    retention_limited_lifetime_s,
-)
-from repro.devices.preisach import Hysteron, PreisachModel
-from repro.devices.temperature import delay_temperature_sensitivity, technology_at
-from repro.devices.variation import (
-    MEASURED_VTH_SIGMA_MV,
-    DeviceEnsemble,
-    VariationModel,
-)
-from repro.devices.write import WritePulse, WriteScheme
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FeFET",
-    "FeFETParams",
-    "MOSFET",
-    "MOSFETParams",
-    "nmos",
-    "pmos",
-    "TechnologyParams",
-    "UMC40_LIKE",
-    "Hysteron",
-    "PreisachModel",
-    "MEASURED_VTH_SIGMA_MV",
-    "DeviceEnsemble",
-    "VariationModel",
-    "WritePulse",
-    "WriteScheme",
-    "RetentionModel",
-    "EnduranceModel",
-    "DisturbModel",
-    "aged_match_margin",
-    "compensated_vsl_levels",
-    "retention_limited_lifetime_s",
-    "technology_at",
-    "delay_temperature_sensitivity",
-]
+_EXPORTS = {
+    "FeFET": "fefet",
+    "FeFETParams": "fefet",
+    "MOSFET": "mosfet",
+    "MOSFETParams": "mosfet",
+    "nmos": "mosfet",
+    "pmos": "mosfet",
+    "TechnologyParams": "params",
+    "UMC40_LIKE": "params",
+    "Hysteron": "preisach",
+    "PreisachModel": "preisach",
+    "MEASURED_VTH_SIGMA_MV": "variation",
+    "DeviceEnsemble": "variation",
+    "VariationModel": "variation",
+    "WritePulse": "write",
+    "WriteScheme": "write",
+    "RetentionModel": "nonideal",
+    "EnduranceModel": "nonideal",
+    "DisturbModel": "nonideal",
+    "aged_match_margin": "nonideal",
+    "compensated_vsl_levels": "nonideal",
+    "retention_limited_lifetime_s": "nonideal",
+    "technology_at": "temperature",
+    "delay_temperature_sensitivity": "temperature",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -6,25 +6,20 @@ Drivers accept size parameters so benches can run reduced versions while
 ``python -m repro.experiments.<driver>`` reproduces the full figure.
 """
 
-from repro.experiments.ext_resilience import run_resilience_study
-from repro.experiments.fig1_device import run_fig1
-from repro.experiments.fig2_cell import run_fig2
-from repro.experiments.fig4_linearity import run_fig4
-from repro.experiments.fig5_energy_delay import run_fig5_ab, run_fig5_cd
-from repro.experiments.fig6_montecarlo import run_fig6
-from repro.experiments.fig7_hdc_accuracy import run_fig7
-from repro.experiments.fig8_gpu_comparison import run_fig8
-from repro.experiments.table1_comparison import run_table1
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "run_fig1",
-    "run_resilience_study",
-    "run_fig2",
-    "run_fig4",
-    "run_fig5_ab",
-    "run_fig5_cd",
-    "run_fig6",
-    "run_fig7",
-    "run_fig8",
-    "run_table1",
-]
+_EXPORTS = {
+    "run_fig1": "fig1_device",
+    "run_resilience_study": "ext_resilience",
+    "run_fig2": "fig2_cell",
+    "run_fig4": "fig4_linearity",
+    "run_fig5_ab": "fig5_energy_delay",
+    "run_fig5_cd": "fig5_energy_delay",
+    "run_fig6": "fig6_montecarlo",
+    "run_fig7": "fig7_hdc_accuracy",
+    "run_fig8": "fig8_gpu_comparison",
+    "run_table1": "table1_comparison",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

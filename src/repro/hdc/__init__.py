@@ -19,60 +19,39 @@ prototypes (the GPU path); the quantized models predict with the TD-AM's
 match-count similarity.
 """
 
-from repro.hdc.encoder import (
-    QuantizedProjectionEncoder,
-    RandomProjectionEncoder,
-    RecordEncoder,
-)
-from repro.hdc.hypervector import (
-    bind,
-    bundle,
-    permute,
-    random_bipolar,
-    random_gaussian,
-)
-from repro.hdc.mapping import InferenceCost, TDAMInference
-from repro.hdc.metrics import cosine_similarity, hamming_distance, match_count
-from repro.hdc.model import HDCClassifier
-from repro.hdc.accelerator import (
-    AcceleratorModel,
-    AcceleratorSpec,
-    size_accelerator,
-)
-from repro.hdc.cluster import ClusterResult, HDCluster, clustering_accuracy
-from repro.hdc.online import OnlineLearner
-from repro.hdc.pipeline import EncodePipeline, build_pipeline
-from repro.hdc.quantize import QuantizedModel, quantize_equal_area, quantize_uniform
-from repro.hdc.sequence import ScanHit, SequenceEncoder, SequenceMatcher
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "RandomProjectionEncoder",
-    "QuantizedProjectionEncoder",
-    "RecordEncoder",
-    "EncodePipeline",
-    "build_pipeline",
-    "random_bipolar",
-    "random_gaussian",
-    "bind",
-    "bundle",
-    "permute",
-    "HDCClassifier",
-    "QuantizedModel",
-    "quantize_equal_area",
-    "quantize_uniform",
-    "TDAMInference",
-    "InferenceCost",
-    "cosine_similarity",
-    "hamming_distance",
-    "match_count",
-    "SequenceEncoder",
-    "SequenceMatcher",
-    "ScanHit",
-    "HDCluster",
-    "ClusterResult",
-    "clustering_accuracy",
-    "OnlineLearner",
-    "AcceleratorModel",
-    "AcceleratorSpec",
-    "size_accelerator",
-]
+_EXPORTS = {
+    "RandomProjectionEncoder": "encoder",
+    "QuantizedProjectionEncoder": "encoder",
+    "RecordEncoder": "encoder",
+    "EncodePipeline": "pipeline",
+    "build_pipeline": "pipeline",
+    "random_bipolar": "hypervector",
+    "random_gaussian": "hypervector",
+    "bind": "hypervector",
+    "bundle": "hypervector",
+    "permute": "hypervector",
+    "HDCClassifier": "model",
+    "QuantizedModel": "quantize",
+    "quantize_equal_area": "quantize",
+    "quantize_uniform": "quantize",
+    "TDAMInference": "mapping",
+    "InferenceCost": "mapping",
+    "cosine_similarity": "metrics",
+    "hamming_distance": "metrics",
+    "match_count": "metrics",
+    "SequenceEncoder": "sequence",
+    "SequenceMatcher": "sequence",
+    "ScanHit": "sequence",
+    "HDCluster": "cluster",
+    "ClusterResult": "cluster",
+    "clustering_accuracy": "cluster",
+    "OnlineLearner": "online",
+    "AcceleratorModel": "accelerator",
+    "AcceleratorSpec": "accelerator",
+    "size_accelerator": "accelerator",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

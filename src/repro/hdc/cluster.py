@@ -29,6 +29,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.hdc.hypervector import bundle_groups
 from repro.hdc.metrics import cosine_similarity
 
 
@@ -118,14 +119,10 @@ class HDCluster:
                 converged = True
                 break
             assignments = new_assignments
-            for c in range(self.k):
-                members = encoded[assignments == c]
-                if len(members):
-                    centroids[c] = members.sum(axis=0)
-                else:
-                    # Re-seed an empty cluster at the worst-fit sample.
-                    worst = sims.max(axis=1).argmin()
-                    centroids[c] = encoded[worst]
+            centroids, counts = bundle_groups(encoded, assignments, self.k)
+            if not counts.all():
+                # Re-seed every empty cluster at the worst-fit sample.
+                centroids[counts == 0] = encoded[sims.max(axis=1).argmin()]
         return ClusterResult(
             centroids=centroids,
             assignments=assignments,

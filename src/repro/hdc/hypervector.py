@@ -13,7 +13,7 @@ All generators are seeded for reproducibility.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -82,6 +82,36 @@ def bundle(hvs: Sequence[np.ndarray]) -> np.ndarray:
         raise ValueError("bundle requires at least one hypervector")
     stacked = np.stack([np.asarray(h) for h in hvs])
     return stacked.sum(axis=0)
+
+
+def bundle_groups(
+    hvs: np.ndarray, groups: np.ndarray, n_groups: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Bundle each group's rows: ``(bundles, counts)``.
+
+    ``bundles[g]`` is ``hvs[groups == g].sum(axis=0)`` exactly (zeros
+    for an empty group) and ``counts[g]`` the group's size.  One stable
+    sort puts every group's rows next to each other in their original
+    order, so each bundle sums one contiguous slice holding the same
+    rows, in the same order, as the mask gather.  With two or more
+    columns numpy adds those rows one after another, as ``np.add.at``
+    does; a single column it sums pairwise.
+
+    Args:
+        hvs: Rows to bundle, shape (n, D).
+        groups: Each row's group id in ``[0, n_groups)``.
+        n_groups: Number of groups.
+    """
+    hvs = np.asarray(hvs)
+    counts = np.bincount(groups, minlength=n_groups)
+    ordered = hvs[np.argsort(groups, kind="stable")]
+    bundles = np.zeros((n_groups,) + hvs.shape[1:], dtype=hvs.dtype)
+    start = 0
+    for g, end in enumerate(np.cumsum(counts).tolist()):
+        if end > start:
+            bundles[g] = ordered[start:end].sum(axis=0)
+        start = end
+    return bundles, counts
 
 
 def permute(hv: np.ndarray, shift: int = 1) -> np.ndarray:

@@ -21,6 +21,7 @@ from typing import Optional
 import numpy as np
 
 from repro.hdc.encoder import RandomProjectionEncoder
+from repro.hdc.hypervector import bundle_groups
 from repro.hdc.metrics import cosine_similarity
 
 
@@ -82,8 +83,7 @@ class HDCClassifier:
             )
         self.encoding_center = raw.mean(axis=0)
         encoded = self._normalize(raw - self.encoding_center)
-        self.prototypes[:] = 0.0
-        np.add.at(self.prototypes, labels, encoded)
+        self.prototypes[:] = bundle_groups(encoded, labels, self.n_classes)[0]
         self._trained = True
         rng = np.random.default_rng(shuffle_seed)
         for _ in range(epochs):

@@ -11,30 +11,20 @@ backend contract (deadlines, typed admission, coalescing frontend
 compatibility).
 """
 
-from repro.index.cluster_index import (
-    DEFAULT_NPROBE,
-    ClusteredTDAMIndex,
-    IndexTopKResult,
-)
-from repro.index.service import IndexSearchService
-from repro.index.store import (
-    BitPlaneStore,
-    BitPlaneStoreError,
-    StoreCorruptionError,
-    StoreManifestError,
-    StoreShard,
-    build_store,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BitPlaneStore",
-    "BitPlaneStoreError",
-    "ClusteredTDAMIndex",
-    "DEFAULT_NPROBE",
-    "IndexSearchService",
-    "IndexTopKResult",
-    "StoreCorruptionError",
-    "StoreManifestError",
-    "StoreShard",
-    "build_store",
-]
+_EXPORTS = {
+    "BitPlaneStore": "store",
+    "BitPlaneStoreError": "store",
+    "ClusteredTDAMIndex": "cluster_index",
+    "DEFAULT_NPROBE": "cluster_index",
+    "IndexSearchService": "service",
+    "IndexTopKResult": "cluster_index",
+    "StoreCorruptionError": "store",
+    "StoreManifestError": "store",
+    "StoreShard": "store",
+    "build_store": "store",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

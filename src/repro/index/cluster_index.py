@@ -54,6 +54,7 @@ from repro.core.energy import TimingEnergyModel
 from repro.core.sensing import CounterTDC
 from repro.core.topk import grouped_top_k, prune_survivors, top_k_indices
 from repro.hdc.cluster import HDCluster
+from repro.hdc.hypervector import bundle_groups
 from repro.index.store import (
     BitPlaneStore,
     BitPlaneStoreError,
@@ -246,14 +247,11 @@ class ClusteredTDAMIndex:
             seed=seed,
             n_init=n_init,
         ).fit(sample)
-        cents = np.empty(
-            (n_clusters, config.n_stages), dtype=np.float64
-        )
-        for c in range(n_clusters):
-            members = sample[result.assignments == c]
-            cents[c] = (
-                members.mean(axis=0) if len(members) else result.centroids[c]
-            )
+        # Each centroid is its members' mean; an empty cluster keeps the
+        # quantizer's re-seeded centroid.
+        sums, counts = bundle_groups(sample, result.assignments, n_clusters)
+        cents = result.centroids
+        np.divide(sums, counts[:, None], out=cents, where=counts[:, None] > 0)
         cent_levels = np.clip(
             np.rint(cents), 0, config.levels - 1
         ).astype(np.uint8)

@@ -32,44 +32,30 @@ guarantee the serving layer established: a network fault can delay or
 typed-fail a request, never silently change its answer.
 """
 
-from repro.net.client import RemoteFrontend, ServerInfo
-from repro.net.faults import FaultyStream, InjectedDisconnect, WireFaultPlan
-from repro.net.loadgen import run_remote_load
-from repro.net.server import TDAMSocketServer, serve_until_signal
-from repro.net.wire import (
-    ConnectionLostError,
-    FrameCorruptError,
-    FrameDecoder,
-    FrameTimeoutError,
-    FrameTooLargeError,
-    HandshakeError,
-    WireProtocolError,
-    decode_error,
-    decode_response,
-    encode_error,
-    encode_frame,
-    encode_response,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "RemoteFrontend",
-    "ServerInfo",
-    "TDAMSocketServer",
-    "serve_until_signal",
-    "run_remote_load",
-    "WireFaultPlan",
-    "FaultyStream",
-    "InjectedDisconnect",
-    "WireProtocolError",
-    "FrameCorruptError",
-    "FrameTooLargeError",
-    "FrameTimeoutError",
-    "ConnectionLostError",
-    "HandshakeError",
-    "FrameDecoder",
-    "encode_frame",
-    "encode_error",
-    "decode_error",
-    "encode_response",
-    "decode_response",
-]
+_EXPORTS = {
+    "RemoteFrontend": "client",
+    "ServerInfo": "client",
+    "TDAMSocketServer": "server",
+    "serve_until_signal": "server",
+    "run_remote_load": "loadgen",
+    "WireFaultPlan": "faults",
+    "FaultyStream": "faults",
+    "InjectedDisconnect": "faults",
+    "WireProtocolError": "wire",
+    "FrameCorruptError": "wire",
+    "FrameTooLargeError": "wire",
+    "FrameTimeoutError": "wire",
+    "ConnectionLostError": "wire",
+    "HandshakeError": "wire",
+    "FrameDecoder": "wire",
+    "encode_frame": "wire",
+    "encode_error": "wire",
+    "decode_error": "wire",
+    "encode_response": "wire",
+    "decode_response": "wire",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

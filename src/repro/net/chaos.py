@@ -43,16 +43,12 @@ from repro.net.client import RemoteFrontend
 from repro.net.faults import WireFaultPlan
 from repro.net.server import TDAMSocketServer
 from repro.net.wire import encode_frame, hello_message
-from repro.service.chaos import (
-    ChaosScenarioResult,
-    _build_shards,
-    _Outcomes,
-    _result,
-)
+from repro.service.chaos import ChaosScenarioResult, _Outcomes, _result
 from repro.service.coalesce import CoalescePolicy
 from repro.service.frontend import CoalescingFrontend
 from repro.service.retry import RetryBudget, RetryPolicy
 from repro.service.server import TDAMSearchService
+from repro.service.stack import build_shards, draw_stored
 
 __all__ = [
     "ServerHarness",
@@ -150,12 +146,11 @@ def _build_stack(
     config: TDAMConfig, n_rows: int, seed: int
 ) -> Tuple[np.ndarray, CoalescingFrontend]:
     """A small wall-clock serving stack with a seeded stored matrix."""
-    rng = np.random.default_rng(seed)
-    shards = _build_shards(
+    shards = build_shards(
         config, n_rows, n_shards=2, n_spares=2, seed=seed
     )
     service = TDAMSearchService(shards, default_deadline_s=2.0)
-    stored = rng.integers(0, config.levels, (n_rows, config.n_stages))
+    stored = draw_stored(np.random.default_rng(seed), service)
     service.write_all(stored)
     frontend = CoalescingFrontend(
         service,

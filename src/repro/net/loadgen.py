@@ -32,82 +32,22 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
-import numpy as np
-
-from repro.core.config import TDAMConfig
 from repro.net.client import RemoteFrontend
-from repro.service.admission import AdmissionController, TenantQuotas
-from repro.service.chaos import FakeClock, _build_shards
-from repro.service.coalesce import CoalescePolicy
+from repro.service.chaos import FakeClock
 from repro.service.errors import AdmissionRejectedError, ServiceError
-from repro.service.frontend import CoalescingFrontend
 from repro.service.loadgen import (
     LoadConfig,
     LoadReport,
     _build_service,
     _prepare,
     _Tally,
-    derive_traffic,
 )
-from repro.service.server import TDAMSearchService
 
 __all__ = [
-    "build_server_stack",
     "run_remote_load",
 ]
-
-
-def build_server_stack(
-    config: LoadConfig,
-) -> Tuple[TDAMSearchService, CoalescingFrontend]:
-    """The wall-clock service + front end ``repro serve`` runs.
-
-    Same topology as the fake-clock loadtest stack (replicated shards,
-    quotas, bounded queue, coalescing) but on real time, with the
-    simulated per-attempt cost realized as an actual sleep -- the knob
-    that gives the socket smoke test a controllable capacity ceiling.
-    """
-    shards = _build_shards(
-        TDAMConfig(n_stages=config.n_stages),
-        config.n_rows,
-        n_shards=config.n_shards,
-        n_spares=2,
-        seed=config.seed,
-    )
-    service = TDAMSearchService(
-        shards, default_deadline_s=config.deadline_s
-    )
-    if config.attempt_base_s > 0 or config.attempt_per_query_s > 0:
-        def cost(shard_id: str, queries: np.ndarray) -> None:
-            time.sleep(
-                config.attempt_base_s
-                + config.attempt_per_query_s * queries.shape[0]
-            )
-
-        service.add_interceptor(cost)
-    service.write_all(derive_traffic(config, service).stored)
-    quotas = TenantQuotas(
-        default_rate_per_s=config.quota_rate_per_s,
-        default_burst=config.quota_burst,
-    )
-    for tenant, (rate, burst) in (config.quota_overrides or {}).items():
-        quotas.set_quota(tenant, rate, burst=burst)
-    frontend = CoalescingFrontend(
-        service,
-        policy=CoalescePolicy(
-            window_s=config.window_s, max_batch=config.max_batch
-        ),
-        admission=AdmissionController(
-            max_queue_depth=config.max_queue_depth,
-            quotas=quotas,
-            overload_retry_after_s=config.window_s,
-        ),
-        auto_dispatch=True,
-        name="remote-frontend",
-    )
-    return service, frontend
 
 
 def run_remote_load(

@@ -18,47 +18,28 @@ subsystem closes the loop so the array survives the damage in service:
   with explicit health/confidence metadata and a degraded-mode flag.
 """
 
-from repro.resilience.bist import (
-    CellDiagnosis,
-    CellFaultKind,
-    DiagnosisReport,
-    MarchBIST,
-    RowDiagnosis,
-    default_backgrounds,
-)
-from repro.resilience.refresh import RefreshPlan, RefreshScheduler
-from repro.resilience.repair import (
-    RepairEngine,
-    RepairPlan,
-    repair_yield,
-    row_failure_probability,
-    spares_for_yield,
-)
-from repro.resilience.resilient import (
-    HealthReport,
-    ResilientBatchSearchResult,
-    ResilientSearchResult,
-    ResilientTDAMArray,
-    TopKResult,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "MarchBIST",
-    "DiagnosisReport",
-    "RowDiagnosis",
-    "CellDiagnosis",
-    "CellFaultKind",
-    "default_backgrounds",
-    "RepairEngine",
-    "RepairPlan",
-    "row_failure_probability",
-    "repair_yield",
-    "spares_for_yield",
-    "RefreshScheduler",
-    "RefreshPlan",
-    "ResilientTDAMArray",
-    "ResilientSearchResult",
-    "ResilientBatchSearchResult",
-    "TopKResult",
-    "HealthReport",
-]
+_EXPORTS = {
+    "MarchBIST": "bist",
+    "DiagnosisReport": "bist",
+    "RowDiagnosis": "bist",
+    "CellDiagnosis": "bist",
+    "CellFaultKind": "bist",
+    "default_backgrounds": "bist",
+    "RepairEngine": "repair",
+    "RepairPlan": "repair",
+    "row_failure_probability": "repair",
+    "repair_yield": "repair",
+    "spares_for_yield": "repair",
+    "RefreshScheduler": "refresh",
+    "RefreshPlan": "refresh",
+    "ResilientTDAMArray": "resilient",
+    "ResilientSearchResult": "resilient",
+    "ResilientBatchSearchResult": "resilient",
+    "TopKResult": "resilient",
+    "HealthReport": "resilient",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -36,6 +36,9 @@ behind a single request surface with the standard reliability toolkit:
 - **load generation** -- a deterministic open-loop generator scoring
   goodput, shed-rate, latency percentiles, and honesty on a fake clock
   (:mod:`repro.service.loadgen`, ``repro loadtest``).
+- **the serving stack** -- the shards, stored corpus and front end
+  ``repro serve`` builds, shared with the load generators and the chaos
+  harness (:mod:`repro.service.stack`).
 
 The error taxonomy in :mod:`repro.service.errors` is the contract:
 transient errors retry, invalid requests reject immediately, overload
@@ -43,111 +46,61 @@ sheds carry ``retry_after_s``, and every exhaustion path has a distinct
 type.
 """
 
-from repro.service.admission import (
-    AdmissionController,
-    TenantQuotas,
-    TokenBucket,
-)
-from repro.service.breaker import BreakerState, CircuitBreaker
-from repro.service.chaos import (
-    ChaosReport,
-    ChaosScenarioResult,
-    DEADLINE_SLO,
-    FakeClock,
-    run_chaos_suite,
-)
-from repro.service.checkpoint import CheckpointInfo, ServiceCheckpointer
-from repro.service.coalesce import (
-    CoalescePolicy,
-    Coalescer,
-    FrontendFuture,
-    PendingRequest,
-    ReadyBatch,
-)
-from repro.service.errors import (
-    AdmissionRejectedError,
-    AllShardsUnavailableError,
-    CalibrationDriftError,
-    CheckpointCorruptError,
-    CheckpointError,
-    CheckpointNotFoundError,
-    CircuitOpenError,
-    DeadlineExceededError,
-    InvalidRequestError,
-    OverloadError,
-    QuotaExceededError,
-    ReplicaDivergenceError,
-    RetryBudgetExhaustedError,
-    ServiceError,
-    ShardBusyError,
-    ShardTimeoutError,
-    TransientServiceError,
-    is_retryable,
-)
-from repro.service.encode import EncodeSearchService
-from repro.service.frontend import CoalescingFrontend, FrontendStats
-from repro.service.loadgen import (
-    LoadConfig,
-    LoadReport,
-    TenantReport,
-    format_load_report,
-    run_load,
-)
-from repro.service.partition import PartitionedTDAMService
-from repro.service.retry import BackoffSchedule, RetryBudget, RetryPolicy
-from repro.service.response import ServiceResponse
-from repro.service.server import Interceptor, Shard, TDAMSearchService
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AdmissionController",
-    "AdmissionRejectedError",
-    "AllShardsUnavailableError",
-    "BackoffSchedule",
-    "BreakerState",
-    "CalibrationDriftError",
-    "ChaosReport",
-    "ChaosScenarioResult",
-    "CheckpointCorruptError",
-    "CheckpointError",
-    "CheckpointInfo",
-    "CheckpointNotFoundError",
-    "CircuitBreaker",
-    "CircuitOpenError",
-    "CoalescePolicy",
-    "Coalescer",
-    "CoalescingFrontend",
-    "DEADLINE_SLO",
-    "DeadlineExceededError",
-    "EncodeSearchService",
-    "FakeClock",
-    "FrontendFuture",
-    "FrontendStats",
-    "Interceptor",
-    "InvalidRequestError",
-    "LoadConfig",
-    "LoadReport",
-    "OverloadError",
-    "PartitionedTDAMService",
-    "PendingRequest",
-    "QuotaExceededError",
-    "ReadyBatch",
-    "ReplicaDivergenceError",
-    "RetryBudget",
-    "RetryBudgetExhaustedError",
-    "RetryPolicy",
-    "ServiceCheckpointer",
-    "ServiceError",
-    "ServiceResponse",
-    "Shard",
-    "ShardBusyError",
-    "ShardTimeoutError",
-    "TDAMSearchService",
-    "TenantReport",
-    "TenantQuotas",
-    "TokenBucket",
-    "TransientServiceError",
-    "format_load_report",
-    "is_retryable",
-    "run_chaos_suite",
-    "run_load",
-]
+_EXPORTS = {
+    "AdmissionController": "admission",
+    "AdmissionRejectedError": "errors",
+    "AllShardsUnavailableError": "errors",
+    "BackoffSchedule": "retry",
+    "BreakerState": "breaker",
+    "CalibrationDriftError": "errors",
+    "ChaosReport": "chaos",
+    "ChaosScenarioResult": "chaos",
+    "CheckpointCorruptError": "errors",
+    "CheckpointError": "errors",
+    "CheckpointInfo": "checkpoint",
+    "CheckpointNotFoundError": "errors",
+    "CircuitBreaker": "breaker",
+    "CircuitOpenError": "errors",
+    "CoalescePolicy": "coalesce",
+    "Coalescer": "coalesce",
+    "CoalescingFrontend": "frontend",
+    "DEADLINE_SLO": "chaos",
+    "DeadlineExceededError": "errors",
+    "EncodeSearchService": "encode",
+    "FakeClock": "chaos",
+    "FrontendFuture": "coalesce",
+    "FrontendStats": "frontend",
+    "Interceptor": "server",
+    "InvalidRequestError": "errors",
+    "LoadConfig": "stack",
+    "LoadReport": "loadgen",
+    "OverloadError": "errors",
+    "PartitionedTDAMService": "partition",
+    "PendingRequest": "coalesce",
+    "QuotaExceededError": "errors",
+    "ReadyBatch": "coalesce",
+    "ReplicaDivergenceError": "errors",
+    "RetryBudget": "retry",
+    "RetryBudgetExhaustedError": "errors",
+    "RetryPolicy": "retry",
+    "ServiceCheckpointer": "checkpoint",
+    "ServiceError": "errors",
+    "ServiceResponse": "response",
+    "Shard": "server",
+    "ShardBusyError": "errors",
+    "ShardTimeoutError": "errors",
+    "TDAMSearchService": "server",
+    "TenantReport": "loadgen",
+    "TenantQuotas": "admission",
+    "TokenBucket": "admission",
+    "TransientServiceError": "errors",
+    "format_load_report": "loadgen",
+    "is_retryable": "errors",
+    "run_chaos_suite": "chaos",
+    "run_load": "loadgen",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

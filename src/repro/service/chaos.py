@@ -34,7 +34,6 @@ import numpy as np
 
 import repro.io as _io
 from repro.core.config import TDAMConfig
-from repro.core.faults import FaultInjector
 from repro.resilience.resilient import ResilientTDAMArray
 from repro.service.checkpoint import ServiceCheckpointer
 from repro.service.errors import (
@@ -46,6 +45,7 @@ from repro.service.errors import (
 )
 from repro.service.retry import RetryBudget, RetryPolicy
 from repro.service.server import TDAMSearchService
+from repro.service.stack import build_shards
 from repro.telemetry.flight import FlightRecorder
 from repro.telemetry.log import get_logger
 from repro.telemetry.profile import ProbeRecorder, register_probe
@@ -151,43 +151,6 @@ class ChaosReport:
 # ----------------------------------------------------------------------
 # Infrastructure
 # ----------------------------------------------------------------------
-def _build_shards(
-    config: TDAMConfig,
-    n_rows: int,
-    n_shards: int,
-    n_spares: int,
-    fault_counts: Optional[Sequence[Tuple[int, int, int]]] = None,
-    seed: int = 0,
-) -> List[ResilientTDAMArray]:
-    """Replica arrays, optionally seeded with per-shard fault maps.
-
-    ``fault_counts[i]`` is ``(n_stuck_mismatch, n_stuck_match,
-    n_dead_rows)`` for shard ``i``; masking repairs are disabled so the
-    ideal-Hamming oracle stays exact for non-degraded answers.
-    """
-    shards = []
-    for i in range(n_shards):
-        faults = ()
-        if fault_counts is not None:
-            injector = FaultInjector(
-                config, n_rows + n_spares, seed=seed + 1000 * i
-            )
-            sm, sma, dead = fault_counts[i]
-            faults = injector.draw(
-                n_stuck_mismatch=sm, n_stuck_match=sma, n_dead_rows=dead
-            )
-        shards.append(
-            ResilientTDAMArray(
-                config,
-                n_rows=n_rows,
-                n_spares=n_spares,
-                faults=list(faults),
-                max_masked_stages=0,
-            )
-        )
-    return shards
-
-
 def _ideal_best(stored: np.ndarray, query: np.ndarray) -> int:
     """The oracle winner: smallest ideal Hamming distance, lowest row.
 
@@ -346,7 +309,7 @@ def _scenario_baseline(
     """No injection: every answer exact, every deadline met."""
     rng = np.random.default_rng(seed)
     clock = FakeClock()
-    shards = _build_shards(config, n_rows, n_shards=2, n_spares=2)
+    shards = build_shards(config, n_rows, n_shards=2, n_spares=2)
     service, recorder = _recording_service(shards, clock)
     stored = rng.integers(0, config.levels, (n_rows, config.n_stages))
     service.write_all(stored)
@@ -379,7 +342,7 @@ def _scenario_device_faults(
     """
     rng = np.random.default_rng(seed)
     clock = FakeClock()
-    shards = _build_shards(
+    shards = build_shards(
         config,
         n_rows,
         n_shards=2,
@@ -421,7 +384,7 @@ def _scenario_timeouts(
     rng = np.random.default_rng(seed)
     fault_rng = np.random.default_rng(seed + 1)
     clock = FakeClock()
-    shards = _build_shards(config, n_rows, n_shards=2, n_spares=2)
+    shards = build_shards(config, n_rows, n_shards=2, n_spares=2)
     service, recorder = _recording_service(
         shards,
         clock,
@@ -476,7 +439,7 @@ def _scenario_checkpoint_corruption(
     """Corrupted snapshot: restore falls back to the previous one."""
     rng = np.random.default_rng(seed)
     clock = FakeClock()
-    shards = _build_shards(config, n_rows, n_shards=1, n_spares=2)
+    shards = build_shards(config, n_rows, n_shards=1, n_spares=2)
     service, recorder = _recording_service(shards, clock)
     stored = rng.integers(0, config.levels, (n_rows, config.n_stages))
     service.write_all(stored)
@@ -537,7 +500,7 @@ def _scenario_crash_mid_save(
     """
     rng = np.random.default_rng(seed)
     clock = FakeClock()
-    shards = _build_shards(config, n_rows, n_shards=1, n_spares=2)
+    shards = build_shards(config, n_rows, n_shards=1, n_spares=2)
     service, recorder = _recording_service(shards, clock)
     stored = rng.integers(0, config.levels, (n_rows, config.n_stages))
     service.write_all(stored)
@@ -605,7 +568,7 @@ def _scenario_combined(
     rng = np.random.default_rng(seed)
     fault_rng = np.random.default_rng(seed + 2)
     clock = FakeClock()
-    shards = _build_shards(
+    shards = build_shards(
         config,
         n_rows,
         n_shards=3,
@@ -771,7 +734,7 @@ def _scenario_slow_shard_under_load(
     from repro.service.loadgen import LoadConfig, run_load
 
     clock = FakeClock()
-    shards = _build_shards(config, n_rows, n_shards=2, n_spares=2)
+    shards = build_shards(config, n_rows, n_shards=2, n_spares=2)
     recorder = _load_recorder()
     service = TDAMSearchService(
         shards,

@@ -35,9 +35,12 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+# A load test's exposition lists every serving metric family, and the
+# partitioned gather's register only when its module loads.
+import repro.service.partition  # noqa: F401
 from repro.core.config import TDAMConfig
 from repro.service.admission import AdmissionController, TenantQuotas
-from repro.service.chaos import FakeClock, _build_shards
+from repro.service.chaos import FakeClock
 from repro.service.coalesce import CoalescePolicy
 from repro.service.errors import (
     AdmissionRejectedError,
@@ -47,6 +50,7 @@ from repro.service.errors import (
 from repro.service.frontend import CoalescingFrontend
 from repro.service.response import ServiceResponse
 from repro.service.server import TDAMSearchService
+from repro.service.stack import LoadConfig, build_shards, draw_stored
 from repro.telemetry import metrics as _metrics
 from repro.telemetry.flight import FlightRecorder
 from repro.telemetry.sketch import QuantileSketch
@@ -73,85 +77,6 @@ _ANSWERS = _REG.counter(
     "(exact/degraded_flagged/wrong_unflagged)",
     labels=("verdict",),
 )
-
-
-@dataclass(frozen=True)
-class LoadConfig:
-    """One load-test run: traffic shape, control knobs, cost model.
-
-    Args:
-        duration_s: Simulated arrival span (requests arriving in
-            ``[0, duration_s)``; the run itself continues until every
-            admitted request resolves).
-        rate_per_s: Offered Poisson arrival rate, all tenants combined.
-        deadline_s: Per-request deadline, dated from *nominal* arrival
-            (an arrival delayed by upstream queueing has already spent
-            part of its budget -- open-loop honesty).
-        n_tenants: Tenants (``t0`` .. ``t{n-1}``).
-        tenant_weights: Per-tenant traffic share (default uniform).
-        quota_rate_per_s: Default per-tenant quota (``inf`` = off).
-        quota_burst: Default per-tenant bucket capacity.
-        quota_overrides: ``tenant -> (rate_per_s, burst)`` explicit
-            quotas layered over the default.
-        max_queue_depth: Front-end intake bound.
-        window_s: Coalescing window.
-        max_batch: Coalescing batch-size cap.
-        attempt_base_s: Simulated shard cost per attempt (fixed part).
-        attempt_per_query_s: Simulated shard cost per query in the
-            batch -- this gap is exactly what coalescing harvests.
-        kind: ``"search"`` or ``"topk"``.
-        k: Top-k size (``kind="topk"``).
-        pool_size: Distinct queries drawn from (answers precomputed
-            for the honesty check).
-        n_rows: Stored rows (self-built service only).
-        n_shards: Replicas (self-built service only).
-        n_stages: Design-point stage count (self-built service only).
-        seed: Master seed of the arrival/tenant/query streams.
-    """
-
-    duration_s: float = 0.25
-    rate_per_s: float = 2000.0
-    deadline_s: float = 0.050
-    n_tenants: int = 4
-    tenant_weights: Optional[Tuple[float, ...]] = None
-    quota_rate_per_s: float = math.inf
-    quota_burst: float = 16.0
-    quota_overrides: Optional[Dict[str, Tuple[float, float]]] = None
-    max_queue_depth: int = 64
-    window_s: float = 0.002
-    max_batch: int = 32
-    attempt_base_s: float = 0.0005
-    attempt_per_query_s: float = 0.0001
-    kind: str = "search"
-    k: int = 3
-    pool_size: int = 32
-    n_rows: int = 16
-    n_shards: int = 2
-    n_stages: int = 16
-    seed: int = 7
-
-    def __post_init__(self) -> None:
-        if self.duration_s <= 0:
-            raise ValueError(f"duration_s must be > 0, got {self.duration_s}")
-        if self.rate_per_s <= 0:
-            raise ValueError(f"rate_per_s must be > 0, got {self.rate_per_s}")
-        if self.deadline_s <= 0:
-            raise ValueError(f"deadline_s must be > 0, got {self.deadline_s}")
-        if self.kind not in ("search", "topk"):
-            raise ValueError(
-                f"kind must be 'search' or 'topk', got {self.kind!r}"
-            )
-        if self.n_tenants < 1:
-            raise ValueError(f"n_tenants must be >= 1, got {self.n_tenants}")
-        if self.tenant_weights is not None and (
-            len(self.tenant_weights) != self.n_tenants
-            or any(w < 0 for w in self.tenant_weights)
-            or sum(self.tenant_weights) <= 0
-        ):
-            raise ValueError(
-                "tenant_weights must be n_tenants non-negative weights "
-                "with a positive sum"
-            )
 
 
 @dataclass
@@ -339,7 +264,7 @@ def derive_traffic(config: LoadConfig, service) -> Traffic:
     """
     levels, n_stages = service.config.levels, service.config.n_stages
     rng = np.random.default_rng(config.seed)
-    stored = rng.integers(0, levels, (service.n_rows, n_stages))
+    stored = draw_stored(rng, service)
     pool = rng.integers(0, levels, (config.pool_size, n_stages))
     arrivals: List[float] = []
     t = 0.0
@@ -369,7 +294,7 @@ def _build_service(
     config: LoadConfig, clock: FakeClock
 ) -> TDAMSearchService:
     """A replicated fake-clock service with the simulated cost model."""
-    shards = _build_shards(
+    shards = build_shards(
         TDAMConfig(n_stages=config.n_stages),
         config.n_rows,
         n_shards=config.n_shards,

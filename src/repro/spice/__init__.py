@@ -15,46 +15,29 @@ node, and the variable-capacitance delay stages.
 - :mod:`~repro.spice.montecarlo` -- seeded Monte Carlo harness.
 """
 
-from repro.spice.elements import (
-    Capacitor,
-    CurrentSource,
-    FeFETElement,
-    MOSFETElement,
-    PulseWaveform,
-    PWLWaveform,
-    Resistor,
-    StepWaveform,
-    VoltageSource,
-)
-from repro.spice.dc import solve_dc, sweep_dc
-from repro.spice.montecarlo import (
-    MonteCarloResult,
-    resolve_worker_count,
-    run_monte_carlo,
-    shutdown_executor_pools,
-)
-from repro.spice.netlist import Circuit
-from repro.spice.transient import TransientResult, simulate
-from repro.spice.waveform import Waveform
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Circuit",
-    "Resistor",
-    "Capacitor",
-    "CurrentSource",
-    "VoltageSource",
-    "MOSFETElement",
-    "FeFETElement",
-    "PWLWaveform",
-    "PulseWaveform",
-    "StepWaveform",
-    "TransientResult",
-    "simulate",
-    "Waveform",
-    "MonteCarloResult",
-    "run_monte_carlo",
-    "resolve_worker_count",
-    "shutdown_executor_pools",
-    "solve_dc",
-    "sweep_dc",
-]
+_EXPORTS = {
+    "Circuit": "netlist",
+    "Resistor": "elements",
+    "Capacitor": "elements",
+    "CurrentSource": "elements",
+    "VoltageSource": "elements",
+    "MOSFETElement": "elements",
+    "FeFETElement": "elements",
+    "PWLWaveform": "elements",
+    "PulseWaveform": "elements",
+    "StepWaveform": "elements",
+    "TransientResult": "transient",
+    "simulate": "transient",
+    "Waveform": "waveform",
+    "MonteCarloResult": "montecarlo",
+    "run_monte_carlo": "montecarlo",
+    "resolve_worker_count": "montecarlo",
+    "shutdown_executor_pools": "montecarlo",
+    "solve_dc": "dc",
+    "sweep_dc": "dc",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -33,148 +33,69 @@ See ``docs/OBSERVABILITY.md`` for the probe-point catalog and how to
 read a trace.
 """
 
-from repro.telemetry.flight import (
-    FlightRecord,
-    FlightRecorder,
-)
-from repro.telemetry.log import (
-    ConsoleFormatter,
-    JsonLinesFormatter,
-    RequestContextFilter,
-    configure_logging,
-    get_logger,
-    parse_level,
-    reset_logging,
-)
-from repro.telemetry.metrics import (
-    Counter,
-    DEFAULT_BUCKETS,
-    Gauge,
-    Histogram,
-    LATENCY_BUCKETS_S,
-    MetricsRegistry,
-    Quantile,
-    get_registry,
-)
-from repro.telemetry.profile import (
-    PROBE_EVENTS,
-    ProbeRecorder,
-    clear_probes,
-    declare_probe_event,
-    emit_probe,
-    register_probe,
-    unregister_probe,
-)
-from repro.telemetry.request import (
-    RequestContext,
-    current_request,
-    new_request_id,
-    request_scope,
-    reset_request_ids,
-)
-from repro.telemetry.sketch import QuantileSketch
-from repro.telemetry.slo import (
-    MetricTerm,
-    SLOEngine,
-    SLOReport,
-    SLOSpec,
-    SLOVerdict,
-    WindowVerdict,
-    default_serving_slos,
-    format_slo_report,
-)
-from repro.telemetry.state import (
-    STATE,
-    disable,
-    enable,
-    enabled_scope,
-    is_enabled,
-    set_tracing,
-    tracing_scope,
-)
-from repro.telemetry.trace import (
-    Span,
-    Tracer,
-    dump_chrome_trace,
-    get_tracer,
-    span,
-    traced,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
+_EXPORTS = {
     # switch
-    "enable",
-    "disable",
-    "is_enabled",
-    "enabled_scope",
-    "set_tracing",
-    "tracing_scope",
-    "reset",
+    "enable": "state",
+    "disable": "state",
+    "is_enabled": "state",
+    "enabled_scope": "state",
+    "set_tracing": "state",
+    "tracing_scope": "state",
+    "reset": "state",
     # logging
-    "get_logger",
-    "configure_logging",
-    "reset_logging",
-    "parse_level",
-    "JsonLinesFormatter",
-    "ConsoleFormatter",
-    "RequestContextFilter",
+    "get_logger": "log",
+    "configure_logging": "log",
+    "reset_logging": "log",
+    "parse_level": "log",
+    "JsonLinesFormatter": "log",
+    "ConsoleFormatter": "log",
+    "RequestContextFilter": "log",
     # metrics
-    "MetricsRegistry",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "Quantile",
-    "QuantileSketch",
-    "DEFAULT_BUCKETS",
-    "LATENCY_BUCKETS_S",
-    "get_registry",
+    "MetricsRegistry": "metrics",
+    "Counter": "metrics",
+    "Gauge": "metrics",
+    "Histogram": "metrics",
+    "Quantile": "metrics",
+    "QuantileSketch": "sketch",
+    "DEFAULT_BUCKETS": "metrics",
+    "LATENCY_BUCKETS_S": "metrics",
+    "get_registry": "metrics",
     # request contexts
-    "RequestContext",
-    "current_request",
-    "request_scope",
-    "new_request_id",
-    "reset_request_ids",
+    "RequestContext": "request",
+    "current_request": "request",
+    "request_scope": "request",
+    "new_request_id": "request",
+    "reset_request_ids": "request",
     # tracing
-    "Tracer",
-    "Span",
-    "span",
-    "traced",
-    "get_tracer",
-    "dump_chrome_trace",
+    "Tracer": "trace",
+    "Span": "trace",
+    "span": "trace",
+    "traced": "trace",
+    "get_tracer": "trace",
+    "dump_chrome_trace": "trace",
     # SLOs
-    "SLOSpec",
-    "MetricTerm",
-    "SLOEngine",
-    "SLOReport",
-    "SLOVerdict",
-    "WindowVerdict",
-    "default_serving_slos",
-    "format_slo_report",
+    "SLOSpec": "slo",
+    "MetricTerm": "slo",
+    "SLOEngine": "slo",
+    "SLOReport": "slo",
+    "SLOVerdict": "slo",
+    "WindowVerdict": "slo",
+    "default_serving_slos": "slo",
+    "format_slo_report": "slo",
     # flight recorder
-    "FlightRecorder",
-    "FlightRecord",
+    "FlightRecorder": "flight",
+    "FlightRecord": "flight",
     # profiling hooks
-    "PROBE_EVENTS",
-    "register_probe",
-    "unregister_probe",
-    "emit_probe",
-    "declare_probe_event",
-    "clear_probes",
-    "ProbeRecorder",
-]
+    "PROBE_EVENTS": "profile",
+    "register_probe": "profile",
+    "unregister_probe": "profile",
+    "emit_probe": "profile",
+    "declare_probe_event": "profile",
+    "clear_probes": "profile",
+    "ProbeRecorder": "profile",
+}
 
-
-def reset() -> None:
-    """Return telemetry to its pristine state (tests, notebooks).
-
-    Disables the switch (restoring the tracing sub-gate), zeroes every
-    metric series, drops recorded spans, detaches every probe hook,
-    restarts the request-id counter, and removes the managed log
-    handler.  Module-level metric handles stay valid.
-    """
-    disable()
-    get_registry().reset()
-    get_tracer().reset()
-    clear_probes()
-    reset_request_ids()
-    reset_logging()
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -93,3 +93,26 @@ def enabled_scope(on: bool = True) -> Iterator[None]:
         yield
     finally:
         STATE.enabled = previous
+
+
+def reset() -> None:
+    """Return telemetry to its pristine state (tests, notebooks).
+
+    Disables the switch (restoring the tracing sub-gate), zeroes every
+    metric series, drops recorded spans, detaches every probe hook,
+    restarts the request-id counter, and removes the managed log
+    handler.  Module-level metric handles stay valid.
+    """
+    # Imported here: every other pillar imports this module.
+    from repro.telemetry.log import reset_logging
+    from repro.telemetry.metrics import get_registry
+    from repro.telemetry.profile import clear_probes
+    from repro.telemetry.request import reset_request_ids
+    from repro.telemetry.trace import get_tracer
+
+    disable()
+    get_registry().reset()
+    get_tracer().reset()
+    clear_probes()
+    reset_request_ids()
+    reset_logging()

@@ -115,6 +115,35 @@ class TestSearchCost:
             model.array_search_cost([])
 
 
+class TestEnergyTable:
+    @given(
+        bits=st.integers(min_value=1, max_value=3),
+        n_stages=st.integers(min_value=1, max_value=2048),
+        vdd=st.sampled_from([0.5, 0.6, 0.8, 1.1]),
+        include_tdc=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_table_is_the_scalar_law_bit_for_bit(
+        self, bits, n_stages, vdd, include_tdc
+    ):
+        model = TimingEnergyModel(
+            TDAMConfig(bits=bits, n_stages=n_stages, vdd=vdd)
+        )
+        table = model.search_energy_table(include_tdc)
+        assert table.shape == (n_stages + 1,)
+        scalar = [
+            model.search_cost(m, include_tdc=include_tdc).energy_j
+            for m in range(n_stages + 1)
+        ]
+        assert table.tolist() == scalar
+
+    def test_table_is_cached_per_tdc_flag(self, model):
+        assert model.search_energy_table() is model.search_energy_table()
+        assert (
+            model.search_energy_table(False) < model.search_energy_table()
+        ).all()
+
+
 class TestEfficiency:
     def test_best_point_near_paper_headline(self):
         """0.159 fJ/bit at the paper's 0.6 V system operating point."""

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.datasets.synthetic import make_face_like
 from repro.hdc.cluster import HDCluster, clustering_accuracy
 from repro.hdc.encoder import RandomProjectionEncoder
-from tests.oracles import exact_init_indices
+from tests.oracles import exact_init_indices, mask_loop_cluster_fit
 
 
 def encoded_blobs(n_clusters=3, n_per=40, dimension=1024, seed=6):
@@ -129,6 +129,50 @@ class TestHDCluster:
         )
         want = exact_init_indices(rows, k, np.random.default_rng(seed))
         assert got.tolist() == want
+
+
+def _assert_fit_matches_mask_loop(cluster, encoded):
+    """The fit is the mask-loop reference's, bit for bit; returns the
+    reference's re-seed count."""
+    (centroids, assignments, iterations, converged), reseeds = (
+        mask_loop_cluster_fit(cluster, encoded)
+    )
+    result = cluster.fit(encoded)
+    assert result.centroids.tobytes() == centroids.tobytes()
+    assert result.assignments.tolist() == assignments.tolist()
+    assert (result.iterations, result.converged) == (iterations, converged)
+    return reseeds
+
+
+class TestLloydUpdate:
+    @settings(max_examples=60, deadline=None)
+    @given(tied_level_samples())
+    def test_matches_the_mask_loop_on_tied_levels(self, case):
+        rows, k, seed = case
+        _assert_fit_matches_mask_loop(
+            HDCluster(k=k, seed=seed, n_init=2), rows
+        )
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 12))
+    def test_matches_the_mask_loop_on_gaussian_input(self, seed, k):
+        encoded = np.random.default_rng(seed).standard_normal((80, 24))
+        _assert_fit_matches_mask_loop(
+            HDCluster(k=k, seed=seed, n_init=2), encoded
+        )
+
+    def test_matches_the_mask_loop_through_empty_cluster_reseeds(self):
+        # Duplicate rows: two centroids on copies of one row tie, the
+        # lower id takes every member, and the other is re-seeded.
+        encoded = np.array([[1.0, 0.0]] * 3 + [[0.0, 1.0]] * 3 + [[1.0, 1.0]])
+        reseeds = sum(
+            _assert_fit_matches_mask_loop(
+                HDCluster(k=4, seed=seed, n_init=1, max_iterations=4),
+                encoded,
+            )
+            for seed in range(8)
+        )
+        assert reseeds > 0
 
 
 class TestClusteringAccuracy:

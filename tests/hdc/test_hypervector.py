@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.hdc.hypervector import (
     bind,
     bundle,
+    bundle_groups,
     level_hypervectors,
     permute,
     random_bipolar,
@@ -99,3 +101,50 @@ class TestAlgebra:
         """x (x) x = identity for bipolar hypervectors."""
         hv = random_bipolar(1, 64, np.random.default_rng(n))[0]
         assert np.array_equal(bind(hv, hv), np.ones(64))
+
+
+@st.composite
+def grouped_rows(draw):
+    """Float rows with group ids; some groups stay empty, and groups of
+    more than eight rows take numpy's pairwise path on one column."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    n_rows = draw(st.integers(0, 60))
+    n_cols = draw(st.integers(1, 5))
+    n_groups = draw(st.integers(1, 6))
+    hvs = draw(hnp.arrays(dtype, (n_rows, n_cols), elements=st.floats(
+        -1e6, 1e6, allow_nan=False, width=np.dtype(dtype).itemsize * 8,
+    )))
+    groups = draw(hnp.arrays(
+        np.int64, n_rows, elements=st.integers(0, n_groups - 1)
+    ))
+    return hvs, groups, n_groups
+
+
+class TestBundleGroups:
+    @given(grouped_rows())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_mask_loop_bit_for_bit(self, case):
+        hvs, groups, n_groups = case
+        bundles, counts = bundle_groups(hvs, groups, n_groups)
+        assert bundles.dtype == hvs.dtype
+        for g in range(n_groups):
+            members = hvs[groups == g]
+            assert counts[g] == len(members)
+            assert bundles[g].tobytes() == members.sum(axis=0).tobytes()
+
+    @given(grouped_rows())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_add_at_on_two_or_more_columns(self, case):
+        hvs, groups, n_groups = case
+        # One column numpy sums pairwise; np.add.at adds in order.
+        hvs = np.concatenate([hvs, hvs[:, ::-1]], axis=1)
+        bundles, _ = bundle_groups(hvs, groups, n_groups)
+        want = np.zeros((n_groups, hvs.shape[1]), dtype=hvs.dtype)
+        np.add.at(want, groups, hvs)
+        assert bundles.tobytes() == want.tobytes()
+
+    def test_empty_group_is_zero(self):
+        hvs = np.arange(6, dtype=np.float32).reshape(3, 2)
+        bundles, counts = bundle_groups(hvs, np.array([2, 0, 2]), 4)
+        assert counts.tolist() == [1, 0, 2, 0]
+        assert bundles.tolist() == [[2, 3], [0, 0], [4, 6], [0, 0]]

@@ -8,8 +8,9 @@ requests end in deadline misses rather than answers.
 import pytest
 
 from repro.net.chaos import ServerHarness
-from repro.net.loadgen import build_server_stack, run_remote_load
+from repro.net.loadgen import run_remote_load
 from repro.service.loadgen import LoadConfig, run_load
+from repro.service.stack import build_server_stack
 
 # Small queue, slow attempts, tight deadline: the run sheds, and some
 # admitted requests miss their deadline instead of being answered.

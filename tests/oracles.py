@@ -84,3 +84,45 @@ def exact_init_indices(encoded, k, rng):
         ]
         chosen.append(min(closeness)[1])
     return chosen
+
+
+def mask_loop_cluster_fit(cluster, encoded):
+    """:meth:`repro.hdc.cluster.HDCluster.fit` with the per-cluster
+    boolean-mask centroid update it replaced.
+
+    Each Lloyd step sets centroid ``c`` to ``encoded[assignments ==
+    c].sum(axis=0)``, cluster by cluster, and re-seeds an empty cluster
+    at the worst-fit sample.  Initialization and scoring reuse the
+    cluster's own rules.  Returns the best restart's ``(centroids,
+    assignments, iterations, converged)`` and the number of re-seeds
+    over all restarts.
+    """
+    from repro.hdc.metrics import cosine_similarity
+
+    encoded = np.asarray(encoded, dtype=np.float64)
+    best, reseeds = None, 0
+    for child in np.random.SeedSequence(cluster.seed).spawn(cluster.n_init):
+        rng = np.random.default_rng(child)
+        centroids = encoded[cluster._init_indices(encoded, rng)]
+        assignments = np.full(encoded.shape[0], -1, dtype=np.int64)
+        converged, iteration = False, 0
+        for iteration in range(1, cluster.max_iterations + 1):
+            sims = cosine_similarity(encoded, centroids)
+            new_assignments = sims.argmax(axis=1)
+            if np.array_equal(new_assignments, assignments):
+                converged = True
+                break
+            assignments = new_assignments
+            for c in range(cluster.k):
+                members = encoded[assignments == c]
+                if len(members):
+                    centroids[c] = members.sum(axis=0)
+                else:
+                    centroids[c] = encoded[sims.max(axis=1).argmin()]
+                    reseeds += 1
+        score = float(
+            cosine_similarity(encoded, centroids).max(axis=1).mean()
+        )
+        if best is None or score > best[0]:
+            best = (score, (centroids, assignments, iteration, converged))
+    return best[1], reseeds

@@ -31,7 +31,7 @@ from repro.service import (
     ShardTimeoutError,
     TDAMSearchService,
 )
-from repro.service.chaos import _build_shards
+from repro.service.stack import build_shards
 
 N_ROWS = 12
 N_FEATURES = 9
@@ -54,7 +54,7 @@ def _replicated(config, stored, clock):
     # Shard 0 has more dead rows than spares: after self-test it serves
     # with retired rows (degraded); shard 1 is clean (exact).  No health
     # checks, so round-robin keeps serving from both.
-    shards = _build_shards(
+    shards = build_shards(
         config, N_ROWS, n_shards=2, n_spares=2,
         fault_counts=[(2, 2, 4), (0, 0, 0)], seed=7,
     )

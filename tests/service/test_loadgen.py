@@ -150,13 +150,13 @@ class TestReporting:
     def test_external_service_and_clock(self):
         # run_load accepts a pre-built service so chaos scenarios can
         # inject faults; the clock must be the same FakeClock.
-        from repro.service.chaos import _build_shards
+        from repro.service.stack import build_shards
         from repro.core.config import TDAMConfig
         from repro.service import TDAMSearchService
 
         clock = FakeClock()
         config = _quick()
-        shards = _build_shards(
+        shards = build_shards(
             TDAMConfig(n_stages=config.n_stages),
             n_rows=config.n_rows,
             n_shards=2,

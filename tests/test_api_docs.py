@@ -20,11 +20,19 @@ class TestGenerator:
             assert section.startswith(f"## `{name}`")
 
     def test_all_exports_resolve(self):
-        """Every __all__ entry must actually exist (import smoke)."""
-        for name in gen_api_docs.SUBPACKAGES:
+        """Every __all__ entry exists, is listed by dir(), and binds
+        under a star import (the packages load their exports lazily)."""
+        for name in ["repro", *gen_api_docs.SUBPACKAGES]:
             module = importlib.import_module(name)
+            listed = dir(module)
+            star = {}
+            exec(f"from {name} import *", star)
             for symbol in getattr(module, "__all__", []):
                 assert hasattr(module, symbol), f"{name}.{symbol}"
+                assert symbol in listed, f"{name}.{symbol} not in dir()"
+                assert star.get(symbol) is getattr(module, symbol), (
+                    f"{name}.{symbol} not bound by import *"
+                )
 
     def test_public_symbols_documented(self):
         """Every exported class/function carries a docstring."""
