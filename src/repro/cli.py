@@ -42,20 +42,20 @@ def _table1() -> str:
     return format_table1(run_table1())
 
 
-def _fig1(fast: bool, workers: int = 1) -> str:
+def _fig1(fast: bool) -> str:
     from repro.experiments.fig1_device import format_fig1, run_fig1
 
     kwargs = {"n_devices": 12, "n_points": 21} if fast else {}
     return format_fig1(run_fig1(**kwargs))
 
 
-def _fig2(fast: bool, workers: int = 1) -> str:
+def _fig2(fast: bool) -> str:
     from repro.experiments.fig2_cell import format_fig2, run_fig2
 
     return format_fig2(run_fig2(dt=4e-12 if fast else 2e-12))
 
 
-def _fig4(fast: bool, workers: int = 1) -> str:
+def _fig4(fast: bool) -> str:
     from repro.experiments.fig4_linearity import format_fig4, run_fig4
 
     parts = [format_fig4(run_fig4(n_stages=32, backend="analytic"))]
@@ -69,7 +69,7 @@ def _fig4(fast: bool, workers: int = 1) -> str:
     return "\n\n".join(parts)
 
 
-def _fig5(fast: bool, workers: int = 1) -> str:
+def _fig5(fast: bool) -> str:
     from repro.experiments.fig5_energy_delay import (
         format_fig5_ab,
         format_fig5_cd,
@@ -85,16 +85,16 @@ def _fig5(fast: bool, workers: int = 1) -> str:
     return format_fig5_ab(ab) + "\n\n" + format_fig5_cd(run_fig5_cd())
 
 
-def _fig6(fast: bool, workers: int = 1) -> str:
+def _fig6(fast: bool) -> str:
     from repro.experiments.fig6_montecarlo import format_fig6, run_fig6
 
     kwargs = (
         {"n_runs": 120, "sigmas_mv": (20.0, 60.0)} if fast else {"n_runs": 500}
     )
-    return format_fig6(run_fig6(n_workers=workers, **kwargs))
+    return format_fig6(run_fig6(**kwargs))
 
 
-def _fig7(fast: bool, workers: int = 1) -> str:
+def _fig7(fast: bool) -> str:
     from repro.experiments.fig7_hdc_accuracy import format_fig7, run_fig7
 
     if fast:
@@ -106,13 +106,13 @@ def _fig7(fast: bool, workers: int = 1) -> str:
     return format_fig7(result)
 
 
-def _fig8(fast: bool, workers: int = 1) -> str:
+def _fig8(fast: bool) -> str:
     from repro.experiments.fig8_gpu_comparison import format_fig8, run_fig8
 
     return format_fig8(run_fig8())
 
 
-def _ablations(fast: bool, workers: int = 1) -> str:
+def _ablations(fast: bool) -> str:
     from repro.experiments.ablations import (
         format_ablation_precision_margin,
         format_ablation_quantizer,
@@ -138,7 +138,7 @@ def _ablations(fast: bool, workers: int = 1) -> str:
     return "\n\n".join(parts)
 
 
-def _retention(fast: bool, workers: int = 1) -> str:
+def _retention(fast: bool) -> str:
     from repro.experiments.ext_retention import (
         format_endurance,
         format_retention,
@@ -154,7 +154,7 @@ def _retention(fast: bool, workers: int = 1) -> str:
     )
 
 
-def _temperature(fast: bool, workers: int = 1) -> str:
+def _temperature(fast: bool) -> str:
     from repro.experiments.ext_temperature import (
         format_temperature,
         run_temperature_study,
@@ -163,7 +163,7 @@ def _temperature(fast: bool, workers: int = 1) -> str:
     return format_temperature(run_temperature_study())
 
 
-def _online(fast: bool, workers: int = 1) -> str:
+def _online(fast: bool) -> str:
     from repro.datasets.synthetic import make_isolet_like
     from repro.experiments.ext_online import format_online, run_online_study
 
@@ -173,13 +173,13 @@ def _online(fast: bool, workers: int = 1) -> str:
     return format_online(run_online_study())
 
 
-def _batch(fast: bool, workers: int = 1) -> str:
+def _batch(fast: bool) -> str:
     from repro.experiments.ext_batch import format_batch_study, run_batch_study
 
     return format_batch_study(run_batch_study())
 
 
-def _dse(fast: bool, workers: int = 1) -> str:
+def _dse(fast: bool) -> str:
     from repro.analysis.pareto import (
         evaluate_design_space,
         knee_point,
@@ -206,17 +206,17 @@ def _dse(fast: bool, workers: int = 1) -> str:
     return "\n".join(lines)
 
 
-def _resilience(fast: bool, workers: int = 1) -> str:
+def _resilience(fast: bool) -> str:
     from repro.experiments.ext_resilience import (
         format_resilience,
         run_resilience_study,
     )
 
     kwargs = {"n_rows": 8, "n_trials": 6, "n_queries": 4} if fast else {}
-    return format_resilience(run_resilience_study(n_workers=workers, **kwargs))
+    return format_resilience(run_resilience_study(**kwargs))
 
 
-def _area(fast: bool, workers: int = 1) -> str:
+def _area(fast: bool) -> str:
     from repro.analysis.reporting import format_table
     from repro.core.area import cell_area_comparison, density_advantage
 
@@ -229,13 +229,13 @@ def _area(fast: bool, workers: int = 1) -> str:
     )
 
 
-def _chaos(fast: bool, workers: int = 1) -> str:
+def _chaos(fast: bool) -> str:
     from repro.experiments.ext_chaos import format_chaos, run_chaos_study
 
     return format_chaos(run_chaos_study(quick=fast))
 
 
-def _encode(fast: bool, workers: int = 1) -> str:
+def _encode(fast: bool) -> str:
     from repro.experiments.ext_encode import (
         format_encode_study,
         run_encode_study,
@@ -244,13 +244,11 @@ def _encode(fast: bool, workers: int = 1) -> str:
     return format_encode_study(run_encode_study(quick=fast))
 
 
-#: Experiment registry: name -> (description, runner(fast, workers) -> text).
-#: ``workers`` threads/processes the Monte Carlo-style experiments (fig6,
-#: resilience); ``None`` means auto; the others ignore it.
-EXPERIMENTS: Dict[str, Tuple[str, Callable[[bool, Optional[int]], str]]] = {
+#: Experiment registry: name -> (description, runner(fast) -> text).
+EXPERIMENTS: Dict[str, Tuple[str, Callable[[bool], str]]] = {
     "table1": (
         "Table I energy/bit comparison",
-        lambda fast, workers=1: _table1(),
+        lambda fast: _table1(),
     ),
     "fig1": ("FeFET I_D-V_G curves and device spread", _fig1),
     "fig2": ("IMC cell match/mismatch transients", _fig2),
@@ -346,19 +344,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     run.add_argument("experiment", choices=sorted(EXPERIMENTS))
     run.add_argument("--fast", action="store_true",
                      help="reduced problem sizes")
-    run.add_argument("--workers", type=int, default=None, metavar="N",
-                     help="parallel Monte Carlo workers (bit-identical "
-                          "results for any count; default: auto -- shard "
-                          "only when the machine and trial count let "
-                          "parallelism win)")
     report = sub.add_parser("report", help="run every experiment in order",
                             parents=[telemetry_options])
     report.add_argument("--fast", action="store_true",
                         help="reduced problem sizes")
     report.add_argument("--output", metavar="FILE", default=None,
                         help="also write the report to a file")
-    report.add_argument("--workers", type=int, default=None, metavar="N",
-                        help="parallel Monte Carlo workers (default: auto)")
     resilience = sub.add_parser(
         "resilience",
         help="BIST/repair yield-vs-spares study with tunable fault rates",
@@ -384,11 +375,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     resilience.add_argument(
         "--seed", type=int, default=11, help="fault-map seed",
-    )
-    resilience.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="parallel trial-evaluation workers (bit-identical results; "
-             "default: auto)",
     )
     chaos = sub.add_parser(
         "chaos",
@@ -777,7 +763,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             "running experiment",
             extra={"experiment": args.experiment, "fast": args.fast},
         )
-        emit(runner(args.fast, args.workers))
+        emit(runner(args.fast))
         return 0
     if args.command == "resilience":
         from repro.experiments.ext_resilience import (
@@ -794,7 +780,6 @@ def _dispatch(args: argparse.Namespace) -> int:
                     n_rows=args.rows,
                     n_trials=args.trials,
                     seed=args.seed,
-                    n_workers=args.workers,
                 )
             )
         )
@@ -892,7 +877,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         header = "=" * 72 + f"\n{name}: {description}\n" + "=" * 72
         emit(header)
         start = time.time()
-        body = runner(args.fast, args.workers)
+        body = runner(args.fast)
         emit(body)
         emit(f"[{name} done in {time.time() - start:.1f} s]\n")
         sections.append(f"{header}\n{body}\n")

@@ -465,8 +465,9 @@ class FastTDAMArray:
     materialized at write time and cached between searches.  Code that
     mutates ``_off_a``/``_off_b`` **in place** (retention drift, BIST
     restore) must call :meth:`invalidate_threshold_cache` afterwards;
-    wholesale re-assignment of those attributes (and of ``_vsl``, the
-    re-biasable search-line ladder) invalidates automatically.
+    :meth:`set_vth_offsets` (wholesale offsets) and re-assigning
+    ``_vsl``, the re-biasable search-line ladder, invalidate on their
+    own.
 
     Args:
         config: Design point.
@@ -581,6 +582,25 @@ class FastTDAMArray:
         if _TM.enabled:
             _CACHE_EVENTS.inc(op="invalidate")
             _emit_probe("cache.threshold", op="invalidate")
+
+    def set_vth_offsets(self, off_a, off_b) -> None:
+        """Replace the V_TH offsets (V) of every F_A and every F_B cell.
+
+        Both matrices have shape ``(n_rows, n_stages)`` and are assigned
+        wholesale, in place of what the writes drew: aging shifts, a
+        restored checkpoint, or variation drawn in another order.  The
+        threshold cache and level tables are invalidated; the stored
+        levels are kept.
+        """
+        shape = (self.n_rows, self.config.n_stages)
+        off_a = np.asarray(off_a, dtype=float)
+        off_b = np.asarray(off_b, dtype=float)
+        if off_a.shape != shape or off_b.shape != shape:
+            raise ValueError(
+                f"offset shapes {off_a.shape} and {off_b.shape} != {shape}"
+            )
+        self._off_a = off_a
+        self._off_b = off_b
 
     def _timing_is_nominal(self) -> bool:
         """Whether every delay modulation input sits at its design value.

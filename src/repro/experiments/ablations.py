@@ -30,7 +30,8 @@ from repro.devices.variation import VariationModel
 from repro.hdc.encoder import RandomProjectionEncoder
 from repro.hdc.model import HDCClassifier
 from repro.hdc.quantize import quantize_equal_area, quantize_uniform
-from repro.spice.montecarlo import run_monte_carlo
+from repro.experiments.fig6_montecarlo import worst_case_delays
+from repro.spice.montecarlo import MonteCarloResult, run_monte_carlo
 from repro.experiments._instrument import instrumented
 
 
@@ -56,25 +57,18 @@ def run_ablation_vc_vs_vr(
 ) -> List[VCvsVRRecord]:
     """Coefficient of variation of chain delay, VC vs. VR, same sigma."""
     config = TDAMConfig(n_stages=n_stages)
-    stored = [0] * n_stages
-    query = [config.levels - 1] * n_stages
     records: List[VCvsVRRecord] = []
     for sigma in sigmas_mv:
-
-        def vc_trial(rng: np.random.Generator) -> float:
-            variation = VariationModel(
-                sigma_mv=float(sigma), seed=int(rng.integers(2**31))
-            )
-            array = FastTDAMArray(config, n_rows=1, variation=variation)
-            array.write(0, stored)
-            return float(array.search(query).delays_s[0])
 
         def vr_trial(rng: np.random.Generator) -> float:
             chain = FeFinFETTimeDomainIMC(n_stages=n_stages)
             shifts = rng.normal(0.0, float(sigma) * 1e-3, size=n_stages)
             return chain.chain_delay(shifts)
 
-        vc = run_monte_carlo(vc_trial, n_runs=n_runs, seed=seed)
+        vc = MonteCarloResult(
+            samples=worst_case_delays(config, float(sigma), n_runs, seed),
+            seed=seed,
+        )
         vr = run_monte_carlo(vr_trial, n_runs=n_runs, seed=seed)
         nominal_vr = FeFinFETTimeDomainIMC(n_stages=n_stages).nominal_delay()
         records.append(

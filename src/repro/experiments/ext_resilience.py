@@ -21,7 +21,6 @@ Two studies:
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -34,9 +33,6 @@ from repro.resilience.refresh import RefreshPlan, RefreshScheduler
 from repro.resilience.repair import repair_yield, row_failure_probability
 from repro.resilience.resilient import ResilientTDAMArray
 from repro.experiments._instrument import instrumented
-from repro.spice.montecarlo import resolve_worker_count
-from repro.telemetry.profile import emit_probe as _emit_probe
-from repro.telemetry.state import STATE as _TM
 
 
 @dataclass
@@ -99,50 +95,29 @@ def _wrong_best_fraction(
     return float((best != expect).sum()) / len(queries)
 
 
-@dataclass(frozen=True)
-class _ResilienceTrial:
-    """One (spares, fault-map) closed-loop evaluation, picklable for the
-    shard-parallel executor.  Evaluation is deterministic -- all
-    randomness lives in the pre-drawn inputs -- so any worker count
-    produces identical records.
-
-    Attributes:
-        config: Design point.
-        n_rows: Logical capacity.
-        n_spares: Provisioned spare rows.
-        faults: The trial's fault map (already truncated to the
-            physical extent of this spare count).
-        stored: The stored data matrix.
-        queries: The exactness-check queries.
-    """
-
-    config: TDAMConfig
-    n_rows: int
-    n_spares: int
-    faults: Tuple[Fault, ...]
-    stored: np.ndarray
-    queries: np.ndarray
-
-    def __call__(self) -> Tuple[bool, float, bool]:
-        """(fully repaired, wrong-best fraction, degraded flagged)."""
-        array = ResilientTDAMArray(
-            self.config,
-            n_rows=self.n_rows,
-            n_spares=self.n_spares,
-            faults=list(self.faults),
-            max_masked_stages=0,
-        )
-        array.write_all(self.stored)
-        array.self_test_and_repair()
-        if not array.degraded:
-            return True, _wrong_best_fraction(array, self.queries), True
-        result = array.search_batch(self.queries)
-        return False, 0.0, bool(result.degraded)
-
-
-def _evaluate_trial(trial: _ResilienceTrial) -> Tuple[bool, float, bool]:
-    """Module-level shim so ProcessPoolExecutor can pickle the call."""
-    return trial()
+def _evaluate(
+    config: TDAMConfig,
+    n_rows: int,
+    n_spares: int,
+    faults: List[Fault],
+    stored: np.ndarray,
+    queries: np.ndarray,
+) -> Tuple[bool, float, bool]:
+    """One closed-loop trial: (fully repaired, wrong-best fraction,
+    degraded flagged)."""
+    array = ResilientTDAMArray(
+        config,
+        n_rows=n_rows,
+        n_spares=n_spares,
+        faults=faults,
+        max_masked_stages=0,
+    )
+    array.write_all(stored)
+    array.self_test_and_repair()
+    if not array.degraded:
+        return True, _wrong_best_fraction(array, queries), True
+    result = array.search_batch(queries)
+    return False, 0.0, bool(result.degraded)
 
 
 @instrumented("resilience")
@@ -155,7 +130,6 @@ def run_resilience_study(
     n_trials: int = 12,
     n_queries: int = 8,
     seed: int = 11,
-    n_workers: Optional[int] = 1,
 ) -> ResilienceResult:
     """Monte Carlo the BIST -> repair loop across spare provisioning.
 
@@ -167,23 +141,7 @@ def run_resilience_study(
     data-row damage is identical and extra spares can only add healthy
     replacements.  Each cell then runs the closed loop and scores repair
     yield, post-repair exactness, and degraded-mode honesty.
-
-    Args:
-        n_workers: Parallel workers for the (deterministic) closed-loop
-            evaluations; the inputs are pre-drawn serially, so any
-            worker count produces identical records.  ``None`` picks
-            automatically (see
-            :func:`repro.spice.montecarlo.resolve_worker_count`).
     """
-    # Each trial is a full BIST/repair closed loop -- expensive enough
-    # that two trials per worker already amortize the pool spin-up.
-    n_workers, fallback_reason = resolve_worker_count(
-        n_trials, n_workers, executor="process", min_trials_per_worker=2
-    )
-    if fallback_reason is not None and _TM.enabled:
-        _emit_probe(
-            "mc.fallback_serial", requested="auto", reason=fallback_reason
-        )
     if not spare_counts:
         raise ValueError("spare_counts must not be empty")
     if n_trials < 1:
@@ -221,24 +179,17 @@ def run_resilience_study(
         trials.append((faults, stored, queries))
     for n_spares in spare_counts:
         total = n_rows + n_spares
-        evals = [
-            _ResilienceTrial(
-                config=config,
-                n_rows=n_rows,
-                n_spares=n_spares,
-                faults=tuple(f for f in faults if f.row < total),
-                stored=stored,
-                queries=queries,
+        outcomes = [
+            _evaluate(
+                config,
+                n_rows,
+                n_spares,
+                [f for f in faults if f.row < total],
+                stored,
+                queries,
             )
             for faults, stored, queries in trials
         ]
-        if n_workers == 1:
-            outcomes = [trial() for trial in evals]
-        else:
-            with concurrent.futures.ProcessPoolExecutor(
-                max_workers=min(n_workers, len(evals))
-            ) as pool:
-                outcomes = list(pool.map(_evaluate_trial, evals))
         repaired = 0
         wrong_sum, wrong_trials = 0.0, 0
         flagged, not_repaired = 0, 0

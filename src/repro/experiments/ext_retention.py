@@ -116,12 +116,11 @@ def run_retention_study(
         # Deterministic aging shifts per device, by programmed state.
         fa_states = stored
         fb_states = levels - 1 - stored
-        array._off_a = retention.vth_shifts(
-            vth[fa_states].reshape(-1), t
-        ).reshape(stored.shape)
-        array._off_b = retention.vth_shifts(
-            vth[fb_states].reshape(-1), t
-        ).reshape(stored.shape)
+        off_a = retention.vth_shifts(vth[fa_states].reshape(-1), t)
+        off_b = retention.vth_shifts(vth[fb_states].reshape(-1), t)
+        array.set_vth_offsets(
+            off_a.reshape(stored.shape), off_b.reshape(stored.shape)
+        )
         rmse, exact = measure(array)
         # Re-run with the aging-aware search-line ladder.
         from repro.devices.nonideal import compensated_vsl_levels

@@ -21,22 +21,21 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.analysis.reporting import format_table
-from repro.core.array import FastTDAMArray
+from repro.core.array import FastTDAMArray, _budget_chunk
 from repro.core.config import TDAMConfig
 from repro.core.energy import TimingEnergyModel
 from repro.core.sensing import MarginReport, SensingAnalysis
 from repro.devices.variation import VariationModel
-from repro.spice.montecarlo import MonteCarloResult, run_monte_carlo
+from repro.spice.montecarlo import MonteCarloResult, trial_generators
 from repro.experiments._instrument import instrumented
 
 
 @dataclass(frozen=True)
 class Fig6Trial:
-    """One Fig. 6 Monte Carlo trial, as a picklable callable.
+    """One Fig. 6 Monte Carlo trial: a one-row array, written and searched.
 
-    A module-level frozen dataclass (not a closure) so the shard-parallel
-    Monte Carlo driver can ship it to worker processes; the trial math is
-    identical to the historical closure, so seeded results are unchanged.
+    The one-trial reference of :func:`worst_case_delays`, which computes
+    the same samples as the rows of one array.
 
     Attributes:
         config: Design point (already at the evaluated stage count).
@@ -74,6 +73,50 @@ class Fig6Result:
     n_runs: int
 
 
+def worst_case_delays(
+    config: TDAMConfig, sigma_mv: float, n_runs: int, seed: Optional[int]
+) -> np.ndarray:
+    """Worst-case chain delays (s) of ``n_runs`` trials, one per array row.
+
+    Trial ``i`` draws what ``Fig6Trial(config, sigma_mv)`` draws from
+    generator ``i`` of :func:`~repro.spice.montecarlo.trial_generators`:
+    a variation seed, then the V_TH shifts of a row storing level 0,
+    F_A then F_B, in the order a one-row write draws them.  The trials'
+    shifts become the offsets of one array whose rows all store level
+    0, and one query at level ``L - 1`` searches them together, so
+    sample ``i`` equals that of
+    ``run_monte_carlo(Fig6Trial(config, sigma_mv), n_runs, seed)`` bit
+    for bit.  Trials are built in blocks of rows whose tables fit the
+    batched kernels' memory budget, so memory does not grow with
+    ``n_runs``.
+    """
+    if n_runs < 1:
+        raise ValueError(f"n_runs must be >= 1, got {n_runs}")
+    n = config.n_stages
+    top = config.levels - 1
+    states = np.repeat([0, top], n)
+    query = np.full((1, n), top)
+    # Peak bytes per row under tracemalloc: five (L, N) float tensors
+    # of the level-table build and ten (N,) float vectors (levels,
+    # shifts, offsets, thresholds).
+    block = _budget_chunk(8 * n * (5 * config.levels + 10))
+    rngs = trial_generators(seed, n_runs)
+    delays = np.empty(n_runs)
+    for start in range(0, n_runs, block):
+        rows = min(block, n_runs - start)
+        shifts = np.stack([
+            VariationModel(
+                sigma_mv=float(sigma_mv), seed=int(next(rngs).integers(2**31))
+            ).draw(states).vth_shifts
+            for _ in range(rows)
+        ])
+        array = FastTDAMArray(config, n_rows=rows)
+        array.write_all(np.zeros((rows, n), dtype=np.int64))
+        array.set_vth_offsets(shifts[:, :n], shifts[:, n:])
+        delays[start:start + rows] = array.search_batch(query).delays_s[0]
+    return delays
+
+
 @instrumented("fig6")
 def run_fig6(
     stage_counts: Sequence[int] = (64, 128),
@@ -81,15 +124,11 @@ def run_fig6(
     n_runs: int = 500,
     config: Optional[TDAMConfig] = None,
     seed: int = 42,
-    n_workers: Optional[int] = 1,
 ) -> Fig6Result:
     """Run the Monte Carlo delay-distribution study.
 
-    Args:
-        n_workers: Shard-parallel Monte Carlo workers; results are
-            bit-identical for any count (per-trial seed streams).
-            ``None`` picks automatically (see
-            :func:`repro.spice.montecarlo.resolve_worker_count`).
+    Each (chain length, sigma) cell is ``n_runs`` trials of
+    :func:`worst_case_delays` under the same master seed.
     """
     base = config or TDAMConfig()
     cells: List[Fig6Cell] = []
@@ -98,9 +137,9 @@ def run_fig6(
         timing = TimingEnergyModel(cfg)
         analysis = SensingAnalysis(cfg, timing)
         for sigma in sigmas_mv:
-            trial = Fig6Trial(config=cfg, sigma_mv=float(sigma))
-            mc = run_monte_carlo(
-                trial, n_runs=n_runs, seed=seed, n_workers=n_workers
+            mc = MonteCarloResult(
+                samples=worst_case_delays(cfg, float(sigma), n_runs, seed),
+                seed=seed,
             )
             margin = analysis.margin_report(mc.samples, int(n_stages))
             cells.append(

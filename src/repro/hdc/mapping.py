@@ -117,13 +117,13 @@ class TDAMInference:
             # on this draw order (an array write would interleave the
             # two per row).
             stored = model.levels
-            shape = stored.shape
-            self._array._off_a = variation.draw(
-                stored.reshape(-1)
-            ).vth_shifts.reshape(shape)
-            self._array._off_b = variation.draw(
+            off_a = variation.draw(stored.reshape(-1)).vth_shifts
+            off_b = variation.draw(
                 (config.levels - 1 - stored).reshape(-1)
-            ).vth_shifts.reshape(shape)
+            ).vth_shifts
+            self._array.set_vth_offsets(
+                off_a.reshape(stored.shape), off_b.reshape(stored.shape)
+            )
 
     @property
     def _von(self) -> float:

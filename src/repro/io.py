@@ -23,14 +23,16 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Union
 
 import numpy as np
 
 from repro.core.config import TDAMConfig
 from repro.devices.fefet import FeFETParams
 from repro.devices.params import TechnologyParams
-from repro.hdc.quantize import QuantizedModel
+
+if TYPE_CHECKING:
+    from repro.hdc.quantize import QuantizedModel
 
 PathLike = Union[str, Path]
 
@@ -167,6 +169,8 @@ def load_quantized_model(
     Returns:
         ``(model, metadata)``.
     """
+    from repro.hdc.quantize import QuantizedModel
+
     with np.load(Path(path), allow_pickle=False) as data:
         metadata = json.loads(str(data["metadata"][0]))
         version = metadata.pop("_format", FORMAT_VERSION)

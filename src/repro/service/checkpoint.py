@@ -310,9 +310,7 @@ class ServiceCheckpointer:
         phys = array._physical
         array._shadow = arrays["shadow"].astype(np.int64)
         phys._stored = arrays["stored"].astype(np.int64)
-        # Wholesale assignment invalidates the threshold cache.
-        phys._off_a = arrays["off_a"]
-        phys._off_b = arrays["off_b"]
+        phys.set_vth_offsets(arrays["off_a"], arrays["off_b"])
         phys._written[:] = True
         phys._all_written = True
         array._base_off_a = arrays["base_off_a"]

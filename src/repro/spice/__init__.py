@@ -33,8 +33,7 @@ _EXPORTS = {
     "Waveform": "waveform",
     "MonteCarloResult": "montecarlo",
     "run_monte_carlo": "montecarlo",
-    "resolve_worker_count": "montecarlo",
-    "shutdown_executor_pools": "montecarlo",
+    "trial_generators": "montecarlo",
     "solve_dc": "dc",
     "sweep_dc": "dc",
 }

@@ -10,83 +10,31 @@ analytic backend.
 
 from __future__ import annotations
 
-import atexit
-import concurrent.futures
-import os
-import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional
 
 import numpy as np
 
-from repro.telemetry.log import get_logger
 from repro.telemetry.profile import emit_probe as _emit_probe
 from repro.telemetry.state import STATE as _TM
 from repro.telemetry.trace import span as _span
 
-_log = get_logger(__name__)
 
-#: Minimum trials per *process* worker for sharding to amortize the pool
-#: spin-up (interpreter fork/spawn + pickling) on typical trial costs.
-MIN_PROCESS_TRIALS_PER_WORKER = 64
-#: Minimum trials per *thread* worker; threads are cheap to start but
-#: still pay submission/result overhead per shard.
-MIN_THREAD_TRIALS_PER_WORKER = 16
+def trial_generators(
+    seed: Optional[int], n_runs: int
+) -> Iterator[np.random.Generator]:
+    """The generators of trials ``0 .. n_runs - 1``, in order.
 
-# Persistent executors, keyed by (kind, worker count).  Spinning a
-# process pool up per run_monte_carlo call costs more than small runs
-# save from parallelism (the regression BENCH_search.json recorded);
-# keeping the pool across calls amortizes it.  Bit-reproducibility is
-# untouched: each trial's stream comes from its own SeedSequence child,
-# independent of which worker (or pool generation) evaluates it.
-_POOLS: Dict[
-    Tuple[str, int], concurrent.futures.Executor
-] = {}
-_POOL_LOCK = threading.Lock()
-
-
-def _get_pool(executor: str, n_workers: int) -> concurrent.futures.Executor:
-    """The shared executor for ``(executor, n_workers)``, creating it once."""
-    key = (executor, n_workers)
-    with _POOL_LOCK:
-        pool = _POOLS.get(key)
-        if pool is None:
-            pool_cls = (
-                concurrent.futures.ProcessPoolExecutor
-                if executor == "process"
-                else concurrent.futures.ThreadPoolExecutor
-            )
-            pool = pool_cls(max_workers=n_workers)
-            _POOLS[key] = pool
-        return pool
-
-
-def _drop_pool(executor: str, n_workers: int) -> None:
-    """Discard (and shut down) one broken pool so the next call rebuilds it."""
-    with _POOL_LOCK:
-        pool = _POOLS.pop((executor, n_workers), None)
-    if pool is not None:
-        pool.shutdown(wait=False, cancel_futures=True)
-
-
-def shutdown_executor_pools() -> int:
-    """Shut down every persistent Monte Carlo executor pool.
-
-    Returns the number of pools shut down.  Safe to call at any time --
-    the next :func:`run_monte_carlo` simply recreates what it needs.
-    Registered via :mod:`atexit` so worker processes never outlive the
-    interpreter.
+    Trial ``i`` draws from child ``i`` of
+    ``SeedSequence(seed).spawn(n_runs)``: its stream depends on the
+    master seed and its index alone, so every caller that takes its
+    trials' streams from here draws the same numbers for trial ``i``,
+    whether it evaluates trials one at a time or as the rows of one
+    array.
     """
-    with _POOL_LOCK:
-        pools = list(_POOLS.values())
-        _POOLS.clear()
-    for pool in pools:
-        pool.shutdown(wait=True, cancel_futures=True)
-    return len(pools)
-
-
-atexit.register(shutdown_executor_pools)
+    for child in np.random.SeedSequence(seed).spawn(n_runs):
+        yield np.random.default_rng(child)
 
 
 @dataclass
@@ -146,217 +94,46 @@ class MonteCarloResult:
         }
 
 
-def _run_shard(
-    trial: Callable[[np.random.Generator], float],
-    children: Sequence[np.random.SeedSequence],
-    allow_failures: bool,
-) -> Tuple[List[Optional[float]], float]:
-    """Run one contiguous shard of trials; ``None`` marks a failure.
-
-    Module-level (not a closure) so :class:`ProcessPoolExecutor` can
-    pickle it; the failure markers keep the per-trial positions so the
-    reassembled sample order is independent of the sharding.  Returns
-    ``(outcomes, elapsed_s)``; the wall clock is measured inside the
-    worker so the parent can report per-shard timings (the ``mc.shard``
-    probe) without polluting the samples.
-    """
-    start = time.perf_counter()
-    out: List[Optional[float]] = []
-    for child in children:
-        rng = np.random.default_rng(child)
-        try:
-            out.append(float(trial(rng)))
-        except Exception:
-            if not allow_failures:
-                raise
-            out.append(None)
-    return out, time.perf_counter() - start
-
-
-def resolve_worker_count(
-    n_runs: int,
-    n_workers: Optional[int],
-    executor: str = "process",
-    cpu_count: Optional[int] = None,
-    min_trials_per_worker: Optional[int] = None,
-) -> Tuple[int, Optional[str]]:
-    """Resolve a requested worker count to one that can actually win.
-
-    An **explicit** ``n_workers`` is honored verbatim (clamped to
-    ``n_runs``): benchmarks and bit-identity tests get exactly the
-    sharding they asked for.  ``n_workers=None`` selects **auto** mode,
-    which shards only when the heuristic says parallelism pays:
-
-    - never more workers than CPUs (``cpu_count``, default the machine);
-    - a *process* pool needs at least two CPUs -- on one CPU the
-      interpreter spin-up and pickling are pure loss;
-    - each worker must own at least ``min_trials_per_worker`` trials
-      (defaults: :data:`MIN_PROCESS_TRIALS_PER_WORKER` for processes,
-      :data:`MIN_THREAD_TRIALS_PER_WORKER` for threads; pass ``0`` to
-      disable the amortization bound).
-
-    Returns:
-        ``(workers, reason)`` -- ``reason`` is ``None`` when sharding
-        proceeds (or was explicitly requested), else a human-readable
-        explanation of why auto mode fell back to serial.
-    """
-    if n_workers is not None:
-        if n_workers < 1:
-            raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-        return min(n_workers, n_runs), None
-    if cpu_count is None:
-        cpu_count = os.cpu_count() or 1
-    if min_trials_per_worker is None:
-        min_trials_per_worker = (
-            MIN_PROCESS_TRIALS_PER_WORKER
-            if executor == "process"
-            else MIN_THREAD_TRIALS_PER_WORKER
-        )
-    if executor == "process" and cpu_count < 2:
-        return 1, (
-            f"single CPU (cpu_count={cpu_count}): process-pool sharding "
-            "cannot beat serial"
-        )
-    by_trials = (
-        n_runs // min_trials_per_worker
-        if min_trials_per_worker > 0
-        else n_runs
-    )
-    workers = max(1, min(cpu_count, by_trials, n_runs))
-    if workers == 1:
-        return 1, (
-            f"{n_runs} trials cannot amortize a second worker "
-            f"(need >= {2 * min_trials_per_worker})"
-        )
-    return workers, None
-
-
-def _run_sharded(
-    trial: Callable[[np.random.Generator], float],
-    shards: Sequence[Sequence[np.random.SeedSequence]],
-    allow_failures: bool,
-    executor: str,
-    n_workers: int,
-) -> List[Tuple[List[Optional[float]], float]]:
-    """Run the shards on the persistent pool, surviving one pool death.
-
-    A :class:`~concurrent.futures.BrokenExecutor` (e.g. a worker killed
-    mid-run) discards the shared pool and resubmits the whole shard set
-    on a fresh one exactly once -- resubmission replays the same seed
-    children, so the retry is bit-identical to an undisturbed run.
-    """
-    for retry in (False, True):
-        pool = _get_pool(executor, n_workers)
-        try:
-            futures = [
-                pool.submit(_run_shard, trial, shard, allow_failures)
-                for shard in shards
-            ]
-            return [future.result() for future in futures]
-        except concurrent.futures.BrokenExecutor:
-            _drop_pool(executor, n_workers)
-            if retry:
-                raise
-            _log.warning(
-                "Monte Carlo executor pool broke; retrying on a fresh pool",
-                extra={"executor": executor, "n_workers": n_workers},
-            )
-    raise AssertionError("unreachable")
-
-
 def run_monte_carlo(
     trial: Callable[[np.random.Generator], float],
     n_runs: int,
     seed: Optional[int] = None,
     allow_failures: bool = False,
-    n_workers: Optional[int] = 1,
-    executor: str = "process",
 ) -> MonteCarloResult:
-    """Run ``trial`` over ``n_runs`` independent RNG streams.
+    """Run ``trial`` over ``n_runs`` independent RNG streams, in order.
 
-    Every trial gets its own :class:`~numpy.random.SeedSequence`-spawned
-    child stream keyed by its trial index, so the result is
-    **bit-identical for any worker count**: parallelism only changes
-    which process evaluates a trial, never the stream it consumes.
+    Trial ``i`` gets the generator :func:`trial_generators` gives it,
+    so a seeded run is reproducible and each sample is independent of
+    the trial count.
 
     Args:
         trial: Function taking a seeded generator and returning a scalar
-            outcome (e.g. a chain delay in seconds).  Must be picklable
-            (a module-level function or dataclass instance) when
-            sharding with the process executor.
+            outcome (e.g. a chain delay in seconds).
         n_runs: Number of trials.
-        seed: Master seed; child streams are spawned deterministically so
-            results are reproducible and order-independent.
+        seed: Master seed of the trials' streams.
         allow_failures: When True, trials that raise are counted and
             skipped; when False the exception propagates.
-        n_workers: Worker count; 1 (the default) runs serially in-process
-            (no pickling requirement), ``None`` picks automatically via
-            :func:`resolve_worker_count` -- sharding only when the
-            machine and trial count let parallelism win, and emitting
-            the ``mc.fallback_serial`` telemetry probe when it falls
-            back.
-        executor: ``"process"`` (CPU-bound trials, the default) or
-            ``"thread"`` (cheap trials or unpicklable state).
 
     Returns:
         The collected :class:`MonteCarloResult`.
     """
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
-    if executor not in ("process", "thread"):
-        raise ValueError(
-            f"executor must be 'process' or 'thread', got {executor!r}"
-        )
-    requested = n_workers
-    n_workers, fallback_reason = resolve_worker_count(
-        n_runs, n_workers, executor
-    )
-    if fallback_reason is not None and _TM.enabled:
-        _emit_probe(
-            "mc.fallback_serial",
-            requested="auto" if requested is None else requested,
-            reason=fallback_reason,
-        )
-        _log.debug(
-            "Monte Carlo sharding fell back to serial",
-            extra={"reason": fallback_reason, "n_runs": n_runs},
-        )
     start = time.perf_counter()
-    with _span(
-        "mc.run", n_runs=n_runs, workers=n_workers, executor=executor
-    ):
-        seed_seq = np.random.SeedSequence(seed)
-        children = seed_seq.spawn(n_runs)
-        if n_workers == 1:
-            shard_outcomes = [_run_shard(trial, children, allow_failures)]
-        else:
-            bounds = np.linspace(0, n_runs, n_workers + 1).astype(int)
-            shards = [
-                children[bounds[i]:bounds[i + 1]] for i in range(n_workers)
-            ]
-            shard_outcomes = _run_sharded(
-                trial, shards, allow_failures, executor, n_workers
-            )
-    raw = [x for outcomes, _ in shard_outcomes for x in outcomes]
+    samples: List[float] = []
+    with _span("mc.run", n_runs=n_runs):
+        for rng in trial_generators(seed, n_runs):
+            try:
+                samples.append(float(trial(rng)))
+            except Exception:
+                if not allow_failures:
+                    raise
     if _TM.enabled:
-        for i, (outcomes, elapsed) in enumerate(shard_outcomes):
-            _emit_probe(
-                "mc.shard",
-                shard=i,
-                trials=len(outcomes),
-                elapsed_s=elapsed,
-                worker=executor if n_workers > 1 else "serial",
-            )
         _emit_probe(
-            "mc.run",
-            n_runs=n_runs,
-            workers=n_workers,
-            elapsed_s=time.perf_counter() - start,
+            "mc.run", n_runs=n_runs, elapsed_s=time.perf_counter() - start
         )
-    samples = [x for x in raw if x is not None]
-    failures = len(raw) - len(samples)
     if not samples:
         raise RuntimeError("all Monte Carlo trials failed")
     return MonteCarloResult(
-        samples=np.array(samples), seed=seed, failures=failures
+        samples=np.array(samples), seed=seed, failures=n_runs - len(samples)
     )

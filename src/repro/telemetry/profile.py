@@ -67,13 +67,7 @@ PROBE_EVENTS: Dict[str, str] = {
     "resilience.recalibrated": (
         "replica TDC recalibrated after drift exceeded the margin"
     ),
-    "mc.run": "Monte Carlo run finished: n_runs, workers, elapsed_s",
-    "mc.shard": (
-        "one Monte Carlo shard finished: shard, trials, elapsed_s, worker"
-    ),
-    "mc.fallback_serial": (
-        "sharding fell back to serial: requested workers, reason"
-    ),
+    "mc.run": "Monte Carlo run finished: n_runs, elapsed_s",
     "experiment.run": "one experiment runner finished: name, elapsed_s",
     "service.request": (
         "one serving-layer request finished: outcome in "
@@ -223,9 +217,9 @@ class ProbeRecorder:
     ``(event, payload)`` they see::
 
         rec = ProbeRecorder()
-        register_probe("mc.fallback_serial", rec)
+        register_probe("mc.run", rec)
         ...
-        assert rec.events() == ["mc.fallback_serial"]
+        assert rec.events() == ["mc.run"]
     """
 
     def __init__(self) -> None:

@@ -230,6 +230,28 @@ class TestThresholdCache:
             array.search(query).delays_s, reference.search(query).delays_s
         )
 
+    def test_set_vth_offsets_invalidates(self, config, rng):
+        matrix = rng.integers(0, config.levels, (5, config.n_stages))
+        queries = rng.integers(0, config.levels, (3, config.n_stages))
+        array = FastTDAMArray(config, n_rows=5)
+        array.write_all(matrix)
+        array.search_batch(queries)  # populate the cache and tables
+        off = rng.normal(0.0, 0.05, (5, config.n_stages))
+        array.set_vth_offsets(off, -off)
+        reference = self._fresh(config, matrix, off, -off)
+        assert np.array_equal(
+            array.search_batch(queries).delays_s,
+            reference.search_batch(queries).delays_s,
+        )
+
+    def test_set_vth_offsets_checks_shapes(self, config):
+        array = FastTDAMArray(config, n_rows=5)
+        off = np.zeros((5, config.n_stages))
+        with pytest.raises(ValueError, match="offset shapes"):
+            array.set_vth_offsets(off, off[:4])
+        with pytest.raises(ValueError, match="offset shapes"):
+            array.set_vth_offsets(off[:, :-1], off)
+
     def test_explicit_invalidate_after_inplace_mutation(self, config, rng):
         matrix = rng.integers(0, config.levels, (5, config.n_stages))
         query = rng.integers(0, config.levels, config.n_stages)

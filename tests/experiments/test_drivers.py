@@ -6,6 +6,9 @@ margin yield for Fig. 6, precision/dimension trends for Fig. 7, and the
 speedup attenuation for Fig. 8.
 """
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -29,6 +32,7 @@ from repro.experiments.ext_encode import (
     format_encode_study,
     run_encode_study,
 )
+from repro.experiments.ext_resilience import run_resilience_study
 from repro.experiments.fig7_hdc_accuracy import format_fig7, run_fig7
 from repro.experiments.fig8_gpu_comparison import format_fig8, run_fig8
 from repro.experiments.table1_comparison import format_table1, run_table1
@@ -124,6 +128,25 @@ class TestFig6:
                           n_runs=120)
         by_stages = {c.n_stages: c for c in result.cells}
         assert by_stages[128].mc.std > by_stages[64].mc.std
+
+
+class TestResilienceStudy:
+    def test_records_are_pinned(self):
+        # Every record field, bit for bit; a NaN field (no trial fully
+        # repaired) must stay NaN.
+        result = run_resilience_study(
+            spare_counts=(0, 2), n_rows=6, n_trials=4, n_queries=4, seed=17
+        )
+        expected = [
+            (0, 0.002, 0.05, 0.5, 0.5005017022696248, 0.0, 1.0),
+            (2, 0.002, 0.05, 1.0, 0.9524532698890679, 0.0, 1.0),
+        ]
+        found = [dataclasses.astuple(r) for r in result.records]
+        assert len(found) == len(expected)
+        for row, want in zip(found, expected):
+            assert len(row) == len(want)
+            for got, value in zip(row, want):
+                assert got == value or (math.isnan(got) and math.isnan(value))
 
 
 class TestFig7:

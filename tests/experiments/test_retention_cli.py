@@ -83,6 +83,17 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(["run", "nonexistent"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", "fig6"], ["report"], ["resilience"]],
+        ids=["run", "report", "resilience"],
+    )
+    def test_workers_option_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--workers", "2"])
+        assert exit_info.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
     def test_no_command_shows_help(self, capsys):
         assert main([]) == 2
         assert "usage" in capsys.readouterr().out.lower()

@@ -1,12 +1,14 @@
 """Tests of the Monte Carlo harness."""
 
-import concurrent.futures
-
 import numpy as np
 import pytest
 
-from repro.spice import montecarlo
-from repro.spice.montecarlo import MonteCarloResult, run_monte_carlo
+from repro import telemetry
+from repro.spice.montecarlo import (
+    MonteCarloResult,
+    run_monte_carlo,
+    trial_generators,
+)
 
 
 class TestRunMonteCarlo:
@@ -56,6 +58,33 @@ class TestRunMonteCarlo:
         with pytest.raises(ValueError, match="n_runs"):
             run_monte_carlo(lambda rng: 0.0, n_runs=0)
 
+    def test_samples_follow_trial_generators(self):
+        trial = lambda rng: float(rng.normal())
+        expected = [trial(rng) for rng in trial_generators(4, 6)]
+        result = run_monte_carlo(trial, n_runs=6, seed=4)
+        assert result.samples.tolist() == expected
+
+    def test_trial_streams_do_not_depend_on_the_run_count(self):
+        trial = lambda rng: float(rng.normal())
+        short = run_monte_carlo(trial, n_runs=5, seed=4)
+        long = run_monte_carlo(trial, n_runs=50, seed=4)
+        assert np.array_equal(short.samples, long.samples[:5])
+
+
+class TestRunProbe:
+    def test_run_probe_reports_trials_and_time(self):
+        telemetry.reset()
+        telemetry.enable()
+        rec = telemetry.ProbeRecorder()
+        telemetry.register_probe("mc.run", rec)
+        try:
+            run_monte_carlo(lambda rng: 0.0, n_runs=12, seed=1)
+            [payload] = rec.payloads("mc.run")
+            assert set(payload) == {"n_runs", "elapsed_s"}
+            assert payload["n_runs"] == 12
+        finally:
+            telemetry.reset()
+
 
 class TestMonteCarloResult:
     def setup_method(self):
@@ -83,172 +112,3 @@ class TestMonteCarloResult:
         result = MonteCarloResult(samples=np.array([-1.0, 1.0]), seed=0)
         with pytest.raises(ValueError, match="zero mean"):
             result.coefficient_of_variation
-
-
-def _gaussian_trial(rng):
-    """Module-level so ProcessPoolExecutor can pickle it."""
-    return float(rng.normal())
-
-
-def _sometimes_failing_trial(rng):
-    """Module-level failing trial for parallel failure handling."""
-    value = float(rng.normal())
-    if value > 1.0:
-        raise RuntimeError("boom")
-    return value
-
-
-class TestParallelMonteCarlo:
-    """Shard parallelism must never change the sample stream."""
-
-    @pytest.mark.parametrize("n_workers", [2, 3, 7])
-    def test_thread_parallel_bit_identical_to_serial(self, n_workers):
-        serial = run_monte_carlo(_gaussian_trial, n_runs=40, seed=5)
-        parallel = run_monte_carlo(
-            _gaussian_trial,
-            n_runs=40,
-            seed=5,
-            n_workers=n_workers,
-            executor="thread",
-        )
-        assert np.array_equal(serial.samples, parallel.samples)
-
-    def test_process_parallel_bit_identical_to_serial(self):
-        serial = run_monte_carlo(_gaussian_trial, n_runs=24, seed=5)
-        parallel = run_monte_carlo(
-            _gaussian_trial, n_runs=24, seed=5, n_workers=3
-        )
-        assert np.array_equal(serial.samples, parallel.samples)
-
-    def test_workers_capped_at_n_runs(self):
-        serial = run_monte_carlo(_gaussian_trial, n_runs=3, seed=2)
-        parallel = run_monte_carlo(
-            _gaussian_trial, n_runs=3, seed=2, n_workers=16, executor="thread"
-        )
-        assert np.array_equal(serial.samples, parallel.samples)
-
-    def test_parallel_failures_match_serial(self):
-        serial = run_monte_carlo(
-            _sometimes_failing_trial, n_runs=60, seed=8, allow_failures=True
-        )
-        parallel = run_monte_carlo(
-            _sometimes_failing_trial,
-            n_runs=60,
-            seed=8,
-            allow_failures=True,
-            n_workers=4,
-            executor="thread",
-        )
-        assert serial.failures > 0
-        assert parallel.failures == serial.failures
-        assert np.array_equal(serial.samples, parallel.samples)
-
-    def test_parallel_failure_propagates_without_allow(self):
-        with pytest.raises(RuntimeError, match="boom"):
-            run_monte_carlo(
-                _sometimes_failing_trial,
-                n_runs=60,
-                seed=8,
-                n_workers=4,
-                executor="thread",
-            )
-
-    def test_rejects_bad_worker_count(self):
-        with pytest.raises(ValueError, match="n_workers"):
-            run_monte_carlo(_gaussian_trial, n_runs=4, n_workers=0)
-
-    def test_rejects_unknown_executor(self):
-        with pytest.raises(ValueError, match="executor"):
-            run_monte_carlo(
-                _gaussian_trial, n_runs=4, n_workers=2, executor="fork"
-            )
-
-
-class TestPersistentPools:
-    """The executor pools persist across calls and survive one break."""
-
-    @pytest.fixture(autouse=True)
-    def clean_pools(self):
-        montecarlo.shutdown_executor_pools()
-        yield
-        montecarlo.shutdown_executor_pools()
-
-    def test_pool_is_reused_across_calls(self):
-        run_monte_carlo(
-            _gaussian_trial, n_runs=8, seed=1, n_workers=2, executor="thread"
-        )
-        pool = montecarlo._POOLS[("thread", 2)]
-        run_monte_carlo(
-            _gaussian_trial, n_runs=8, seed=2, n_workers=2, executor="thread"
-        )
-        assert montecarlo._POOLS[("thread", 2)] is pool
-
-    def test_serial_path_creates_no_pool(self):
-        run_monte_carlo(_gaussian_trial, n_runs=8, seed=1, n_workers=1)
-        assert montecarlo._POOLS == {}
-
-    def test_shutdown_counts_and_clears(self):
-        run_monte_carlo(
-            _gaussian_trial, n_runs=8, seed=1, n_workers=2, executor="thread"
-        )
-        run_monte_carlo(
-            _gaussian_trial, n_runs=9, seed=1, n_workers=3, executor="thread"
-        )
-        assert montecarlo.shutdown_executor_pools() == 2
-        assert montecarlo._POOLS == {}
-        assert montecarlo.shutdown_executor_pools() == 0
-        # The next run simply recreates what it needs.
-        result = run_monte_carlo(
-            _gaussian_trial, n_runs=8, seed=1, n_workers=2, executor="thread"
-        )
-        assert len(result.samples) == 8
-
-    def test_bit_identical_across_pool_generations(self):
-        before = run_monte_carlo(
-            _gaussian_trial, n_runs=16, seed=7, n_workers=2, executor="thread"
-        )
-        montecarlo.shutdown_executor_pools()
-        after = run_monte_carlo(
-            _gaussian_trial, n_runs=16, seed=7, n_workers=2, executor="thread"
-        )
-        serial = run_monte_carlo(_gaussian_trial, n_runs=16, seed=7)
-        assert np.array_equal(before.samples, after.samples)
-        assert np.array_equal(before.samples, serial.samples)
-
-    def test_broken_pool_is_replaced_and_retried(self, monkeypatch):
-        class BrokenPool:
-            def submit(self, *args, **kwargs):
-                raise concurrent.futures.BrokenExecutor("worker died")
-
-            def shutdown(self, wait=True, cancel_futures=False):
-                pass
-
-        montecarlo._POOLS[("thread", 2)] = BrokenPool()
-        result = run_monte_carlo(
-            _gaussian_trial, n_runs=8, seed=3, n_workers=2, executor="thread"
-        )
-        serial = run_monte_carlo(_gaussian_trial, n_runs=8, seed=3)
-        assert np.array_equal(result.samples, serial.samples)
-        assert not isinstance(
-            montecarlo._POOLS[("thread", 2)], BrokenPool
-        )
-
-    def test_double_break_propagates(self, monkeypatch):
-        class BrokenPool:
-            def submit(self, *args, **kwargs):
-                raise concurrent.futures.BrokenExecutor("worker died")
-
-            def shutdown(self, wait=True, cancel_futures=False):
-                pass
-
-        monkeypatch.setattr(
-            montecarlo, "_get_pool", lambda ex, n: BrokenPool()
-        )
-        with pytest.raises(concurrent.futures.BrokenExecutor):
-            run_monte_carlo(
-                _gaussian_trial,
-                n_runs=8,
-                seed=3,
-                n_workers=2,
-                executor="thread",
-            )

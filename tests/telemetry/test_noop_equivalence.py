@@ -99,11 +99,6 @@ class TestBitIdentity:
         on = run_monte_carlo(_trial, n_runs=16, seed=3)
         assert np.array_equal(off.samples, on.samples)
 
-    def test_monte_carlo_auto_workers_identical_to_serial(self):
-        serial = run_monte_carlo(_trial, n_runs=16, seed=3, n_workers=1)
-        auto = run_monte_carlo(_trial, n_runs=16, seed=3, n_workers=None)
-        assert np.array_equal(serial.samples, auto.samples)
-
 
 class TestInstrumentationRecords:
     def test_search_emits_span_metric_and_probe(self, config, workload):

@@ -25,8 +25,6 @@ class TestCatalog:
             "resilience.repair",
             "resilience.refresh",
             "mc.run",
-            "mc.shard",
-            "mc.fallback_serial",
             "experiment.run",
         ):
             assert event in PROBE_EVENTS
@@ -67,20 +65,20 @@ class TestDispatch:
         order = []
         register_probe("mc.run", lambda e, **p: order.append("a"))
         register_probe("mc.run", lambda e, **p: order.append("b"))
-        emit_probe("mc.run", n_runs=1, workers=1, elapsed_s=0.0)
+        emit_probe("mc.run", n_runs=1, elapsed_s=0.0)
         assert order == ["a", "b"]
 
     def test_unregister_detaches_one_hook(self):
         rec = ProbeRecorder()
         register_probe("mc.run", rec)
         unregister_probe("mc.run", rec)
-        emit_probe("mc.run", n_runs=1, workers=1, elapsed_s=0.0)
+        emit_probe("mc.run", n_runs=1, elapsed_s=0.0)
         assert rec.records == []
         assert "mc.run" not in active_probe_events()
 
     def test_clear_probes_detaches_everything(self):
         register_probe("mc.run", ProbeRecorder())
-        register_probe("mc.shard", ProbeRecorder())
+        register_probe("tdc.decode", ProbeRecorder())
         clear_probes()
         assert active_probe_events() == ()
 

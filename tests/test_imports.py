@@ -37,7 +37,8 @@ WORKLOADS = {
     ),
     "ann-probe": (
         ["repro.core.config", "repro.index.cluster_index"],
-        TOOLING + ("repro.service", "repro.resilience", "repro.net"),
+        TOOLING + ("repro.service", "repro.resilience", "repro.net",
+                   "repro.hdc.quantize"),
     ),
     "hdc-refresh": (
         ["repro.core.config", "repro.datasets.synthetic",

@@ -8,13 +8,11 @@ plus two direct wall-clock studies, and writes ``BENCH_search.json``:
    workload (26 rows x 128 stages, 256 queries): queries/s of
    ``FastTDAMArray.search_batch`` against a Python loop of ``search()``,
    and their ratio (the committed baseline asserts >= 10x).
-2. **Shard-parallel Monte Carlo**: wall clock of a Fig. 6 Monte Carlo
-   cell with 1 worker vs the auto-resolved worker count (same seed; the
-   driver is bit-reproducible for any worker count, so only the wall
-   clock moves).  By default the worker count is chosen by
-   ``resolve_worker_count`` -- on machines where sharding cannot win
-   (single CPU, too few trials) the "parallel" leg falls back to serial
-   and the report records why.
+2. **Monte Carlo as rows**: one Fig. 6 cell (200 trials at sigma
+   30 mV) as the trial loop, one one-row array per trial, against
+   ``worst_case_delays``, which ``run_fig6`` calls and which computes
+   the same samples as the rows of one array; timed in alternating
+   rounds, with sample equality asserted.
 3. **Telemetry overhead**: ``search_batch`` wall clock at each
    telemetry tier -- disabled (dormant wrappers), metrics-only
    (tracing off), and full-trace (spans + metrics + probes) -- against
@@ -61,16 +59,16 @@ plus two direct wall-clock studies, and writes ``BENCH_search.json``:
     picks asserted; gated at 18.8x.
 
 Regression gate.  With ``--baseline BENCH_search.json`` the report is
-compared against the committed numbers metric-by-metric
-(:data:`TRACKED_GATES`); ``--gate`` turns any failed comparison into a
-non-zero exit (the CI bench job fails), and ``--compare-report`` writes
-the full comparison table as a JSON artifact.  Metrics absent from the
-baseline are *skipped*, so new benches can land before their baseline.
+checked metric-by-metric against :data:`TRACKED_GATES`; ``--gate``
+turns any failed check into a non-zero exit (the CI bench job fails),
+and ``--compare-report`` writes the full comparison table as a JSON
+artifact.  Every gate is an absolute bound or a flag, so the baseline
+is printed beside each metric for reference only.
 
 Usage::
 
     PYTHONPATH=src python tools/bench_report.py [--output BENCH_search.json]
-        [--skip-microbench] [--workers N] [--mc-runs N]
+        [--skip-microbench] [--mc-runs N]
         [--metrics-out metrics.json] [--trace-out trace.json]
         [--baseline BENCH_search.json] [--gate]
         [--compare-report compare.json]
@@ -98,11 +96,11 @@ from repro import telemetry  # noqa: E402
 from repro.core.array import FastTDAMArray  # noqa: E402
 from repro.core.config import TDAMConfig  # noqa: E402
 from repro.resilience.resilient import ResilientTDAMArray  # noqa: E402
-from repro.experiments.fig6_montecarlo import Fig6Trial  # noqa: E402
-from repro.spice.montecarlo import (  # noqa: E402
-    resolve_worker_count,
-    run_monte_carlo,
+from repro.experiments.fig6_montecarlo import (  # noqa: E402
+    Fig6Trial,
+    worst_case_delays,
 )
+from repro.spice.montecarlo import run_monte_carlo  # noqa: E402
 
 N_ROWS = 26
 N_STAGES = 128
@@ -287,38 +285,39 @@ def bench_resilient(repeats: int = 20) -> dict:
     }
 
 
-def bench_monte_carlo(n_runs: int, n_workers=None, repeats: int = 3) -> dict:
-    """Serial vs shard-parallel Monte Carlo wall clock (same results).
+def bench_monte_carlo(n_runs: int, rounds: int = 10) -> dict:
+    """The Fig. 6 trial loop against the rows Fig. 6 runs, interleaved.
 
-    ``n_workers=None`` uses the auto heuristic; the report records both
-    the requested and the resolved count plus any fallback reason.
+    Both compute the samples of one Fig. 6 cell (default config, sigma
+    30 mV, seed 7): ``run_monte_carlo(Fig6Trial(...))`` builds and
+    searches one one-row array per trial, ``worst_case_delays`` writes
+    the trials as the rows of one array.  Each of ``rounds`` alternating
+    rounds times one call of each; ``speedup`` is the median of the
+    per-round loop/rows ratios, with its quartiles.  A Fig. 6 that
+    reverts to the trial loop reads ~1.
     """
-    trial = Fig6Trial(config=TDAMConfig(), sigma_mv=30.0)
-    resolved, fallback_reason = resolve_worker_count(
-        n_runs, n_workers, executor="process"
-    )
-    serial = run_monte_carlo(trial, n_runs=n_runs, seed=7)
-    parallel = run_monte_carlo(trial, n_runs=n_runs, seed=7,
-                               n_workers=resolved)
-    t_serial = _best_of(
-        lambda: run_monte_carlo(trial, n_runs=n_runs, seed=7), repeats
-    )
-    t_parallel = _best_of(
-        lambda: run_monte_carlo(trial, n_runs=n_runs, seed=7,
-                                n_workers=resolved),
-        repeats,
+    config = TDAMConfig()
+    trial = Fig6Trial(config=config, sigma_mv=30.0)
+
+    def loop() -> np.ndarray:
+        return run_monte_carlo(trial, n_runs=n_runs, seed=7).samples
+
+    def rows() -> np.ndarray:
+        return worst_case_delays(config, 30.0, n_runs, 7)
+
+    identical = np.array_equal(loop(), rows())
+    pairs = [(_best_of(loop, 1), _best_of(rows, 1)) for _ in range(rounds)]
+    q25, median, q75 = np.percentile(
+        [t_loop / t_rows for t_loop, t_rows in pairs], [25, 50, 75]
     )
     return {
-        "workload": f"Fig. 6 trial, {n_runs} runs, sigma 30 mV",
-        "requested_workers": "auto" if n_workers is None else n_workers,
-        "n_workers": resolved,
-        "fallback_reason": fallback_reason,
-        "serial_s": t_serial,
-        "parallel_s": t_parallel,
-        "speedup": t_serial / t_parallel,
-        "bit_identical": bool(
-            np.array_equal(serial.samples, parallel.samples)
-        ),
+        "workload": f"Fig. 6 cell, {n_runs} runs, sigma 30 mV",
+        "loop_s": float(np.median([t_loop for t_loop, _ in pairs])),
+        "rows_s": float(np.median([t_rows for _, t_rows in pairs])),
+        "speedup": float(median),
+        "speedup_quartiles": [float(q25), float(q75)],
+        "rounds": rounds,
+        "bit_identical": bool(identical),
     }
 
 
@@ -838,15 +837,12 @@ def run_microbench() -> dict:
 #: The perf-regression contract: (metric path, kind, threshold).
 #:
 #: - ``abs_min``: the current value must be >= the absolute threshold.
-#: - ``rel_min``: the current value must be >= threshold * baseline
-#:   (a fractional floor, e.g. 0.75 tolerates a 25% regression).
 #: - ``true``: the current value must be exactly ``True`` (bit-exactness
 #:   flags -- never negotiable).
 #:
-#: Metrics missing from the *baseline* are skipped (new benches can land
-#: before their baseline is recorded); metrics missing from the current
-#: *report* fail (a tracked kernel silently disappearing is itself a
-#: regression).
+#: Metrics missing from the current report fail (a tracked kernel
+#: silently disappearing is itself a regression).  No gate reads the
+#: baseline; it is shown beside each metric for reference.
 TRACKED_GATES = (
     ("search_batch.speedup", "abs_min", 10.0),
     ("search_batch.bit_exact", "true", None),
@@ -856,7 +852,10 @@ TRACKED_GATES = (
     ("topk.exact", "true", None),
     ("resilient.speedup", "abs_min", 10.0),
     ("resilient.bit_exact", "true", None),
-    ("monte_carlo.speedup", "rel_min", 0.75),
+    # The trial loop over the rows of one array, interleaved: a Fig. 6
+    # reverted to the loop reads ~1.0.  The rows read 5.13-6.06 in 12
+    # readings on a shared 2-core VM; the bound is 0.8 of the lowest.
+    ("monte_carlo.speedup", "abs_min", 4.1),
     ("monte_carlo.bit_identical", "true", None),
     ("ann.speedup", "abs_min", 13.5),
     ("ann.recall_at_10", "abs_min", 0.80),
@@ -913,14 +912,6 @@ def compare_to_baseline(report: dict, baseline: dict) -> list:
         elif kind == "abs_min":
             row["threshold"] = threshold
             row["status"] = "pass" if current >= threshold else "fail"
-        elif kind == "rel_min":
-            if base is None:
-                row["status"] = "skipped"
-                row["reason"] = "metric missing from baseline"
-            else:
-                row["threshold"] = threshold * base
-                ok = current >= threshold * base
-                row["status"] = "pass" if ok else "fail"
         rows.append(row)
     return rows
 
@@ -952,11 +943,6 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--skip-microbench", action="store_true",
         help="skip the pytest-benchmark suite (direct timings only)",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=None,
-        help="Monte Carlo worker count for the parallel timing "
-             "(default: auto via resolve_worker_count)",
     )
     parser.add_argument(
         "--mc-runs", type=int, default=200,
@@ -1005,7 +991,7 @@ def main(argv=None) -> int:
         "kernels": bench_kernels(),
         "topk": bench_topk(),
         "resilient": bench_resilient(),
-        "monte_carlo": bench_monte_carlo(args.mc_runs, args.workers),
+        "monte_carlo": bench_monte_carlo(args.mc_runs),
         "telemetry_overhead": bench_telemetry_overhead(),
         "coalesce": bench_coalesce(),
         "ann": bench_ann(n_rows=args.ann_rows),
@@ -1036,10 +1022,10 @@ def main(argv=None) -> int:
           f"(exact={topk['exact']})")
     print(f"resilient:    {res['batch_s'] * 1e3:.2f} ms per batch "
           f"({res['speedup']:.1f}x vs loop, bit_exact={res['bit_exact']})")
-    mc_note = (f" [auto fell back to serial: {mc['fallback_reason']}]"
-               if mc["fallback_reason"] else "")
-    print(f"monte_carlo:  {mc['speedup']:.2f}x with {mc['n_workers']} "
-          f"workers (bit_identical={mc['bit_identical']}){mc_note}")
+    mq25, mq75 = mc["speedup_quartiles"]
+    print(f"monte_carlo:  rows {mc['speedup']:.2f}x "
+          f"[{mq25:.2f}, {mq75:.2f}] vs the trial loop "
+          f"(bit_identical={mc['bit_identical']})")
     q25, q75 = tel["disabled_overhead_pct_quartiles"]
     print(f"telemetry:    disabled {tel['disabled_overhead_pct']:+.2f}% "
           f"[{q25:+.2f}, {q75:+.2f}] / "
