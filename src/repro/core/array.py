@@ -32,6 +32,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.bitplane import (
+    _count_dtype,
     pack_bit_planes,
     pack_level_planes,
     pack_query_masks,
@@ -49,6 +50,7 @@ from repro.devices.variation import VariationModel
 from repro.telemetry import metrics as _metrics
 from repro.telemetry import trace as _trace
 from repro.telemetry.profile import emit_probe as _emit_probe
+from repro.telemetry.profile import probe_active as _probe_active
 from repro.telemetry.state import STATE as _TM
 
 # Telemetry instruments (dormant unless repro.telemetry is enabled; the
@@ -297,6 +299,8 @@ def _record_search_telemetry(
     ``result`` is a :class:`SearchResult` or :class:`BatchSearchResult`;
     the payload carries the aggregate mismatch spread so a probe hook
     sees the per-stage similarity statistics without re-deriving them.
+    The payload, a scan of every distance, is built only when a hook
+    listens.
     """
     _SEARCHES.inc(mode=mode)
     _QUERIES.inc(n_queries, mode=mode)
@@ -305,6 +309,8 @@ def _record_search_telemetry(
         latency = float(result.latency_s)
         energy = float(result.energy_j)
         _SEARCH_LATENCY.observe(latency)
+        if not _probe_active("array.search"):
+            return
         _emit_probe(
             "array.search",
             rows=array.n_rows,
@@ -319,6 +325,8 @@ def _record_search_telemetry(
         latency = float(result.latencies_s.max())
         energy = float(result.energies_j.sum())
         _SEARCH_LATENCY.observe(latency)
+        if not _probe_active("array.search_batch"):
+            return
         _emit_probe(
             "array.search_batch",
             rows=array.n_rows,
@@ -1082,8 +1090,12 @@ class FastTDAMArray:
         Counts are exact integers, identical to :meth:`_counts_loop`.
 
         ``chunk=None`` divides the :data:`QUERY_CHUNK_BUDGET_BYTES`
-        budget by what one query allocates here: ``bits * M * B`` bytes
-        of XOR words, or ``L * M * B`` for the one-hot AND.
+        budget by what grows with each query of a chunk: its row of
+        narrow counts and the copy made of it, int64 counts (8 bytes a
+        row) or the nominal top-k's int32 rank keys (4 bytes a row).
+        The kernels' XOR (or AND) words do not grow with the chunk:
+        they count in query tiles of a fixed size
+        (:mod:`repro.core.bitplane`, "Tiling").
 
         ``reduce``, when given, maps each chunk's C-contiguous
         ``(chunk, M)`` counts as they leave the kernel, in the kernels'
@@ -1113,9 +1125,9 @@ class FastTDAMArray:
                     planes, pack_query_masks(block, levels)
                 )
         if chunk is None:
-            # Each query's transient is one word per plane, row and
-            # stage word: the planes' own size.
-            chunk = _budget_chunk(planes.nbytes)
+            copy_bytes = 8 if reduce is None else 4
+            count_bytes = _count_dtype(planes.shape[2]).itemsize
+            chunk = _budget_chunk(self.n_rows * (count_bytes + copy_bytes))
         n_q = queries.shape[0]
 
         def block(start: int) -> np.ndarray:

@@ -28,9 +28,23 @@ holding ``8 * B``: uint8 up to 192 stages (``B <= 24``), uint16 up to
 65472 -- the software image of the array's ``log2(N + 1)``-bit counter
 TDC.  Callers rank these narrow counts directly; the array widens them
 to int64 only where a signed correction is added.
+
+Tiling.  :func:`packed_xor_counts` and :func:`packed_mismatch_counts`
+count the query axis in tiles whose XOR (or AND) words fit
+``_TILE_BYTES``: ``bits * M * B`` bytes per query for XOR, ``L * M * B``
+for the one-hot AND.  Each tile is built, OR-folded, popcounted and
+summed while its words are still in cache, straight into its rows of
+the one ``(Q, M)`` count matrix, so a call's transient is one tile
+however many queries it counts (a query wider than the tile is a tile
+of its own).  At 8194 rows x 128 stages and 2 bits that is 3 queries
+per tile, where a 32-query batch's words (8 MiB) would stream from
+beyond a core's L2 on each of the fold's passes.  Tiling only splits the
+independent query axis, so counts are bit-identical to one fold.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 import numpy as np
 
@@ -62,6 +76,11 @@ _use_native = HAVE_BITWISE_COUNT
 # uint64 words per padding quantum; planes are padded so their byte
 # width divides evenly into words.
 _WORD_BYTES = 8
+
+# XOR (or AND) word bytes one query tile may build (see "Tiling"):
+# 1 MiB measured fastest of 256 KiB-4 MiB at 1-3 bits on a core with a
+# 2 MiB L2 (docs/PERFORMANCE.md, "Counting in cache-sized tiles").
+_TILE_BYTES = 1 << 20
 
 
 def popcount(values: np.ndarray) -> np.ndarray:
@@ -272,13 +291,12 @@ def packed_mismatch_counts(
     # (L*K, M) x (L*K, Q) operands with the row axis innermost:
     # queries are the short axis on every caller, so the broadcast AND
     # runs long contiguous row loops, and summing the L*K leading slabs
-    # leaves C-contiguous (Q, M) counts for the ranking to read.
-    # Callers bound Q with their query chunking.  Each stage bit is set
-    # in one level's mask only, so the L*K slabs fold like XOR words.
-    p_t = np.ascontiguousarray(p.transpose(0, 2, 1)).reshape(-1, n_rows)
-    m_t = np.ascontiguousarray(m.transpose(1, 2, 0)).reshape(-1, n_q)
-    matched = p_t[:, None, :] & m_t[:, :, None]
-    return _fold_counts(matched[None], masks.shape[2])
+    # leaves C-contiguous (Q, M) counts for the ranking to read.  Each
+    # stage bit is set in one level's mask only, so the L*K slabs fold
+    # like the words of a single XOR bit-plane.
+    p_t = np.ascontiguousarray(p.transpose(0, 2, 1)).reshape(1, -1, n_rows)
+    m_t = np.ascontiguousarray(m.transpose(1, 2, 0)).reshape(1, -1, n_q)
+    return _tiled_counts(np.bitwise_and, p_t, m_t, masks.shape[2])
 
 
 def _check_bit_planes(
@@ -305,14 +323,17 @@ def _count_dtype(byte_width: int) -> np.dtype:
     return np.min_scalar_type(8 * byte_width)
 
 
-def _fold_counts(diff: np.ndarray, byte_width: int) -> np.ndarray:
+def _fold_counts(
+    diff: np.ndarray, byte_width: int, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Mismatch counts from XOR words shaped ``(bits, K, ...)``.
 
     A stage mismatches iff any bit of its level differs, so the
     bit-planes are OR-folded (in place, into ``diff[0]``), popcounted
-    and summed over the ``K`` words of each pair, in the count dtype.
-    A pair's slab popcounts sum to at most ``8 * B``, which that dtype
-    holds, so the accumulation cannot overflow.
+    and summed over the ``K`` words of each pair, in the count dtype,
+    into ``out`` when given.  A pair's slab popcounts sum to at most
+    ``8 * B``, which that dtype holds, so the accumulation cannot
+    overflow.
     """
     mism = diff[0]
     for b in range(1, diff.shape[0]):
@@ -320,15 +341,47 @@ def _fold_counts(diff: np.ndarray, byte_width: int) -> np.ndarray:
     pops = popcount(mism)
     dtype = _count_dtype(byte_width)
     if dtype != np.uint8:
-        return pops.sum(axis=0, dtype=dtype)
+        return pops.sum(axis=0, dtype=dtype, out=out)
     # Slab-by-slab uint8 adds beat a uint8 sum over axis 0 (about 2x
     # at 32 x 8192, K = 2), and K = 1 needs no add at all.
-    total = pops[0]
-    if pops.shape[0] > 1:
-        total = np.add(total, pops[1])
-        for i in range(2, pops.shape[0]):
-            np.add(total, pops[i], out=total)
+    if pops.shape[0] == 1:
+        if out is None:
+            return pops[0]
+        out[...] = pops[0]
+        return out
+    total = np.add(pops[0], pops[1], out=out)
+    for i in range(2, pops.shape[0]):
+        np.add(total, pops[i], out=total)
     return total
+
+
+def _tiled_counts(
+    op: np.ufunc, stored: np.ndarray, queries: np.ndarray, byte_width: int
+) -> np.ndarray:
+    """:func:`_fold_counts` of ``op(stored, queries)`` one query tile at
+    a time, into one C-contiguous ``(Q, M)`` count matrix.
+
+    ``stored`` holds word-major ``(P, S, M)`` words and ``queries``
+    ``(P, S, Q)``.  A tile broadcasts them to ``(P, S, tile, M)``
+    words, ``stored.nbytes`` per query, and takes as many queries as
+    :data:`_TILE_BYTES` holds (at least one); the tiles of a call reuse
+    one buffer, and a batch that fits one tile is folded as it is.
+    """
+    n_q = queries.shape[2]
+    tile = max(1, _TILE_BYTES // max(1, stored.nbytes))
+    if tile >= n_q:
+        words = op(stored[:, :, None, :], queries[:, :, :, None])
+        return _fold_counts(words, byte_width)
+    out = np.empty((n_q, stored.shape[2]), dtype=_count_dtype(byte_width))
+    words = np.empty(
+        stored.shape[:2] + (tile, stored.shape[2]), dtype=stored.dtype
+    )
+    for start in range(0, n_q, tile):
+        tile_words = words[:, :, :min(tile, n_q - start)]
+        op(stored[:, :, None, :], queries[:, :, start:start + tile, None],
+           out=tile_words)
+        _fold_counts(tile_words, byte_width, out=out[start:start + tile])
+    return out
 
 
 def packed_xor_counts(
@@ -368,8 +421,7 @@ def packed_xor_counts(
     # fused XOR over all bit-planes.
     s_t = np.ascontiguousarray(_words(stored_bits).transpose(0, 2, 1))
     q_t = np.ascontiguousarray(_words(query_bits).transpose(0, 2, 1))
-    diff = s_t[:, :, None, :] ^ q_t[:, :, :, None]
-    return _fold_counts(diff, stored_bits.shape[2])
+    return _tiled_counts(np.bitwise_xor, s_t, q_t, stored_bits.shape[2])
 
 
 def packed_pair_counts(

@@ -188,6 +188,20 @@ def active_probe_events() -> Tuple[str, ...]:
         return tuple(sorted(_hooks))
 
 
+def probe_active(event: str) -> bool:
+    """Whether ``event`` has a hook attached: one dict lookup.
+
+    A probe point whose payload costs something to build asks first and
+    builds it only for a listener.  Unknown events raise ``ValueError``,
+    as :func:`emit_probe` does.
+    """
+    if event in _hooks:
+        return True
+    if event not in PROBE_EVENTS:
+        raise ValueError(f"unknown probe event {event!r}")
+    return False
+
+
 def emit_probe(event: str, **payload: Any) -> None:
     """Fire the hooks of ``event`` with ``payload``.
 

@@ -415,7 +415,9 @@ class TestCountDtype:
 
 
 class TestChunkRule:
-    """The packed count budgets what one of its queries allocates."""
+    """The packed count budgets what grows with each of its queries:
+    the kernels bound their own words per tile, so that is a query's
+    narrow count row and the copy made of it."""
 
     def test_budget_divides_by_the_count_transient(self, monkeypatch):
         from repro.core import array as array_module
@@ -428,18 +430,27 @@ class TestChunkRule:
             return budget(per_query)
 
         monkeypatch.setattr(array_module, "_budget_chunk", spy)
-        width = packed_stage_bytes(128)
         nominal, rng = make_array(2, 128, 40)
-        nominal.search_batch(rng.integers(0, 4, (5, 128)))
-        # XOR path: bits * M * B bytes of words per query.
-        assert seen == [2 * 40 * width]
+        queries = rng.integers(0, 4, (5, 128))
+        # uint8 counts widened to int64: 1 + 8 bytes per row.
+        nominal.search_batch(queries)
+        assert seen == [40 * 9]
+        # uint8 counts ranked by int32 keys: 1 + 4 bytes per row.
+        seen.clear()
+        nominal.top_k_batch(queries, 3)
+        assert seen == [40 * 5]
+        # The one-hot path counts into the same rows.
         varied, rng = make_array(
             2, 128, 40, variation=VariationModel(sigma_mv=150.0, seed=3)
         )
         seen.clear()
         varied.mismatch_count_batch(rng.integers(0, 4, (5, 128)))
-        # One-hot path: L * M * B.
-        assert seen == [4 * 40 * width]
+        assert seen == [40 * 9]
+        # Past 192 stages the counts are uint16: 2 + 8 bytes per row.
+        wide, rng = make_array(2, 193, 40)
+        seen.clear()
+        wide.mismatch_count_batch(rng.integers(0, 4, (5, 193)))
+        assert seen == [40 * 10]
 
     def test_scan_geometry_batch_is_unchunked(self):
         from repro.core.array import _budget_chunk
@@ -447,5 +458,119 @@ class TestChunkRule:
         # 8192 logical + 2 spare rows x 128 stages at 2 bits: a 32-query
         # batch fits the budget in one block (the float-gather rule
         # would cut it into blocks of MIN_QUERY_CHUNK).
-        assert _budget_chunk(2 * 8194 * packed_stage_bytes(128)) >= 32
+        assert _budget_chunk(8194 * (1 + 4)) >= 32
+        assert _budget_chunk(8194 * (1 + 8)) >= 32
         assert resolve_query_chunk(8194, 128) < 32
+
+
+class TestTiling:
+    """The tiled XOR and one-hot kernels equal their one-shot fold
+    across tile edges (``tests/oracles.py``)."""
+
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @staticmethod
+    def tile_sizes(n_q):
+        """One query per tile, a tile that does not divide ``n_q`` and
+        one tile for the whole batch."""
+        sizes = {1, max(1, n_q)}
+        ragged = [t for t in range(2, n_q) if n_q % t]
+        if ragged:
+            sizes.add(ragged[0])
+        return sorted(sizes)
+
+    def test_tiled_kernels_equal_the_one_shot_fold(self, monkeypatch):
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        from tests.oracles import (
+            one_shot_mismatch_counts,
+            one_shot_xor_counts,
+        )
+
+        @settings(max_examples=60, deadline=None)
+        @given(
+            bits=st.integers(1, 3),
+            # K = 1-5 words, and both sides of the uint8/uint16 switch.
+            n=st.one_of(
+                st.sampled_from([64, 65, 192, 193, 256, 300]),
+                st.integers(1, 300),
+            ),
+            n_rows=st.integers(1, 200),
+            n_q=st.integers(0, 40),
+            native=st.booleans(),
+            seed=st.integers(0, 2**32 - 1),
+        )
+        def inner(bits, n, n_rows, n_q, native, seed):
+            levels = 2 ** bits
+            rng = np.random.default_rng(seed)
+            stored = rng.integers(0, levels, (n_rows, n))
+            q = rng.integers(0, levels, (n_q, n))
+            s_bits = pack_bit_planes(stored, bits)
+            q_bits = pack_bit_planes(q, bits)
+            ineq = np.arange(levels)[:, None, None] != stored[None, :, :]
+            planes = pack_level_planes(ineq)
+            masks = pack_query_masks(q, levels)
+            monkeypatch.setattr(
+                bitplane, "_use_native", native and bitplane.HAVE_BITWISE_COUNT
+            )
+            if n_q >= 3:
+                assert len(self.tile_sizes(n_q)) == 3
+            width = packed_stage_bytes(n)
+            for kernel, oracle, args, per_query in (
+                (packed_xor_counts, one_shot_xor_counts,
+                 (s_bits, q_bits), bits * n_rows * width),
+                (packed_mismatch_counts, one_shot_mismatch_counts,
+                 (planes, masks), levels * n_rows * width),
+            ):
+                want = oracle(*args)
+                for tile in self.tile_sizes(n_q):
+                    monkeypatch.setattr(
+                        bitplane, "_TILE_BYTES", tile * per_query
+                    )
+                    got = kernel(*args)
+                    assert got.dtype == want.dtype, (kernel, tile)
+                    assert got.flags.c_contiguous, (kernel, tile)
+                    assert np.array_equal(got, want), (kernel, tile)
+
+        inner()
+
+    def test_scan_geometry_counts_in_several_tiles(self, monkeypatch):
+        # scan-topk's array (8192 rows + 2 spares x 128 stages, 2 bits)
+        # and 32-query batch, at the real tile size.
+        from repro.core import array as array_module
+
+        from tests.oracles import one_shot_xor_counts
+
+        array, rng = make_array(2, 128, 8194)
+        queries = rng.integers(0, 4, (32, 128))
+        s_bits = array._xor_bit_planes()
+        q_bits = pack_bit_planes(queries, 2)
+        folds = []
+        fold = bitplane._fold_counts
+
+        def counting_fold(*args, **kwargs):
+            folds.append(args[0].shape)
+            return fold(*args, **kwargs)
+
+        monkeypatch.setattr(bitplane, "_fold_counts", counting_fold)
+        got = packed_xor_counts(s_bits, q_bits)
+        n_tiles = len(folds)
+        monkeypatch.setattr(bitplane, "_fold_counts", fold)
+        assert n_tiles > 1
+        assert np.array_equal(got, one_shot_xor_counts(s_bits, q_bits))
+
+        calls = []
+        kernel = array_module.packed_xor_counts
+
+        def counting_kernel(stored_bits, query_bits):
+            calls.append(query_bits.shape[1])
+            return kernel(stored_bits, query_bits)
+
+        monkeypatch.setattr(array_module, "packed_xor_counts", counting_kernel)
+        top = array.top_k_batch(queries, 10)
+        assert calls == [32]
+        assert np.array_equal(top, array.search_batch(queries).top_k(10))
+        calls.clear()
+        array.top_k_batch(queries, 10, chunk=8)
+        assert calls == [8, 8, 8, 8]

@@ -126,3 +126,46 @@ def mask_loop_cluster_fit(cluster, encoded):
         if best is None or score > best[0]:
             best = (score, (centroids, assignments, iteration, converged))
     return best[1], reseeds
+
+
+def one_shot_xor_counts(stored_bits, query_bits):
+    """:func:`repro.core.bitplane.packed_xor_counts` as one fold.
+
+    The kernel's body before it counted in query tiles: every query's
+    ``(bits, K, Q, M)`` XOR words are built at once, then OR-folded,
+    popcounted and summed by the module's own fold.  Tiling splits
+    only the query axis, so the tiled kernel must equal it bit for bit,
+    dtype included.
+    """
+    from repro.core import bitplane
+
+    s_t = np.ascontiguousarray(
+        bitplane._words(stored_bits).transpose(0, 2, 1)
+    )
+    q_t = np.ascontiguousarray(
+        bitplane._words(query_bits).transpose(0, 2, 1)
+    )
+    diff = s_t[:, :, None, :] ^ q_t[:, :, :, None]
+    return bitplane._fold_counts(diff, stored_bits.shape[2])
+
+
+def one_shot_mismatch_counts(planes, masks):
+    """:func:`repro.core.bitplane.packed_mismatch_counts` as one fold.
+
+    The one-hot kernel's body before it counted in query tiles: the
+    ``(L*K, Q, M)`` AND words of every query at once, folded like the
+    words of one XOR bit-plane.
+    """
+    from repro.core import bitplane
+
+    p = bitplane._words(planes)
+    m = bitplane._words(masks)
+    n_words = p.shape[0] * p.shape[2]
+    p_t = np.ascontiguousarray(p.transpose(0, 2, 1)).reshape(
+        n_words, p.shape[1]
+    )
+    m_t = np.ascontiguousarray(m.transpose(1, 2, 0)).reshape(
+        n_words, m.shape[0]
+    )
+    matched = p_t[:, None, :] & m_t[:, :, None]
+    return bitplane._fold_counts(matched[None], masks.shape[2])

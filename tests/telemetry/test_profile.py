@@ -9,6 +9,7 @@ from repro.telemetry.profile import (
     clear_probes,
     declare_probe_event,
     emit_probe,
+    probe_active,
     register_probe,
     unregister_probe,
 )
@@ -60,6 +61,16 @@ class TestCatalog:
 class TestDispatch:
     def test_emit_without_hooks_is_a_noop(self):
         emit_probe("array.search", rows=1)  # must not raise
+
+    def test_probe_active_follows_registration(self):
+        assert probe_active("mc.run") is False
+        rec = ProbeRecorder()
+        register_probe("mc.run", rec)
+        assert probe_active("mc.run") is True
+        unregister_probe("mc.run", rec)
+        assert probe_active("mc.run") is False
+        with pytest.raises(ValueError, match="unknown probe event"):
+            probe_active("no.such.event")
 
     def test_hooks_called_in_registration_order(self):
         order = []

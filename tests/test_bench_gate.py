@@ -23,6 +23,8 @@ def make_report(**overrides):
         "kernels": {
             "packed_speedup_vs_loop": 44.0,
             "bit_exact": True,
+            "tile_peak_ratio": 6.9,
+            "tile_bit_exact": True,
         },
         "topk": {"speedup": 3.6, "exact": True},
         "resilient": {"speedup": 21.0, "bit_exact": True},
@@ -84,6 +86,24 @@ class TestCompareToBaseline:
             bench_report.compare_to_baseline(passing, make_report())
         )
         assert rows["kernels.packed_speedup_vs_loop"]["status"] == "pass"
+
+    def test_untiled_count_kernel_fails(self):
+        # kernels.tile_peak_ratio divides the one-fold XOR call's
+        # tracemalloc transient by the tiled call's: 6.93 at scan-topk's
+        # geometry, 1.0 when every query's words are built at once.
+        cases = ((1.0, "fail"), (5.4, "fail"), (6.93, "pass"))
+        for ratio, status in cases:
+            report = make_report(**{"kernels.tile_peak_ratio": ratio})
+            rows = rows_by_metric(
+                bench_report.compare_to_baseline(report, make_report())
+            )
+            assert rows["kernels.tile_peak_ratio"]["status"] == status, ratio
+            assert rows["kernels.tile_peak_ratio"]["threshold"] == 5.5
+        report = make_report(**{"kernels.tile_bit_exact": False})
+        rows = rows_by_metric(
+            bench_report.compare_to_baseline(report, make_report())
+        )
+        assert rows["kernels.tile_bit_exact"]["status"] == "fail"
 
     def test_topk_slower_than_a_full_search_fails(self):
         # 0.14: slower than a full search.  2.5: ranking transposed

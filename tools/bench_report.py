@@ -24,7 +24,13 @@ plus two direct wall-clock studies, and writes ``BENCH_search.json``:
 4. **Count kernel**: the packed-popcount kernel that counts every batch
    against the per-query reference loop on the same workload, with
    bit-exactness asserted; the tracked headline is
-   ``packed_speedup_vs_loop``.
+   ``packed_speedup_vs_loop``.  At the ``scan-topk`` benchmark
+   workload's geometry (8194 rows x 128 stages, 32 queries, 2 bits) the
+   XOR kernel, which counts in cache-sized query tiles, is compared
+   with the one-fold reference in ``tests/oracles.py``: equality of
+   both count kernels (gated), the ratio of the two calls' transients
+   under ``tracemalloc`` (gated) and the ratio of their times over
+   alternating rounds (reported).
 5. **Top-k**: ``FastTDAMArray.top_k_batch`` (exact counts ranked
    directly) against ranking a full ``search_batch().top_k``, on the
    serving array (1024 rows x 128 stages, 32-query batches), with
@@ -85,15 +91,24 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT))
 
 from repro import telemetry  # noqa: E402
 from repro.core.array import FastTDAMArray  # noqa: E402
+from repro.core.bitplane import (  # noqa: E402
+    pack_bit_planes,
+    pack_level_planes,
+    pack_query_masks,
+    packed_mismatch_counts,
+    packed_xor_counts,
+)
 from repro.core.config import TDAMConfig  # noqa: E402
 from repro.resilience.resilient import ResilientTDAMArray  # noqa: E402
 from repro.experiments.fig6_montecarlo import (  # noqa: E402
@@ -101,6 +116,10 @@ from repro.experiments.fig6_montecarlo import (  # noqa: E402
     worst_case_delays,
 )
 from repro.spice.montecarlo import run_monte_carlo  # noqa: E402
+from tests.oracles import (  # noqa: E402
+    one_shot_mismatch_counts,
+    one_shot_xor_counts,
+)
 
 N_ROWS = 26
 N_STAGES = 128
@@ -112,6 +131,9 @@ N_QUERIES = 256
 TOPK_ROWS = 8192
 TOPK_QUERIES = 32
 TOPK_K = 10
+# The tile study counts scan-topk's array as its service holds it:
+# 8192 rows plus 2 spares.
+TILE_ROWS = TOPK_ROWS + 2
 # The resilient bench runs on the HDC classifier's array (the
 # ``hdc-refresh`` benchmark workload: 26 classes, 2 spares, D = 2048).
 RESILIENT_ROWS = 26
@@ -212,6 +234,77 @@ def bench_kernels(repeats: int = 30) -> dict:
         "loop_s": t_loop,
         "packed_speedup_vs_loop": t_loop / t_packed,
         "bit_exact": exact,
+    }
+
+
+def _transient_bytes(fn) -> int:
+    """Peak bytes ``fn()`` allocates above what was live before it,
+    under ``tracemalloc``."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def bench_kernel_tiles(rounds: int = 10, repeats: int = 5) -> dict:
+    """The tiled count kernels against their one-fold reference.
+
+    At scan-topk's geometry (8194 rows x 128 stages, 32 queries, 2
+    bits) ``packed_xor_counts`` and ``packed_mismatch_counts`` must
+    equal the one-fold bodies in ``tests/oracles.py`` bit for bit.
+    ``tile_peak_ratio`` divides the one-fold XOR call's transient by
+    the tiled call's (deterministic; an untiled kernel reads 1.0), and
+    ``tile_speedup`` is the median over ``rounds`` alternating rounds of
+    the one-fold time over the tiled time, each the best of
+    ``repeats`` calls.
+    """
+    rng = np.random.default_rng(1)
+    stored = rng.integers(0, 4, size=(TILE_ROWS, N_STAGES))
+    queries = rng.integers(0, 4, size=(TOPK_QUERIES, N_STAGES))
+    s_bits = pack_bit_planes(stored, 2)
+    q_bits = pack_bit_planes(queries, 2)
+    planes = pack_level_planes(np.arange(4)[:, None, None] != stored)
+    masks = pack_query_masks(queries, 4)
+
+    def tiled():
+        return packed_xor_counts(s_bits, q_bits)
+
+    def one_shot():
+        return one_shot_xor_counts(s_bits, q_bits)
+
+    exact = bool(
+        np.array_equal(tiled(), one_shot())
+        and np.array_equal(
+            packed_mismatch_counts(planes, masks),
+            one_shot_mismatch_counts(planes, masks),
+        )
+    )
+    pairs = []
+    for i in range(rounds):
+        order = (tiled, one_shot) if i % 2 == 0 else (one_shot, tiled)
+        times = {fn: _best_of(fn, repeats) for fn in order}
+        pairs.append((times[tiled], times[one_shot]))
+    q25, median, q75 = np.percentile(
+        [t_one / t_tiled for t_tiled, t_one in pairs], [25, 50, 75]
+    )
+    tiled_bytes = _transient_bytes(tiled)
+    one_shot_bytes = _transient_bytes(one_shot)
+    return {
+        "tile_workload": (
+            f"{TILE_ROWS} rows x {N_STAGES} stages x {TOPK_QUERIES} "
+            f"queries, 2 bits"
+        ),
+        "tiled_s": float(np.median([t for t, _ in pairs])),
+        "one_shot_s": float(np.median([t for _, t in pairs])),
+        "tile_speedup": float(median),
+        "tile_speedup_quartiles": [float(q25), float(q75)],
+        "tiled_transient_bytes": tiled_bytes,
+        "one_shot_transient_bytes": one_shot_bytes,
+        "tile_peak_ratio": one_shot_bytes / tiled_bytes,
+        "tile_bit_exact": exact,
     }
 
 
@@ -848,6 +941,12 @@ TRACKED_GATES = (
     ("search_batch.bit_exact", "true", None),
     ("kernels.packed_speedup_vs_loop", "abs_min", 10.0),
     ("kernels.bit_exact", "true", None),
+    # The one-fold XOR call's transient over the tiled call's, at
+    # scan-topk's geometry: 6.93, and deterministic; a kernel that
+    # builds every query's words at once reads 1.0.  The bound is 0.8
+    # of the reading.  The time ratio beside it is reported only.
+    ("kernels.tile_peak_ratio", "abs_min", 5.5),
+    ("kernels.tile_bit_exact", "true", None),
     ("topk.speedup", "abs_min", 3.0),
     ("topk.exact", "true", None),
     ("resilient.speedup", "abs_min", 10.0),
@@ -988,7 +1087,7 @@ def main(argv=None) -> int:
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),
         "search_batch": bench_search_batch(),
-        "kernels": bench_kernels(),
+        "kernels": {**bench_kernels(), **bench_kernel_tiles()},
         "topk": bench_topk(),
         "resilient": bench_resilient(),
         "monte_carlo": bench_monte_carlo(args.mc_runs),
@@ -1018,6 +1117,11 @@ def main(argv=None) -> int:
           f"bit_exact={search['bit_exact']})")
     print(f"kernels:      packed {kern['packed_speedup_vs_loop']:.1f}x vs "
           f"loop (bit_exact={kern['bit_exact']})")
+    tq25, tq75 = kern["tile_speedup_quartiles"]
+    print(f"kernels:      tiled XOR {kern['tile_speedup']:.2f}x "
+          f"[{tq25:.2f}, {tq75:.2f}] vs one fold, transient "
+          f"{kern['tile_peak_ratio']:.1f}x smaller "
+          f"(tile_bit_exact={kern['tile_bit_exact']})")
     print(f"topk:         {topk['speedup']:.2f}x vs ranking a full search "
           f"(exact={topk['exact']})")
     print(f"resilient:    {res['batch_s'] * 1e3:.2f} ms per batch "
