@@ -84,15 +84,13 @@ def _wrong_best_fraction(
     delays are monotone in distance, so delay breaks no extra ties;
     ``argmin``'s first-minimum rule matches the ascending live order).
     """
-    live = np.array(
-        [r for r in range(array.n_rows) if r not in array._retired]
-    )
+    batch = array.search_batch(queries)
+    live = np.setdiff1d(np.arange(array.n_rows), batch.retired_rows)
     ideal = (
         array._shadow[live][None, :, :] != queries[:, None, :]
     ).sum(axis=2)
     expect = live[ideal.argmin(axis=1)]
-    best = array.search_batch(queries).best_rows
-    return float((best != expect).sum()) / len(queries)
+    return float((batch.best_rows != expect).sum()) / len(queries)
 
 
 def _evaluate(

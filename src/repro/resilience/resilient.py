@@ -28,7 +28,7 @@ silently drops stored vectors from the search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -311,10 +311,12 @@ class ResilientTDAMArray:
         self.engine = RepairEngine(max_masked_stages=max_masked_stages)
         self.bist_interval = bist_interval
         self._shadow = np.zeros((n_rows, config.n_stages), dtype=np.int64)
-        self._map = range(n_rows)
+        # Logical -> physical row map, edited in place by repairs.
+        self._map = np.arange(n_rows, dtype=np.int64)
         self._free_spares: List[int] = list(range(n_rows, total))
         self._masked: Tuple[int, ...] = ()
-        self._retired: set = set()
+        # Logical rows without a physical home.
+        self._retired_mask = np.zeros(n_rows, dtype=bool)
         self._row_age_s = np.zeros(total)
         self._cycles = np.zeros(total)
         # Write-time (variation) offsets, the baseline drift adds onto.
@@ -332,22 +334,6 @@ class ResilientTDAMArray:
                 (total, config.n_stages),
             ),
         )
-
-    @property
-    def _map(self) -> Tuple[int, ...]:
-        """Logical -> physical row map, immutable.
-
-        Assigning it (construction, :meth:`apply_repairs`, checkpoint
-        restore) is the only way to change it, and re-derives whether
-        it is the identity, so :meth:`_is_pristine` reads a flag
-        instead of comparing ``n_rows`` entries on every call.
-        """
-        return self._map_tuple
-
-    @_map.setter
-    def _map(self, value) -> None:
-        self._map_tuple = tuple(int(r) for r in value)
-        self._map_is_identity = self._map_tuple == tuple(range(self.n_rows))
 
     # ------------------------------------------------------------------
     # Write path
@@ -387,7 +373,7 @@ class ResilientTDAMArray:
             )
         values = self._physical._validate_vector(vector)
         self._shadow[row] = values
-        if row not in self._retired:
+        if not self._retired_mask[row]:
             phys = self._map[row]
             self._write_physical([phys], values[None, :])
             self._cycles[phys] += 1
@@ -405,13 +391,17 @@ class ResilientTDAMArray:
         live = self._live_rows()
         if len(live) < self.n_rows:
             values = values[live]
-        phys = np.asarray(self._map, dtype=np.int64)[live]
+        phys = self._map[live]
         self._write_physical(phys, values)
         self._cycles[phys] += 1
 
-    def _live_rows(self) -> List[int]:
+    def _live_rows(self) -> np.ndarray:
         """Logical rows with a physical home, ascending."""
-        return [r for r in range(self.n_rows) if r not in self._retired]
+        return np.flatnonzero(~self._retired_mask)
+
+    def _retired_rows(self) -> Tuple[int, ...]:
+        """Logical rows without a physical home, ascending."""
+        return tuple(np.flatnonzero(self._retired_mask).tolist())
 
     # ------------------------------------------------------------------
     # Aging
@@ -429,17 +419,25 @@ class ResilientTDAMArray:
         self._apply_drift()
 
     def _apply_drift(self) -> None:
+        # Rows rewritten together share an age: one polarization
+        # fraction per distinct age, then every cell's shift with the
+        # arithmetic of RetentionModel.vth_shifts.
+        ages, row_age = np.unique(self._row_age_s, return_inverse=True)
+        frac = np.array(
+            [self.retention.polarization_fraction(a) for a in ages.tolist()]
+        )[row_age, None]
+        center = self.retention.params.vth_center
+
+        def shifts(programmed: np.ndarray) -> np.ndarray:
+            return (center + (programmed - center) * frac) - programmed
+
         vth = np.array(self.config.vth_levels)
-        levels = self.config.levels
         stored = self._physical._stored
-        for phys in range(len(self._row_age_s)):
-            age = float(self._row_age_s[phys])
-            drift_a = self.retention.vth_shifts(vth[stored[phys]], age)
-            drift_b = self.retention.vth_shifts(
-                vth[levels - 1 - stored[phys]], age
-            )
-            self._physical._off_a[phys] = self._base_off_a[phys] + drift_a
-            self._physical._off_b[phys] = self._base_off_b[phys] + drift_b
+        levels = self.config.levels
+        self._physical._off_a[:] = self._base_off_a + shifts(vth[stored])
+        self._physical._off_b[:] = self._base_off_b + shifts(
+            vth[levels - 1 - stored]
+        )
         self._physical.invalidate_threshold_cache()
 
     @property
@@ -451,29 +449,13 @@ class ResilientTDAMArray:
     # Search path
     # ------------------------------------------------------------------
     def search(self, query: Sequence[int]) -> ResilientSearchResult:
-        """Search over the logical rows, self-testing when due."""
-        if not _TM.enabled:
-            return self._search_impl(query)
-        with _trace.span(
-            "resilience.search",
-            rows=self.n_rows,
-            retired=len(self._retired),
-            masked=len(self._masked),
-        ):
-            return self._search_impl(query)
+        """Search over the logical rows, self-testing when due.
 
-    def _search_impl(self, query: Sequence[int]) -> ResilientSearchResult:
-        if (
-            self.bist_interval is not None
-            and self._searches_since_bist >= self.bist_interval
-        ):
-            self.self_test_and_repair()
-        self._searches_since_bist += 1
-        mism = self._backing.faulted_mismatch_matrix(query)
-        if self._masked:
-            mism[:, list(self._masked)] = False
-        raw = self._physical.result_from_mismatch_matrix(mism)
-        return self._logical_view(raw)
+        A batch of one: :meth:`search_batch` on the validated query, so
+        the BIST due-check runs once and the call counts as one search.
+        """
+        q = self._physical.encoding.validate_vector(query)
+        return self.search_batch(q[None, :]).result(0)
 
     def search_batch(
         self, queries: np.ndarray, chunk: Optional[int] = None
@@ -491,19 +473,24 @@ class ResilientTDAMArray:
         with _trace.span(
             "resilience.search_batch",
             rows=self.n_rows,
-            retired=len(self._retired),
+            retired=int(self._retired_mask.sum()),
             masked=len(self._masked),
         ):
             return self._search_batch_impl(queries, chunk)
 
-    def _search_batch_impl(
-        self, queries: np.ndarray, chunk: Optional[int] = None
-    ) -> ResilientBatchSearchResult:
+    def _self_test_if_due(self) -> None:
+        """Run the automatic BIST-and-repair once ``bist_interval``
+        searches have passed since the last self-test."""
         if (
             self.bist_interval is not None
             and self._searches_since_bist >= self.bist_interval
         ):
             self.self_test_and_repair()
+
+    def _search_batch_impl(
+        self, queries: np.ndarray, chunk: Optional[int] = None
+    ) -> ResilientBatchSearchResult:
+        self._self_test_if_due()
         counts = self._backing.mismatch_count_batch(
             queries, chunk=chunk, masked_stages=self._masked
         )
@@ -522,10 +509,10 @@ class ResilientTDAMArray:
         subset is bit-identical to ranking the logical view.
         """
         return (
-            not self._retired
-            and not self._masked
+            not self._masked
             and not self._backing.faults
-            and self._map_is_identity
+            and not self._retired_mask.any()
+            and np.array_equal(self._map, np.arange(self.n_rows))
             and self._physical._timing_is_nominal()
         )
 
@@ -554,7 +541,7 @@ class ResilientTDAMArray:
         with _trace.span(
             "resilience.top_k_batch",
             rows=self.n_rows,
-            retired=len(self._retired),
+            retired=int(self._retired_mask.sum()),
             masked=len(self._masked),
         ):
             return self._top_k_batch_impl(queries, k, chunk)
@@ -562,11 +549,7 @@ class ResilientTDAMArray:
     def _top_k_batch_impl(
         self, queries: np.ndarray, k: int, chunk: Optional[int]
     ) -> TopKResult:
-        if (
-            self.bist_interval is not None
-            and self._searches_since_bist >= self.bist_interval
-        ):
-            self.self_test_and_repair()
+        self._self_test_if_due()
         if self._is_pristine():
             rows = self._physical.top_k_batch(
                 queries,
@@ -585,24 +568,26 @@ class ResilientTDAMArray:
 
     def _logical_view_batch(self, raw) -> ResilientBatchSearchResult:
         n_eff = self.config.n_stages - len(self._masked)
-        timeout = self._physical.timing.chain_delay(self.config.n_stages)
-        n_q = raw.hamming_distances.shape[0]
-        distances = np.full((n_q, self.n_rows), n_eff, dtype=np.int64)
-        delays = np.full((n_q, self.n_rows), timeout)
+        # Each logical row reads its physical home; a retired row's
+        # stale home is overwritten with the maximum distance and the
+        # controller timeout.
+        distances = np.take(raw.hamming_distances, self._map, axis=1)
+        np.minimum(distances, n_eff, out=distances)
+        delays = np.take(raw.delays_s, self._map, axis=1)
         live = self._live_rows()
-        if live:
-            phys = [self._map[r] for r in live]
-            distances[:, live] = np.minimum(
-                raw.hamming_distances[:, phys], n_eff
-            )
-            delays[:, live] = raw.delays_s[:, phys]
-            live_arr = np.asarray(live)
-            best = live_arr[
-                resolve_best_batch(distances[:, live], delays[:, live])
-            ]
+        if live.size == self.n_rows:
+            best = resolve_best_batch(distances, delays)
         else:
-            best = np.full(n_q, -1, dtype=np.int64)
-        live_fraction = len(live) / self.n_rows
+            distances[:, self._retired_mask] = n_eff
+            delays[:, self._retired_mask] = self._physical.timing.chain_delay(
+                self.config.n_stages
+            )
+            best = (
+                live[resolve_best_batch(distances[:, live], delays[:, live])]
+                if live.size
+                else np.full(len(distances), -1, dtype=np.int64)
+            )
+        live_fraction = live.size / self.n_rows
         stage_fraction = n_eff / self.config.n_stages
         return ResilientBatchSearchResult(
             hamming_distances=distances,
@@ -612,42 +597,9 @@ class ResilientTDAMArray:
             energies_j=raw.energies_j,
             n_stages=self.config.n_stages,
             n_effective_stages=n_eff,
-            degraded=bool(self._retired),
+            degraded=live.size < self.n_rows,
             confidence=live_fraction * stage_fraction,
-            retired_rows=tuple(sorted(self._retired)),
-            masked_stages=self._masked,
-        )
-
-    def _logical_view(self, raw) -> ResilientSearchResult:
-        n_eff = self.config.n_stages - len(self._masked)
-        timeout = self._physical.timing.chain_delay(self.config.n_stages)
-        distances = np.full(self.n_rows, n_eff, dtype=np.int64)
-        delays = np.full(self.n_rows, timeout)
-        live = self._live_rows()
-        for r in live:
-            phys = self._map[r]
-            distances[r] = min(int(raw.hamming_distances[phys]), n_eff)
-            delays[r] = raw.delays_s[phys]
-        if live:
-            order = np.lexsort(
-                (live, delays[live], distances[live])
-            )
-            best = int(live[int(order[0])])
-        else:
-            best = -1
-        live_fraction = len(live) / self.n_rows
-        stage_fraction = n_eff / self.config.n_stages
-        return ResilientSearchResult(
-            hamming_distances=distances,
-            delays_s=delays,
-            best_row=best,
-            latency_s=raw.latency_s,
-            energy_j=raw.energy_j,
-            n_stages=self.config.n_stages,
-            n_effective_stages=n_eff,
-            degraded=bool(self._retired),
-            confidence=live_fraction * stage_fraction,
-            retired_rows=tuple(sorted(self._retired)),
+            retired_rows=self._retired_rows(),
             masked_stages=self._masked,
         )
 
@@ -695,13 +647,12 @@ class ResilientTDAMArray:
         row's shadow onto its physical home, in logical order, then
         zeros onto the rows holding no data, in physical order."""
         live = self._live_rows()
-        mapped = [self._map[r] for r in live]
-        unmapped = sorted(set(range(len(self._row_age_s))) - set(mapped))
-        values = np.zeros(
-            (len(self._row_age_s), self.config.n_stages), dtype=np.int64
-        )
+        mapped = self._map[live]
+        total = len(self._row_age_s)
+        unmapped = np.setdiff1d(np.arange(total), mapped)
+        values = np.zeros((total, self.config.n_stages), dtype=np.int64)
         values[:len(live)] = self._shadow[live]
-        self._write_physical(np.asarray(mapped + unmapped), values)
+        self._write_physical(np.concatenate([mapped, unmapped]), values)
 
     def apply_repairs(
         self, diagnosis: Optional[DiagnosisReport] = None
@@ -716,24 +667,23 @@ class ResilientTDAMArray:
             diagnosis = self._last_diagnosis or self.run_bist()
         with _trace.span("resilience.repair", rows=self.n_rows):
             live = self._live_rows()
-            data_rows = [self._map[r] for r in live]
+            data_rows = self._map[live]
             plan = self.engine.plan(
-                diagnosis, data_rows=data_rows, spare_rows=self._free_spares
+                diagnosis,
+                data_rows=data_rows.tolist(),
+                spare_rows=self._free_spares,
             )
             self._masked = plan.masked_stages
-            phys_to_logical: Dict[int, int] = {
-                self._map[r]: r for r in live
-            }
-            remap = list(self._map)
+            # The logical row each data-holding physical row serves.
+            owner = np.empty(len(self._row_age_s), dtype=np.int64)
+            owner[data_rows] = live
             for old_phys, spare in plan.row_remap.items():
-                r = phys_to_logical[old_phys]
-                remap[r] = spare
+                r = owner[old_phys]
+                self._map[r] = spare
                 self._free_spares.remove(spare)
                 self._write_physical([spare], self._shadow[r][None, :])
                 self._cycles[spare] += 1
-            self._map = remap
-            for old_phys in plan.retired_rows:
-                self._retired.add(phys_to_logical[old_phys])
+            self._retired_mask[owner[list(plan.retired_rows)]] = True
         if _TM.enabled:
             if plan.masked_stages:
                 _REPAIR_ACTIONS.inc(
@@ -746,7 +696,7 @@ class ResilientTDAMArray:
                     len(plan.retired_rows), action="retired"
                 )
             _MASKED_STAGES.set(float(len(self._masked)))
-            _RETIRED_ROWS.set(float(len(self._retired)))
+            _RETIRED_ROWS.set(float(self._retired_mask.sum()))
             _emit_probe(
                 "resilience.repair",
                 masked_stages=len(plan.masked_stages),
@@ -786,30 +736,28 @@ class ResilientTDAMArray:
         and re-derives the replica calibration.  Returns the number of
         rows rewritten.
         """
-        if not _TM.enabled:
+        rows = len(self._row_age_s)
+        enabled = _TM.enabled
+        if enabled:
+            # Capture the debt before _restore_data() clears the drift
+            # clocks.
+            interval = self.scheduler.plan().interval_s
+            debt = self.age_s / interval if interval > 0 else 0.0
+        with _trace.span("resilience.refresh", rows=rows):
             self._restore_data()
             self._cycles += 1
             self.check_calibration()
-            return len(self._row_age_s)
-        # Capture the debt before _restore_data() clears the drift clocks.
-        interval = self.scheduler.plan().interval_s
-        debt = self.age_s / interval if interval > 0 else 0.0
-        with _trace.span("resilience.refresh", rows=len(self._row_age_s)):
-            self._restore_data()
-            self._cycles += 1
-            self.check_calibration()
-        _REFRESHES.inc()
-        _REFRESH_DEBT.set(debt)
-        _emit_probe(
-            "resilience.refresh",
-            rows_rewritten=len(self._row_age_s),
-            refresh_debt=debt,
-        )
-        _log.debug(
-            "refresh complete",
-            extra={"rows": len(self._row_age_s), "refresh_debt": debt},
-        )
-        return len(self._row_age_s)
+        if enabled:
+            _REFRESHES.inc()
+            _REFRESH_DEBT.set(debt)
+            _emit_probe(
+                "resilience.refresh", rows_rewritten=rows, refresh_debt=debt
+            )
+            _log.debug(
+                "refresh complete",
+                extra={"rows": rows, "refresh_debt": debt},
+            )
+        return rows
 
     def maybe_refresh(self) -> bool:
         """Refresh if (and only if) the scheduler says it is due."""
@@ -861,7 +809,7 @@ class ResilientTDAMArray:
     @property
     def degraded(self) -> bool:
         """Whether the array currently serves in degraded mode."""
-        return bool(self._retired)
+        return bool(self._retired_mask.any())
 
     def health_report(self) -> HealthReport:
         """Snapshot of spares, masking, drift age, and budgets."""
@@ -870,7 +818,7 @@ class ResilientTDAMArray:
             n_spares=self.n_spares,
             spares_free=len(self._free_spares),
             masked_stages=self._masked,
-            retired_rows=tuple(sorted(self._retired)),
+            retired_rows=self._retired_rows(),
             degraded=self.degraded,
             age_s=self.age_s,
             refresh_due=self.refresh_due,
@@ -889,6 +837,6 @@ class ResilientTDAMArray:
         return (
             f"ResilientTDAMArray({self.n_rows}+{self.n_spares} rows x "
             f"{self.config.n_stages} stages, "
-            f"{len(self._retired)} retired, "
+            f"{int(self._retired_mask.sum())} retired, "
             f"{len(self._masked)} masked stages)"
         )

@@ -146,10 +146,10 @@ class ServiceCheckpointer:
             "base_off_b": array._base_off_b.copy(),
             "row_age_s": array._row_age_s.copy(),
             "cycles": array._cycles.copy(),
-            "row_map": np.asarray(array._map, dtype=np.int64),
+            "row_map": array._map.copy(),
             "free_spares": np.asarray(array._free_spares, dtype=np.int64),
             "masked": np.asarray(array._masked, dtype=np.int64),
-            "retired": np.asarray(sorted(array._retired), dtype=np.int64),
+            "retired": np.flatnonzero(array._retired_mask).astype(np.int64),
         }
 
     def save(
@@ -317,10 +317,12 @@ class ServiceCheckpointer:
         array._base_off_b = arrays["base_off_b"]
         array._row_age_s = arrays["row_age_s"]
         array._cycles = arrays["cycles"]
-        array._map = [int(r) for r in arrays["row_map"]]
-        array._free_spares = [int(r) for r in arrays["free_spares"]]
+        array._map = arrays["row_map"].astype(np.int64)
+        array._free_spares = arrays["free_spares"].tolist()
         array._masked = tuple(int(s) for s in arrays["masked"])
-        array._retired = {int(r) for r in arrays["retired"]}
+        array._retired_mask = np.isin(
+            np.arange(array.n_rows), arrays["retired"]
+        )
         array._searches_since_bist = int(manifest["searches_since_bist"])
         phys.invalidate_threshold_cache()
         model = arrays.get("_model")

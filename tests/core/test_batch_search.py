@@ -32,7 +32,11 @@ from repro.resilience.resilient import (
 from repro.service.checkpoint import ServiceCheckpointer
 from repro.telemetry.metrics import get_registry
 from repro.telemetry.state import enabled_scope
-from tests.oracles import batched_mismatch_counts
+from tests.oracles import (
+    batched_mismatch_counts,
+    resilient_search,
+    resilient_top_k,
+)
 
 
 def assert_batch_matches_scalar(array_like, batch, queries):
@@ -399,7 +403,7 @@ class TestResilientEquivalence:
     def test_bit_exact_vs_scalar(self, resilient, queries):
         batch = resilient.search_batch(queries)
         for i, query in enumerate(queries):
-            scalar = resilient.search(query)
+            scalar = resilient_search(resilient, query)
             assert np.array_equal(
                 batch.hamming_distances[i], scalar.hamming_distances
             )
@@ -413,14 +417,14 @@ class TestResilientEquivalence:
         resilient.advance_time(3.0e5)
         batch = resilient.search_batch(queries)
         for i, query in enumerate(queries):
-            scalar = resilient.search(query)
+            scalar = resilient_search(resilient, query)
             assert np.array_equal(batch.delays_s[i], scalar.delays_s)
             assert int(batch.best_rows[i]) == scalar.best_row
 
     def test_result_reconstruction(self, resilient, queries):
         batch = resilient.search_batch(queries)
         single = batch.result(0)
-        scalar = resilient.search(queries[0])
+        scalar = resilient_search(resilient, queries[0])
         assert np.array_equal(
             single.hamming_distances, scalar.hamming_distances
         )
@@ -496,15 +500,22 @@ def faulted_matrix_sums(faulty, queries, masked):
     return want
 
 
+def assert_same_result(got, want):
+    """Every field of two resilient search results is equal."""
+    for field in dataclasses.fields(ResilientSearchResult):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert np.array_equal(a, b), field.name
+
+
 def assert_resilient_batch_is_the_loop(array, queries):
-    """Every field of every batch slice equals the scalar search."""
+    """Every field of every batch slice, and of ``search``, equals the
+    row-by-row reference search."""
     batch = array.search_batch(queries)
     assert len(batch) == len(queries)
     for i, query in enumerate(queries):
-        got, want = batch.result(i), array.search(query)
-        for field in dataclasses.fields(ResilientSearchResult):
-            a, b = getattr(got, field.name), getattr(want, field.name)
-            assert np.array_equal(a, b), field.name
+        want = resilient_search(array, query)
+        assert_same_result(batch.result(i), want)
+        assert_same_result(array.search(query), want)
 
 
 class TestFaultCorrectionProperty:
@@ -716,6 +727,109 @@ class TestCacheInvalidationSequence:
             for step in steps:
                 apply_step(step, array, rng, array._physical, checkpoint)
                 assert_counts_are_the_loop(array, counter, loop, rng)
+
+
+VIEW_STEPS = (
+    "write", "write_all", "fail_row", "fail_all", "self_test_and_repair",
+    "advance_time", "refresh", "save", "restore",
+)
+
+
+def apply_view_step(step, array, rng, checkpoint):
+    """One repair-state or data mutation of the logical-view sequence."""
+    n_rows, n_stages = array.n_rows, PROP_CONFIG.n_stages
+    total = n_rows + array.n_spares
+    if step == "write":
+        array.write(int(rng.integers(n_rows)), rng.integers(0, 4, n_stages))
+    elif step == "write_all":
+        array.write_all(rng.integers(0, 4, (n_rows, n_stages)))
+    elif step == "fail_row":
+        # A chain dies or a cell sticks in service; the repair masks
+        # the column, remaps the logical row onto a healthy spare, or
+        # retires it once none is left.
+        row = int(rng.integers(total))
+        stage = int(rng.integers(n_stages))
+        kind = FaultType.DEAD_ROW if rng.random() < 0.5 else (
+            FaultType.STUCK_MISMATCH
+        )
+        array._backing.faults.append(Fault(kind, row, stage))
+        array.self_test_and_repair()
+    elif step == "fail_all":
+        array._backing.faults.extend(
+            Fault(FaultType.DEAD_ROW, row) for row in range(total)
+        )
+        array.self_test_and_repair()
+    elif step == "self_test_and_repair":
+        array.self_test_and_repair()
+    elif step == "advance_time":
+        array.advance_time(float(rng.uniform(1.0e3, 1.0e6)))
+    elif step == "refresh":
+        array.refresh()
+    elif step == "save":
+        checkpoint.save(array)
+    elif step == "restore":
+        checkpoint.restore(array)
+    else:
+        raise AssertionError(step)
+
+
+def assert_view_is_the_reference(array, rng):
+    """``search``, the ``search_batch`` slices, the ``top_k_batch`` rows
+    and the health report's retired rows equal the row-by-row
+    reference; the map gives each logical row its own physical row,
+    every spare taken from the pool serves a logical row, and every
+    live row's data sits on its physical home."""
+    queries = rng.integers(0, 4, (3, PROP_CONFIG.n_stages))
+    assert_resilient_batch_is_the_loop(array, queries)
+    k = int(rng.integers(1, array.n_rows + 1))
+    assert np.array_equal(
+        array.top_k_batch(queries, k).rows,
+        resilient_top_k(array, queries, k),
+    )
+    retired = array.health_report().retired_rows
+    assert retired == resilient_search(array, queries[0]).retired_rows
+    assert all(type(row) is int for row in retired)
+    homes = array._map.tolist()
+    assert len(set(homes)) == array.n_rows
+    spares = range(array.n_rows, array.n_rows + array.n_spares)
+    assert set(spares) - set(array._free_spares) <= set(homes)
+    live = np.setdiff1d(np.arange(array.n_rows), retired)
+    assert np.array_equal(
+        array._physical._stored[array._map[live]], array._shadow[live]
+    )
+
+
+class TestResilientViewSequence:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        faulty=st.booleans(),
+        variation=st.booleans(),
+        max_masked=st.integers(0, 2),
+        steps=st.lists(st.sampled_from(VIEW_STEPS), min_size=1, max_size=10),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_view_is_the_reference(
+        self, data, faulty, variation, max_masked, steps, seed
+    ):
+        # Without initial faults and variation the array starts
+        # pristine, so top-k takes the physical path until a step
+        # degrades it.
+        faults = data.draw(fault_maps(6))[0] if faulty else []
+        rng = np.random.default_rng(seed)
+        array = ResilientTDAMArray(
+            PROP_CONFIG, n_rows=5, n_spares=1, faults=faults,
+            variation=VariationModel(seed=seed % 997) if variation else None,
+            max_masked_stages=max_masked,
+        )
+        array.write_all(rng.integers(0, 4, (5, PROP_CONFIG.n_stages)))
+        with tempfile.TemporaryDirectory() as tmp:
+            checkpoint = ServiceCheckpointer(Path(tmp) / "shard.npz")
+            checkpoint.save(array)
+            assert_view_is_the_reference(array, rng)
+            for step in steps:
+                apply_view_step(step, array, rng, checkpoint)
+                assert_view_is_the_reference(array, rng)
 
 
 class TestNominalRewriteSkipsTableRebuild:

@@ -55,7 +55,8 @@ def wrong_best_fraction(array, stored, queries):
     excluded from the distance array-wide (that is the rescaled
     similarity contract the repair documents).
     """
-    live = [r for r in range(array.n_rows) if r not in array._retired]
+    retired = array.health_report().retired_rows
+    live = [r for r in range(array.n_rows) if r not in retired]
     masked = set(array._masked)
     cols = [s for s in range(array.config.n_stages) if s not in masked]
     wrong = 0

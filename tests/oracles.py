@@ -169,3 +169,70 @@ def one_shot_mismatch_counts(planes, masks):
     )
     matched = p_t[:, None, :] & m_t[:, :, None]
     return bitplane._fold_counts(matched[None], masks.shape[2])
+
+
+def resilient_search(array, query):
+    """One logical search of a ``ResilientTDAMArray``, row by row.
+
+    The scalar path :meth:`repro.resilience.resilient.ResilientTDAMArray
+    .search` took before it became a batch of one: the faulted mismatch
+    matrix with the masked columns cleared,
+    :meth:`repro.core.array.FastTDAMArray.result_from_mismatch_matrix`,
+    then each live logical row read from its physical home; retired
+    rows read the maximum distance and the controller timeout, and the
+    best live row is resolved by (distance, delay, row).  Reads the
+    array's state without changing it: no BIST due-check and no search
+    count.
+    """
+    from repro.resilience.resilient import ResilientSearchResult
+
+    mism = array._backing.faulted_mismatch_matrix(query)
+    if array._masked:
+        mism[:, list(array._masked)] = False
+    raw = array._physical.result_from_mismatch_matrix(mism)
+    n_rows, n_stages = array.n_rows, array.config.n_stages
+    n_eff = n_stages - len(array._masked)
+    timeout = array._physical.timing.chain_delay(n_stages)
+    distances = np.full(n_rows, n_eff, dtype=np.int64)
+    delays = np.full(n_rows, timeout)
+    retired = [r for r in range(n_rows) if array._retired_mask[r]]
+    live = [r for r in range(n_rows) if r not in retired]
+    for r in live:
+        phys = int(array._map[r])
+        distances[r] = min(int(raw.hamming_distances[phys]), n_eff)
+        delays[r] = raw.delays_s[phys]
+    if live:
+        order = np.lexsort((live, delays[live], distances[live]))
+        best = int(live[int(order[0])])
+    else:
+        best = -1
+    live_fraction = len(live) / n_rows
+    stage_fraction = n_eff / n_stages
+    return ResilientSearchResult(
+        hamming_distances=distances,
+        delays_s=delays,
+        best_row=best,
+        latency_s=raw.latency_s,
+        energy_j=raw.energy_j,
+        n_stages=n_stages,
+        n_effective_stages=n_eff,
+        degraded=bool(retired),
+        confidence=live_fraction * stage_fraction,
+        retired_rows=tuple(retired),
+        masked_stages=array._masked,
+    )
+
+
+def resilient_top_k(array, queries, k):
+    """Per-query top-k logical rows of :func:`resilient_search` results.
+
+    Each query's rows sorted by (distance, delay, row), the ordering
+    ``ResilientBatchSearchResult.top_k`` promises, shape (Q, k).
+    """
+    rows = np.arange(array.n_rows)
+    out = np.empty((len(queries), k), dtype=np.int64)
+    for i, query in enumerate(queries):
+        result = resilient_search(array, query)
+        order = np.lexsort((rows, result.delays_s, result.hamming_distances))
+        out[i] = order[:k]
+    return out

@@ -197,8 +197,10 @@ class TestOneShotWrites:
         )
         array.write_all(stored)
         array.self_test_and_repair()
-        assert len(array._retired) == 1
-        assert array._map != tuple(range(6))
+        assert np.array_equal(
+            array._retired_mask, [False, False, False, False, True, False]
+        )
+        assert np.array_equal(array._map, [0, 6, 2, 3, 4, 5])
         array.advance_time(1e6)
         return array
 
@@ -215,7 +217,7 @@ class TestOneShotWrites:
     def test_wrong_length_write_changes_nothing(self, config, stored):
         array = self.repaired(config, stored, variation=True)
         untouched = self.repaired(config, stored, variation=True)
-        retired = next(iter(array._retired))
+        (retired,) = np.flatnonzero(array._retired_mask)
         for vector in ([2], [2] * (config.n_stages + 1)):
             for row in (0, retired):
                 with pytest.raises(ValueError, match="n_stages"):

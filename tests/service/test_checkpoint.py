@@ -75,16 +75,49 @@ class TestRoundTrip:
         )
         array.write_all(stored)
         array.self_test_and_repair()
-        assert array._map[1] != 1  # remapped onto a spare
+        # Row 1 is remapped onto the first spare.
+        assert np.array_equal(array._map, [0, 6, 2, 3, 4, 5])
         ckpt = ServiceCheckpointer(tmp_path / "shard.npz")
         ckpt.save(array)
         target = ResilientTDAMArray(
             config, n_rows=stored.shape[0], n_spares=2
         )
         ckpt.restore(target)
-        assert target._map == array._map
-        assert target._free_spares == array._free_spares
-        assert target._retired == array._retired
+        assert np.array_equal(target._map, array._map)
+        assert np.array_equal(target._free_spares, array._free_spares)
+        assert np.array_equal(target._retired_mask, array._retired_mask)
+
+    def test_saved_repair_entries(self, tmp_path, config, stored):
+        from repro.core.faults import Fault, FaultType
+
+        # Data rows 1 and 3 and spare 7 dead: row 1 is remapped onto
+        # spare 6, row 3 is retired, and the dead spare stays unused.
+        array = ResilientTDAMArray(
+            config,
+            n_rows=stored.shape[0],
+            n_spares=2,
+            faults=[Fault(FaultType.DEAD_ROW, row=r) for r in (1, 3, 7)],
+        )
+        array.write_all(stored)
+        array.self_test_and_repair()
+        ckpt = ServiceCheckpointer(tmp_path / "shard.npz")
+        ckpt.save(array)
+        expected = {
+            "row_map": np.array([0, 6, 2, 3, 4, 5], dtype=np.int64),
+            "free_spares": np.array([7], dtype=np.int64),
+            "retired": np.array([3], dtype=np.int64),
+        }
+        with np.load(ckpt.path, allow_pickle=False) as data:
+            for name, want in expected.items():
+                assert data[name].dtype == want.dtype, name
+                assert np.array_equal(data[name], want), name
+        target = ResilientTDAMArray(
+            config, n_rows=stored.shape[0], n_spares=2
+        )
+        ckpt.restore(target)
+        assert target.health_report().retired_rows == (3,)
+        assert target._free_spares == [7]
+        assert np.array_equal(target._map, expected["row_map"])
 
     def test_restored_remap_is_not_pristine(self, tmp_path, config, stored):
         from repro.core.faults import Fault, FaultType

@@ -37,9 +37,11 @@ plus two direct wall-clock studies, and writes ``BENCH_search.json``:
    index-exact equality asserted; gated so top-k is never slower than
    ranking a full search.
 6. **Resilient batches**: ``ResilientTDAMArray.search_batch`` against
-   a loop of its scalar ``search`` on the HDC classifier's array (26
-   class rows + 2 spares x 2048 stages at V_DD = 0.6 V, 32-query
-   batches), with every result field compared; gated at >= 10x.
+   a loop of the row-by-row reference search in ``tests/oracles.py``
+   (``search`` itself is a batch of one) on the HDC classifier's array
+   (26 class rows + 2 spares x 2048 stages at V_DD = 0.6 V, 32-query
+   batches), with every field of each batch slice and of ``search``
+   compared against the reference; gated at >= 10x.
 7. **Clustered ANN**: the memmapped ``ClusteredTDAMIndex`` routed probe
    against the same index probing every cluster, on a million-row
    clustered ``noise=0.35`` corpus (``--ann-rows`` scales it down for
@@ -119,6 +121,7 @@ from repro.spice.montecarlo import run_monte_carlo  # noqa: E402
 from tests.oracles import (  # noqa: E402
     one_shot_mismatch_counts,
     one_shot_xor_counts,
+    resilient_search,
 )
 
 N_ROWS = 26
@@ -342,7 +345,12 @@ def bench_topk(k: int = TOPK_K, repeats: int = 10) -> dict:
 
 
 def bench_resilient(repeats: int = 20) -> dict:
-    """Resilient batched search vs its scalar loop, same array."""
+    """Resilient batched search vs the row-by-row reference, same array.
+
+    The reference is ``resilient_search`` in ``tests/oracles.py``, the
+    scalar path ``search`` took before it became a batch of one; every
+    field of each batch slice and of ``search`` must equal it.
+    """
     config = TDAMConfig(bits=2, n_stages=RESILIENT_STAGES, vdd=0.6)
     array = ResilientTDAMArray(
         config, RESILIENT_ROWS, n_spares=RESILIENT_SPARES
@@ -356,16 +364,18 @@ def bench_resilient(repeats: int = 20) -> dict:
 
     t_batch = _best_of(lambda: array.search_batch(queries), repeats)
     t_loop = _best_of(
-        lambda: [array.search(q) for q in queries], max(2, repeats // 4)
+        lambda: [resilient_search(array, q) for q in queries],
+        max(2, repeats // 4),
     )
     batch = array.search_batch(queries)
     exact = True
     for i, query in enumerate(queries):
-        got, want = batch.result(i), array.search(query)
-        exact = exact and all(
-            np.array_equal(getattr(got, f.name), getattr(want, f.name))
-            for f in dataclasses.fields(want)
-        )
+        want = resilient_search(array, query)
+        for got in (batch.result(i), array.search(query)):
+            exact = exact and all(
+                np.array_equal(getattr(got, f.name), getattr(want, f.name))
+                for f in dataclasses.fields(want)
+            )
     return {
         "workload": (
             f"{RESILIENT_ROWS}+{RESILIENT_SPARES} rows x "
