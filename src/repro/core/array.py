@@ -20,8 +20,11 @@ bit-plane popcount kernel in bounded-memory query chunks and assembles a
 :class:`BatchSearchResult` through array-valued TDC decode
 (:meth:`~repro.core.sensing.CounterTDC.count_array`) and a precomputed
 energy table (:meth:`~repro.core.energy.TimingEnergyModel.search_energy_table`).
-Each per-query slice is bit-exact against :meth:`FastTDAMArray.search`
--- the batch engine exists for throughput, not different semantics.
+It is the one search path: :meth:`FastTDAMArray.search` is a batch of
+one.  Its reference is ``fast_search`` in ``tests/oracles.py``, the
+per-cell scalar arithmetic ``search`` ran before it became a batch of
+one, and each per-query slice is bit-exact against it -- the batch
+engine exists for throughput, not different semantics.
 """
 
 from __future__ import annotations
@@ -292,65 +295,41 @@ class BatchSearchResult:
 
 
 def _record_search_telemetry(
-    array: "FastTDAMArray", result, mode: str, n_queries: int
+    array: "FastTDAMArray", result: "BatchSearchResult"
 ) -> None:
-    """Metrics + probe emission for one (batched) search; enabled-only.
+    """Metrics + probe emission for one batched search; enabled-only.
 
-    ``result`` is a :class:`SearchResult` or :class:`BatchSearchResult`;
-    the payload carries the aggregate mismatch spread so a probe hook
+    The payload carries the aggregate mismatch spread so a probe hook
     sees the per-stage similarity statistics without re-deriving them.
     The payload, a scan of every distance, is built only when a hook
     listens.
     """
-    _SEARCHES.inc(mode=mode)
-    _QUERIES.inc(n_queries, mode=mode)
+    n_queries = len(result.latencies_s)
+    _SEARCHES.inc(mode="batch")
+    _QUERIES.inc(n_queries, mode="batch")
+    latency = float(result.latencies_s.max())
+    energy = float(result.energies_j.sum())
+    _SEARCH_LATENCY.observe(latency)
+    if not _probe_active("array.search_batch"):
+        return
     distances = result.hamming_distances
-    if mode == "single":
-        latency = float(result.latency_s)
-        energy = float(result.energy_j)
-        _SEARCH_LATENCY.observe(latency)
-        if not _probe_active("array.search"):
-            return
-        _emit_probe(
-            "array.search",
-            rows=array.n_rows,
-            stages=array.config.n_stages,
-            best_row=int(result.best_row),
-            min_mismatches=int(distances.min()),
-            max_mismatches=int(distances.max()),
-            latency_s=latency,
-            energy_j=energy,
-        )
-    else:
-        latency = float(result.latencies_s.max())
-        energy = float(result.energies_j.sum())
-        _SEARCH_LATENCY.observe(latency)
-        if not _probe_active("array.search_batch"):
-            return
-        _emit_probe(
-            "array.search_batch",
-            rows=array.n_rows,
-            stages=array.config.n_stages,
-            queries=n_queries,
-            min_mismatches=int(distances.min()),
-            max_mismatches=int(distances.max()),
-            latency_s=latency,
-            energy_j=energy,
-        )
-
-
-def _resolve_best(distances: np.ndarray, delays: np.ndarray) -> int:
-    """Smallest distance wins; delay, then row index break ties."""
-    order = np.lexsort((np.arange(len(distances)), delays, distances))
-    return int(order[0])
+    _emit_probe(
+        "array.search_batch",
+        rows=array.n_rows,
+        stages=array.config.n_stages,
+        queries=n_queries,
+        min_mismatches=int(distances.min()),
+        max_mismatches=int(distances.max()),
+        latency_s=latency,
+        energy_j=energy,
+    )
 
 
 def resolve_best_batch(distances: np.ndarray, delays: np.ndarray) -> np.ndarray:
     """Per-query winning row of (Q, M) distance/delay matrices.
 
-    Vectorized lexicographic argmin with the same resolution rule as
-    :func:`_resolve_best`: smallest distance wins, delay breaks ties,
-    then the lowest row index.
+    Vectorized lexicographic argmin: smallest distance wins, delay
+    breaks ties, then the lowest row index.
     """
     d_min = distances.min(axis=1, keepdims=True)
     candidates = distances == d_min
@@ -436,7 +415,7 @@ class TDAMArray:
             delays_s=delays,
             counts=counts,
             hamming_distances=distances,
-            best_row=_resolve_best(distances, delays),
+            best_row=int(resolve_best_batch(distances[None], delays[None])[0]),
             latency_s=float(delays.max()),
             energy_j=energy,
             n_stages=self.config.n_stages,
@@ -616,9 +595,9 @@ class FastTDAMArray:
         True iff all V_TH offsets are exactly zero and the live
         search-line ladder equals the nominal one.  In that regime the
         per-cell effective mismatch delay is *exactly* the nominal
-        ``d_C`` (the overdrive deviation computes to 0.0), so every
-        search path -- scalar, batched, top-k -- can take the
-        counts-times-``d_C`` delay form and stay mutually bit-exact.
+        ``d_C`` (the overdrive deviation computes to 0.0), so the
+        batched search and the top-k take the counts-times-``d_C`` delay
+        form and stay bit-exact against the per-cell delay law.
         The flag is cached and invalidated with the threshold cache.
         """
         if self._nominal_cache is None:
@@ -663,13 +642,19 @@ class FastTDAMArray:
         """Per-query-level mismatch and delay-contribution tables.
 
         For thresholds of shape ``S`` returns ``(mism, contrib)`` of
-        shape ``(L,) + S``: entry ``[l]`` replays the scalar
-        :meth:`search` arithmetic for a stage whose query level is
-        ``l`` -- the boolean mismatch decision and the elementwise
-        ``mism * d_c_eff`` delay contribution.  Elementwise values are
-        bit-identical to the scalar path (same IEEE operations on the
-        same operands), which is what lets the batched kernel gather
-        from these tables instead of recomputing per query.
+        shape ``(L,) + S``: entry ``[l]`` is the search arithmetic for a
+        stage whose query level is ``l`` -- the boolean mismatch
+        decision and the elementwise ``mism * d_c_eff`` delay
+        contribution.  The conducting device's gate-overdrive
+        *deviation from its own nominal overdrive* modulates the delay:
+        weaker conduction discharges MN slower, lengthening the switch
+        turn-on (the second-order variation path of the VC design).
+        Expressed through the overdrive deviation (not the raw V_TH
+        shift), search-line re-biasing (aging compensation) restores
+        the timing too; with nominal search lines it reduces exactly to
+        the per-device V_TH shift, matching the device-accurate array.
+        The batched kernel gathers from these tables instead of
+        recomputing per query.
         """
         levels = self.config.levels
         extra = (np.newaxis,) * vth_a.ndim
@@ -696,8 +681,8 @@ class FastTDAMArray:
         ``(m, n)`` against query level ``l``, and ``contrib`` the
         matching delay contribution (s).  The batched search kernel
         turns per-query work into one fancy gather plus a contiguous
-        last-axis reduction, which keeps its sums bit-identical to the
-        scalar path's per-row reductions.
+        last-axis reduction, which keeps its sums bit-identical to
+        per-row reductions over the cells in stage order.
         """
         if not self._tables_valid:
             if _TM.enabled:
@@ -884,14 +869,19 @@ class FastTDAMArray:
             else:
                 raise RuntimeError("search before all rows were written")
 
-    def mismatch_matrix(self, query: Sequence[int]) -> np.ndarray:
-        """Device-level mismatch decisions, shape (n_rows, n_stages)."""
+    def _validate_query(self, query: Sequence[int]) -> np.ndarray:
+        """Validate one ``n_stages`` query vector of a written array."""
         self._check_written()
         q = self.encoding.validate_vector(query)
         if len(q) != self.config.n_stages:
             raise ValueError(
                 f"query length {len(q)} != n_stages {self.config.n_stages}"
             )
+        return q
+
+    def mismatch_matrix(self, query: Sequence[int]) -> np.ndarray:
+        """Device-level mismatch decisions, shape (n_rows, n_stages)."""
+        q = self._validate_query(query)
         levels = self.config.levels
         vth_a, vth_b, _, _ = self._thresholds()
         vsl_a = self._vsl[q][None, :]
@@ -964,57 +954,6 @@ class FastTDAMArray:
         fb_on = (self._vsl[levels - 1 - q] - vth_b[rows, stages]) >= self._von
         return fa_on | fb_on
 
-    def result_from_mismatch_matrix(
-        self,
-        mism: np.ndarray,
-        d_c_eff: Optional[np.ndarray] = None,
-    ) -> SearchResult:
-        """Assemble a :class:`SearchResult` from per-cell mismatch decisions.
-
-        The single place where the delay law ``d_tot = 2 N d_INV +
-        N_mis d_C`` is turned into delays, TDC counts, decoded distances,
-        the distance -> delay -> row winner resolution, and the energy
-        total.  Both the clean search path and the fault-injected one
-        (:class:`~repro.core.faults.FaultyTDAMArray`) go through here, so
-        their decode and ordering semantics cannot drift apart.
-
-        Args:
-            mism: Boolean mismatch decisions, shape (n_rows, n_stages).
-                A row whose chain never produces an edge (dead row) is
-                represented as all-True: its delay evaluates to the
-                controller timeout ``chain_delay(n_stages)`` and it
-                decodes to the maximum distance.
-            d_c_eff: Optional per-cell effective mismatch delay adder (s),
-                shape (n_rows, n_stages); defaults to the nominal ``d_C``
-                for every cell.
-        """
-        mism = np.asarray(mism, dtype=bool)
-        if mism.shape != (self.n_rows, self.config.n_stages):
-            raise ValueError(
-                f"mismatch matrix shape {mism.shape} != "
-                f"({self.n_rows}, {self.config.n_stages})"
-            )
-        mismatch_counts = mism.sum(axis=1)
-        if d_c_eff is None:
-            delays = self._base_delay + mismatch_counts * self._d_c
-        else:
-            delays = self._base_delay + (mism * d_c_eff).sum(axis=1)
-        with _trace.span("array.sense", rows=self.n_rows):
-            counts = self.tdc.count_array(delays)
-            distances = self.tdc.decode_array(delays)
-        energy = float(
-            self.timing.search_energy_table()[mismatch_counts].sum()
-        )
-        return SearchResult(
-            delays_s=delays,
-            counts=counts,
-            hamming_distances=distances,
-            best_row=_resolve_best(distances, delays),
-            latency_s=float(delays.max()),
-            energy_j=energy,
-            n_stages=self.config.n_stages,
-        )
-
     def batch_result_from_mismatch_counts(
         self,
         mismatch_counts: np.ndarray,
@@ -1022,12 +961,16 @@ class FastTDAMArray:
     ) -> BatchSearchResult:
         """Assemble a :class:`BatchSearchResult` from (Q, M) mismatch counts.
 
-        The batch analog of :meth:`result_from_mismatch_matrix`: the same
-        delay law, array-valued TDC decode, energy table, and winner
-        resolution -- evaluated on whole matrices.  Used by the clean
-        batched search, the fault-injected wrapper, and the resilient
-        array, so the batched semantics cannot drift from the scalar
-        ones.
+        The single place where the delay law ``d_tot = 2 N d_INV +
+        N_mis d_C`` is turned into delays, TDC counts, decoded
+        distances, the distance -> delay -> row winner resolution, and
+        the energy total, on whole matrices.  The clean search, the
+        fault-injected wrapper and the resilient array all go through
+        here, single queries as batches of one, so their decode and
+        ordering semantics cannot drift apart.  A dead row is counted as
+        all-mismatch: its delay evaluates to the controller timeout
+        ``chain_delay(n_stages)`` and it decodes to the maximum
+        distance.
 
         Args:
             mismatch_counts: True per-row mismatch counts, shape (Q, M)
@@ -1177,12 +1120,12 @@ class FastTDAMArray:
         """Variation-modulated per-query delay totals (s), shape (Q, M).
 
         A fancy gather from the write-time contribution table plus a
-        contiguous last-axis reduction: the gathered elementwise values
-        replay the scalar :meth:`search` arithmetic (the tables are
-        built with it) and the sums run over the same contiguous
-        operand order as the scalar per-row sums, so per-query delays
-        are bit-identical to the one-query path.  ``chunk=None`` sizes
-        the ``(M, chunk, N)`` float gather by :func:`resolve_query_chunk`.
+        contiguous last-axis reduction: the gathered values are the
+        per-cell delay law (:meth:`_build_level_tables`) and each sum
+        runs over one row's cells in stage order, so per-query delays
+        are bit-identical to summing each row's per-cell contributions.
+        ``chunk=None`` sizes the ``(M, chunk, N)`` float gather by
+        :func:`resolve_query_chunk`.
         """
         chunk = _resolve_chunk_arg(chunk, self.n_rows, self.config.n_stages)
         _, contrib_table = self._level_tables()
@@ -1199,65 +1142,25 @@ class FastTDAMArray:
         return adders
 
     def search(self, query: Sequence[int]) -> SearchResult:
-        """Parallel 2-step search (vectorized)."""
-        if not _TM.enabled:
-            return self._search_impl(query)
-        with _trace.span(
-            "array.search", rows=self.n_rows, stages=self.config.n_stages
-        ):
-            result = self._search_impl(query)
-        _record_search_telemetry(self, result, mode="single", n_queries=1)
-        return result
+        """Parallel 2-step search of one query: a batch of one.
 
-    def _search_impl(self, query: Sequence[int]) -> SearchResult:
-        self._check_written()
-        q = self.encoding.validate_vector(query)
-        if len(q) != self.config.n_stages:
-            raise ValueError(
-                f"query length {len(q)} != n_stages {self.config.n_stages}"
-            )
-        levels = self.config.levels
-        vth_a, vth_b, vth_a_nom, vth_b_nom = self._thresholds()
-        vsl_a = self._vsl[q][None, :]
-        vsl_b = self._vsl[levels - 1 - q][None, :]
-        fa_on = (vsl_a - vth_a) >= self._von
-        fb_on = (vsl_b - vth_b) >= self._von
-        mism = fa_on | fb_on
-        if self._timing_is_nominal():
-            # Every overdrive deviation below computes to exactly 0.0
-            # here, so d_c_eff == d_C per cell; take the counts * d_C
-            # delay form that the count-only batch kernels also use, so
-            # scalar and batched paths stay mutually bit-exact.
-            return self.result_from_mismatch_matrix(mism)
-        # Delay modulation by the conducting device's gate-overdrive
-        # *deviation from its own nominal overdrive*: weaker conduction
-        # discharges MN slower, lengthening the switch turn-on (the
-        # second-order variation path of the VC design).  Expressed
-        # through the overdrive deviation (not the raw V_TH shift) so
-        # search-line re-biasing (aging compensation) restores the
-        # timing too; with nominal search lines it reduces exactly to
-        # the per-device V_TH shift, matching the device-accurate array.
-        vsl_a_nom = self._vsl_nom[q][None, :]
-        vsl_b_nom = self._vsl_nom[levels - 1 - q][None, :]
-        dev_a = (vsl_a_nom - vth_a_nom) - (vsl_a - vth_a)
-        dev_b = (vsl_b_nom - vth_b_nom) - (vsl_b - vth_b)
-        deviation = np.where(fa_on, dev_a, dev_b)
-        d_c_eff = self._d_c * np.maximum(
-            1.0 + self._delay_sens * deviation, 0.0
-        )
-        return self.result_from_mismatch_matrix(mism, d_c_eff=d_c_eff)
+        :meth:`search_batch` on the validated vector, so one query
+        shares the batch's delay law, decode, energy and winner rule.
+        """
+        q = self._validate_query(query)
+        return self.search_batch(q[None, :]).result(0)
 
     def search_batch(
         self, queries: np.ndarray, chunk: Optional[int] = None
     ) -> BatchSearchResult:
         """Batched parallel search: Q queries in one vectorized kernel.
 
-        Equivalent to ``[search(q) for q in queries]`` bit-for-bit (an
-        equivalence suite asserts it), but mismatch counting runs on
-        the packed bit-plane kernel (:meth:`_counts_packed`), the TDC
-        decode is array-valued, and the energy total is an affine table
-        lookup -- the per-query Python overhead of the scalar path
-        disappears.
+        Each query's slice equals the scalar reference ``fast_search``
+        in ``tests/oracles.py`` bit-for-bit (an equivalence suite
+        asserts it), but mismatch counting runs on the packed bit-plane
+        kernel (:meth:`_counts_packed`), the TDC decode is array-valued,
+        and the energy total is an affine table lookup -- no per-query
+        Python overhead.
 
         Args:
             queries: Query levels, shape (Q, n_stages).
@@ -1275,9 +1178,7 @@ class FastTDAMArray:
         ):
             result = self._search_batch_impl(queries, chunk)
         if len(result):
-            _record_search_telemetry(
-                self, result, mode="batch", n_queries=len(result)
-            )
+            _record_search_telemetry(self, result)
         return result
 
     def _search_batch_impl(

@@ -87,27 +87,6 @@ class FaultyTDAMArray:
         """Design point of the wrapped array (interface symmetry)."""
         return self.array.config
 
-    def faulted_mismatch_matrix(self, query) -> np.ndarray:
-        """Mismatch decisions with the fault map applied.
-
-        Stuck cells override the device-level decision; a dead row is
-        all-True (its chain never produces an edge, so the controller
-        times out at the maximum distance).  Dead rows are applied last
-        and dominate any cell fault on the same row.
-        """
-        mism = self.array.mismatch_matrix(query).copy()
-        dead_rows: List[int] = []
-        for fault in self.faults:
-            if fault.kind == FaultType.STUCK_MISMATCH:
-                mism[fault.row, fault.stage] = True
-            elif fault.kind == FaultType.STUCK_MATCH:
-                mism[fault.row, fault.stage] = False
-            else:
-                dead_rows.append(fault.row)
-        for row in dead_rows:
-            mism[row, :] = True
-        return mism
-
     def mismatch_count_batch(
         self,
         queries: np.ndarray,
@@ -116,12 +95,15 @@ class FaultyTDAMArray:
     ) -> np.ndarray:
         """Faulted per-row mismatch counts of a query batch, shape (Q, M).
 
-        The wrapped array's dispatched clean counts plus exact per-cell
-        corrections in the override order of
-        :meth:`faulted_mismatch_matrix` (a stuck cell takes its last
-        fault's value, dead rows read all-mismatch, masked columns clear
-        last): O(Q * (M * |masked| + faults)) beyond the clean count,
-        not a (Q, M, N) fault tensor.
+        The wrapped array's clean counts plus exact per-cell corrections
+        in the fault map's override order: a stuck cell overrides the
+        device-level decision and takes its last fault's value; a dead
+        row reads all-mismatch (its chain never produces an edge, so the
+        controller times out at the maximum distance) and dominates any
+        cell fault on it; masked columns clear last.  That costs
+        O(Q * (M * |masked| + faults)) beyond the clean count, not a
+        (Q, M, N) fault tensor, and a pristine map (no fault, no masked
+        column) returns the clean count as it is.
 
         Args:
             queries: Query levels, shape (Q, n_stages).
@@ -129,9 +111,12 @@ class FaultyTDAMArray:
             masked_stages: Stage columns forced to *match* after the
                 fault overrides (the resilient array's column masking;
                 applied last, so it silences stuck-mismatch cells and
-                trims dead-row timeouts exactly like the scalar path).
+                trims dead-row timeouts exactly like clearing those
+                columns of the faulted decisions).
         """
         counts = self.array.mismatch_count_batch(queries, chunk=chunk)
+        if not self.faults and len(masked_stages) == 0:
+            return counts
         n_rows, n_stages = self.n_rows, self.config.n_stages
         masked = np.unique(np.arange(n_stages)[list(masked_stages)])
         stuck: Dict[Tuple[int, int], int] = {}
@@ -164,24 +149,19 @@ class FaultyTDAMArray:
         return counts
 
     def search(self, query) -> SearchResult:
-        """Search with the fault map applied to the mismatch decisions.
-
-        Delegates delay/decode/ordering/energy to
-        :meth:`FastTDAMArray.result_from_mismatch_matrix` (nominal
-        ``d_C``), so the faulty path shares the clean path's semantics.
-        """
-        return self.array.result_from_mismatch_matrix(
-            self.faulted_mismatch_matrix(query)
-        )
+        """Search with the fault map applied: a batch of one."""
+        q = self.array._validate_query(query)
+        return self.search_batch(q[None, :]).result(0)
 
     def search_batch(
         self, queries: np.ndarray, chunk: Optional[int] = None
     ) -> BatchSearchResult:
-        """Batched faulty search, bit-exact vs looping :meth:`search`.
+        """Batched faulty search over the faulted counts.
 
-        Shares :meth:`FastTDAMArray.batch_result_from_mismatch_counts`
-        with the clean batched path (nominal ``d_C`` delays, as in the
-        scalar faulty search).
+        Delays, decode, ordering and energy come from
+        :meth:`FastTDAMArray.batch_result_from_mismatch_counts` with
+        nominal ``d_C`` delays, so the faulty path shares the clean
+        path's semantics.
         """
         return self.array.batch_result_from_mismatch_counts(
             self.mismatch_count_batch(queries, chunk=chunk)
@@ -200,11 +180,11 @@ class FaultyTDAMArray:
 
         The reference for :func:`search_error_statistics`: identical
         delay model, TDC decode, and distance -> delay -> row tie-break
-        resolution as :meth:`search`, differing only in the faults.
+        resolution as :meth:`search`, differing only in the faults.  A
+        batch of one, like :meth:`search`.
         """
-        return self.array.result_from_mismatch_matrix(
-            self.array.mismatch_matrix(query)
-        )
+        q = self.array._validate_query(query)
+        return self.fault_free_search_batch(q[None, :]).result(0)
 
     def ideal_hamming(self, query) -> np.ndarray:
         return self.array.ideal_hamming(query)

@@ -97,16 +97,12 @@ def run_retention_study(
     queries = rng.integers(0, config.levels, size=(n_queries, config.n_stages))
     vth = np.array(config.vth_levels)
     levels = config.levels
+    ideal = (stored[None, :, :] != queries[:, None, :]).sum(axis=2)
 
     def measure(array: FastTDAMArray) -> "tuple[float, float]":
-        errors = []
-        exact = 0
-        for q in queries:
-            result = array.search(q)
-            err = result.hamming_distances - array.ideal_hamming(q)
-            errors.extend(err.tolist())
-            exact += int((err == 0).all())
-        errors = np.array(errors, dtype=float)
+        err = array.search_batch(queries).hamming_distances - ideal
+        errors = err.ravel().astype(float)
+        exact = int((err == 0).all(axis=1).sum())
         return float(np.sqrt((errors**2).mean())), exact / n_queries
 
     records: List[RetentionRecord] = []

@@ -39,6 +39,10 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+#: Bytes of int64 probe queries per ``search_batch`` call of the march:
+#: 64 probes at 2048 stages, a whole background's probes at 128.
+_PROBE_BLOCK_BYTES = 1 << 20
+
 
 class CellFaultKind:
     """Diagnosed per-cell fault classification (string constants).
@@ -185,7 +189,7 @@ def default_backgrounds(n_stages: int, levels: int) -> List[np.ndarray]:
 
 @dataclass
 class MarchBIST:
-    """March-style BIST over any array exposing ``write_all``/``search``.
+    """March-style BIST over any array exposing ``write_all``/``search_batch``.
 
     Works on a bare :class:`~repro.core.array.FastTDAMArray`, a
     :class:`~repro.core.faults.FaultyTDAMArray` (the usual device under
@@ -203,7 +207,13 @@ class MarchBIST:
     backgrounds: Optional[Sequence[np.ndarray]] = field(default=None)
 
     def run(self, array) -> DiagnosisReport:
-        """Execute the march and return the structured diagnosis."""
+        """Execute the march and return the structured diagnosis.
+
+        Each background's own query and its ``N`` single-stage probes
+        go through ``search_batch`` in blocks of
+        :data:`_PROBE_BLOCK_BYTES` of queries; every probe counts as one
+        search.
+        """
         config = array.config
         n_rows = array.n_rows
         n_stages = config.n_stages
@@ -213,11 +223,12 @@ class MarchBIST:
             if self.backgrounds is not None
             else default_backgrounds(n_stages, levels)
         )
+        block = max(1, _PROBE_BLOCK_BYTES // (8 * n_stages))
         n_searches = 0
         n_writes = 0
         baseline = np.zeros(n_rows, dtype=np.int64)
-        # Per-row set of stages that failed to respond, across patterns.
-        faulty: List[set] = [set() for _ in range(n_rows)]
+        # Stages that failed to respond, per row, across patterns.
+        faulty = np.zeros((n_rows, n_stages), dtype=bool)
         # A row is dead only if it reads max distance under *every* probe.
         always_max = np.ones(n_rows, dtype=bool)
         for pattern in patterns:
@@ -228,26 +239,26 @@ class MarchBIST:
                 )
             array.write_all(np.tile(pattern, (n_rows, 1)))
             n_writes += n_rows
-            d0 = array.search(pattern).hamming_distances
-            n_searches += 1
-            always_max &= d0 == n_stages
-            baseline = np.maximum(baseline, d0)
-            for stage in range(n_stages):
-                probe = pattern.copy()
-                probe[stage] = (probe[stage] + 1) % levels
-                d_s = array.search(probe).hamming_distances
-                n_searches += 1
-                always_max &= d_s == n_stages
+            # Probe p perturbs stage p - 1; probe 0 is the pattern itself.
+            for start in range(0, n_stages + 1, block):
+                stages = np.arange(start, min(start + block, n_stages + 1)) - 1
+                at = np.flatnonzero(stages >= 0)
+                probes = np.tile(pattern, (stages.size, 1))
+                probes[at, stages[at]] = (pattern[stages[at]] + 1) % levels
+                d = array.search_batch(probes).hamming_distances
+                n_searches += stages.size
+                always_max &= (d == n_stages).all(axis=0)
+                if start == 0:
+                    d0 = d[0]
+                    baseline = np.maximum(baseline, d0)
                 # Healthy stage: the single perturbation raises the
                 # row's distance by exactly one over its baseline.
-                unresponsive = np.flatnonzero(d_s != d0 + 1)
-                for row in unresponsive:
-                    faulty[int(row)].add(stage)
+                faulty[:, stages[at]] |= (d[at] != d0 + 1).T
         rows = tuple(
             RowDiagnosis(
                 row=r,
                 dead=bool(always_max[r]),
-                faulty_stages=tuple(sorted(faulty[r]))
+                faulty_stages=tuple(np.flatnonzero(faulty[r]).tolist())
                 if not always_max[r]
                 else (),
                 stuck_mismatch_count=int(baseline[r])

@@ -177,13 +177,16 @@ class ResilientBatchSearchResult:
     def top_k(self, k: int) -> np.ndarray:
         """Per-query top-k *logical* row indices, shape (Q, k).
 
-        The shared (distance, delay, row) ordering rule; retired rows
-        carry the maximum distance and the timeout delay, so they rank
-        strictly after every live row.
+        The shared (distance, delay, row) ordering rule, with retired
+        rows ranked strictly after every live row.  A retired row reads
+        the maximum distance and the timeout delay, as a dead live row
+        does, so it is ranked one past the maximum distance.
         """
-        return top_k_indices(
-            self.hamming_distances, k, delays_s=self.delays_s
-        )
+        distances = self.hamming_distances
+        if self.retired_rows:
+            distances = distances.copy()
+            distances[:, list(self.retired_rows)] = self.n_effective_stages + 1
+        return top_k_indices(distances, k, delays_s=self.delays_s)
 
     def result(self, i: int) -> ResilientSearchResult:
         """The single-query :class:`ResilientSearchResult` of query ``i``."""

@@ -29,10 +29,6 @@ Hook = Callable[..., None]
 
 #: The probe-point catalog: event name -> payload description.
 PROBE_EVENTS: Dict[str, str] = {
-    "array.search": (
-        "one scalar search served: rows, stages, best_row, "
-        "min/max mismatches, latency_s, energy_j"
-    ),
     "array.search_batch": (
         "one batched search served: rows, stages, queries, "
         "min/max mismatches, latency_s (slowest), energy_j (total)"

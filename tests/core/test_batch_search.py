@@ -2,9 +2,11 @@
 
 The contract of :meth:`FastTDAMArray.search_batch` (and the faulty /
 resilient wrappers on top of it) is that batching changes *throughput
-only*: every per-query slice must match the scalar ``search()`` result
-bit-for-bit -- delays, TDC counts, decoded distances, energy, and the
-distance -> delay -> row winner resolution.
+only*: every per-query slice must match the scalar reference search in
+``tests/oracles.py`` bit-for-bit -- delays, TDC counts, decoded
+distances, energy, and the distance -> delay -> row winner resolution.
+``search`` itself is a batch of one, so it is checked against the same
+references.
 """
 
 import dataclasses
@@ -25,24 +27,32 @@ from repro.core.array import (
 from repro.core.config import TDAMConfig
 from repro.core.faults import Fault, FaultInjector, FaultType, FaultyTDAMArray
 from repro.devices.variation import VariationModel
-from repro.resilience.resilient import (
-    ResilientSearchResult,
-    ResilientTDAMArray,
-)
+from repro.resilience.resilient import ResilientTDAMArray
 from repro.service.checkpoint import ServiceCheckpointer
 from repro.telemetry.metrics import get_registry
 from repro.telemetry.state import enabled_scope
 from tests.oracles import (
     batched_mismatch_counts,
+    fast_search,
+    faulted_mismatch_matrix,
+    faulty_search,
     resilient_search,
     resilient_top_k,
 )
 
 
+def scalar_search(array_like, query):
+    """The scalar reference search of a fast or faulty array."""
+    if isinstance(array_like, FaultyTDAMArray):
+        return faulty_search(array_like, query)
+    return fast_search(array_like, query)
+
+
 def assert_batch_matches_scalar(array_like, batch, queries):
-    """Bit-for-bit comparison of a batch result against looped search."""
+    """Bit-for-bit comparison of a batch result against the looped
+    scalar reference search."""
     for i, query in enumerate(queries):
-        scalar = array_like.search(query)
+        scalar = scalar_search(array_like, query)
         assert np.array_equal(batch.delays_s[i], scalar.delays_s)
         assert np.array_equal(batch.counts[i], scalar.counts)
         assert np.array_equal(
@@ -108,7 +118,7 @@ class TestCleanEquivalence:
     def test_result_reconstructs_search_result(self, array, queries):
         batch = array.search_batch(queries)
         single = batch.result(3)
-        scalar = array.search(queries[3])
+        scalar = fast_search(array, queries[3])
         assert np.array_equal(single.delays_s, scalar.delays_s)
         assert single.best_row == scalar.best_row
         assert single.energy_j == scalar.energy_j
@@ -123,7 +133,7 @@ class TestCleanEquivalence:
         top = batch.top_k(4)
         assert top.shape == (len(queries), 4)
         for i, query in enumerate(queries):
-            assert np.array_equal(top[i], array.search(query).top_k(4))
+            assert np.array_equal(top[i], fast_search(array, query).top_k(4))
 
     def test_top_k_rejects_bad_k(self, array, queries):
         batch = array.search_batch(queries)
@@ -165,6 +175,121 @@ class TestCleanEquivalence:
         assert np.array_equal(
             counts, array.mismatch_tensor(queries).sum(axis=2)
         )
+
+
+@st.composite
+def search_cases(draw):
+    """(array, faulty, queries): a written fast array at 1-3 bits under
+    nominal timing, write-time variation or a re-biased search-line
+    ladder, its fault-map wrapper (stuck cells and dead rows), and a
+    few queries."""
+    bits = draw(st.integers(1, 3))
+    n_stages = draw(st.integers(1, 24))
+    n_rows = draw(st.integers(1, 6))
+    config = TDAMConfig(bits=bits, n_stages=n_stages)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    timing = draw(st.sampled_from(["nominal", "variation", "vsl"]))
+    variation = None
+    if timing == "variation":
+        # The measured sigmas cover four states; 3-bit arrays take a
+        # global sigma.
+        seed = draw(st.integers(0, 996))
+        variation = (
+            VariationModel(seed=seed)
+            if config.levels <= 4
+            else VariationModel(sigma_mv=30.0, seed=seed)
+        )
+    array = FastTDAMArray(config, n_rows, variation=variation)
+    array.write_all(rng.integers(0, config.levels, (n_rows, n_stages)))
+    if timing == "vsl":
+        array._vsl = array._vsl_nom + rng.normal(
+            0.0, 0.03, array._vsl_nom.shape
+        )
+    cells = st.tuples(
+        st.integers(0, n_rows - 1), st.integers(0, n_stages - 1)
+    )
+    faults = [
+        Fault(kind, row, stage)
+        for kind, (row, stage) in draw(
+            st.lists(
+                st.tuples(st.sampled_from(list(FaultType)), cells),
+                max_size=6,
+            )
+        )
+    ]
+    queries = rng.integers(
+        0, config.levels, (draw(st.integers(1, 4)), n_stages)
+    )
+    return array, FaultyTDAMArray(array, faults), queries
+
+
+def assert_same_result(got, want):
+    """Every field of two search results is equal, with the same Python
+    type and, for arrays, the same dtype and shape."""
+    for field in dataclasses.fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert type(a) is type(b), field.name
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype, field.name
+            assert a.shape == b.shape, field.name
+            assert np.array_equal(a, b), field.name
+        else:
+            assert a == b, field.name
+
+
+class TestSearchIsABatchOfOne:
+    """``search`` and ``fault_free_search`` are batches of one; each
+    equals the scalar reference it replaced on every field."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=search_cases())
+    def test_single_searches_are_the_scalar_references(self, case):
+        array, faulty, queries = case
+        clean = FaultyTDAMArray(array, [])
+        for query in queries:
+            assert_same_result(
+                array.search(query), fast_search(array, query)
+            )
+            assert_same_result(
+                faulty.search(query), faulty_search(faulty, query)
+            )
+            assert_same_result(
+                faulty.fault_free_search(query), faulty_search(clean, query)
+            )
+
+    @pytest.mark.parametrize(
+        "written, query, error, message",
+        [
+            (False, np.zeros(8, dtype=int), RuntimeError,
+             "search before all rows were written"),
+            (True, np.zeros((1, 8), dtype=int), ValueError,
+             "expected a 1-D vector, got shape (1, 8)"),
+            (True, np.zeros(9, dtype=int), ValueError,
+             "query length 9 != n_stages 8"),
+            (True, np.full(8, 4), ValueError,
+             "vector elements must be in [0, 3], got range [4, 4]"),
+        ],
+        ids=["unwritten", "2-D", "length", "level"],
+    )
+    def test_refusals_are_the_scalar_references(
+        self, written, query, error, message
+    ):
+        array = FastTDAMArray(TDAMConfig(n_stages=8), n_rows=3)
+        if written:
+            array.write_all(np.zeros((3, 8), dtype=int))
+        faulty = FaultyTDAMArray(array, [Fault(FaultType.DEAD_ROW, 0)])
+        calls = (
+            array.search,
+            faulty.search,
+            faulty.fault_free_search,
+            lambda q: fast_search(array, q),
+            lambda q: faulty_search(faulty, q),
+        )
+        for call in calls:
+            with pytest.raises(error) as info:
+                call(query)
+            assert type(info.value) is error
+            assert str(info.value) == message
 
 
 class TestResolveBestBatch:
@@ -366,8 +491,9 @@ class TestFaultyEquivalence:
 
     def test_fault_free_batch_matches_scalar(self, faulty, queries):
         batch = faulty.fault_free_search_batch(queries)
+        clean = FaultyTDAMArray(faulty.array, [])
         for i, query in enumerate(queries):
-            scalar = faulty.fault_free_search(query)
+            scalar = faulty_search(clean, query)
             assert np.array_equal(batch.delays_s[i], scalar.delays_s)
             assert int(batch.best_rows[i]) == scalar.best_row
 
@@ -375,7 +501,7 @@ class TestFaultyEquivalence:
         masked = (0, 5)
         counts = faulty.mismatch_count_batch(queries, masked_stages=masked)
         for i in range(len(queries)):
-            mism = faulty.faulted_mismatch_matrix(queries[i])
+            mism = faulted_mismatch_matrix(faulty, queries[i])
             mism[:, list(masked)] = False
             assert np.array_equal(counts[i], mism.sum(axis=1))
 
@@ -494,17 +620,10 @@ def faulted_matrix_sums(faulty, queries, masked):
     columns cleared, summed per row."""
     want = np.zeros((len(queries), faulty.n_rows), dtype=np.int64)
     for i, query in enumerate(queries):
-        mism = faulty.faulted_mismatch_matrix(query)
+        mism = faulted_mismatch_matrix(faulty, query)
         mism[:, masked] = False
         want[i] = mism.sum(axis=1)
     return want
-
-
-def assert_same_result(got, want):
-    """Every field of two resilient search results is equal."""
-    for field in dataclasses.fields(ResilientSearchResult):
-        a, b = getattr(got, field.name), getattr(want, field.name)
-        assert np.array_equal(a, b), field.name
 
 
 def assert_resilient_batch_is_the_loop(array, queries):
@@ -653,7 +772,7 @@ def apply_step(step, array, rng, physical, checkpoint=None):
 def assert_counts_are_the_loop(array, counter, loop, rng):
     """The packed counts of one query batch equal the reference loop and
     the cache-free recompute, and the batched search equals the scalar
-    search loop."""
+    reference search loop."""
     physical = array if isinstance(array, FastTDAMArray) else array._physical
     queries = rng.integers(0, 4, (5, PROP_CONFIG.n_stages))
     assert np.array_equal(counter(queries), loop(queries))
@@ -859,7 +978,12 @@ class TestNominalRewriteSkipsTableRebuild:
             batch = array.search_batch(queries)
             assert rebuilds.value(op="rebuild") == before
         for i, query in enumerate(queries):
-            assert np.array_equal(batch.delays_s[i], array.search(query).delays_s)
+            want = (
+                resilient_search(array, query)
+                if resilient
+                else fast_search(array, query)
+            )
+            assert np.array_equal(batch.delays_s[i], want.delays_s)
 
     @pytest.mark.parametrize("resilient", [False, True])
     def test_fresh_array_builds_no_float_tables(self, config, rng, resilient):

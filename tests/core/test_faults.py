@@ -12,6 +12,7 @@ from repro.core.faults import (
     FaultyTDAMArray,
     search_error_statistics,
 )
+from tests.oracles import faulted_mismatch_matrix
 
 
 @pytest.fixture
@@ -174,7 +175,7 @@ class TestFaultComposition:
             faulty = FaultyTDAMArray(array, faults)
             query = rng.integers(0, 4, size=24)
             result = faulty.search(query)
-            mism = faulty.faulted_mismatch_matrix(query)
+            mism = faulted_mismatch_matrix(faulty, query)
             timing = array.timing
             expected = (
                 2 * config.n_stages * timing.d_inv

@@ -26,6 +26,7 @@ from repro.core.bitplane import (
 )
 from repro.core.config import TDAMConfig
 from repro.devices.variation import VariationModel
+from tests.oracles import fast_search
 
 # (bits, n_stages) geometries chosen to stress the packing: sub-byte,
 # non-byte-multiple, exactly one byte, and the committed bench width.
@@ -281,14 +282,14 @@ class TestKernelEquality:
         assert counts["loop"][0, 2] == (queries[0] != new_row).sum()
 
     def test_search_batch_end_to_end_per_kernel(self):
-        # The packed batch against the scalar search loop, on the XOR
-        # path and, under variation, on the one-hot path.
+        # The packed batch against the scalar reference search loop, on
+        # the XOR path and, under variation, on the one-hot path.
         for variation in (None, VariationModel(sigma_mv=150.0, seed=3)):
             array, rng = make_array(2, 19, 6, variation=variation)
             queries = rng.integers(0, 4, (8, 19))
             got = array.search_batch(queries)
             for i, query in enumerate(queries):
-                ref = array.search(query)
+                ref = fast_search(array, query)
                 assert np.array_equal(got.delays_s[i], ref.delays_s)
                 assert np.array_equal(
                     got.hamming_distances[i], ref.hamming_distances

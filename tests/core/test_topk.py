@@ -29,6 +29,7 @@ from repro.core.topk import grouped_top_k, prune_survivors, top_k_indices
 from repro.devices.variation import VariationModel
 from repro.index import ClusteredTDAMIndex
 from repro.telemetry.state import enabled_scope
+from tests.oracles import fast_search
 
 
 def naive_top_k(distances, k, delays_s=None):
@@ -310,10 +311,10 @@ def lexsort_top_k(distances, k, delays=None, row_ids=None):
 
 
 def scalar_top_k(array, queries, k, cols):
-    """The scalar search loop's top-k over the columns ``cols``: no
-    batched kernel."""
+    """The scalar reference search loop's top-k over the columns
+    ``cols``: no batched kernel."""
     n_q, m = queries.shape[0], array.n_rows
-    scalar = [array.search(query) for query in queries]
+    scalar = [fast_search(array, query) for query in queries]
     distances = np.array(
         [r.hamming_distances for r in scalar], dtype=np.int64
     ).reshape(n_q, m)

@@ -171,14 +171,207 @@ def one_shot_mismatch_counts(planes, masks):
     return bitplane._fold_counts(matched[None], masks.shape[2])
 
 
+def _resolve_best(distances, delays):
+    """Smallest distance wins; delay, then row index break ties."""
+    order = np.lexsort((np.arange(len(distances)), delays, distances))
+    return int(order[0])
+
+
+def result_from_mismatch_matrix(array, mism, d_c_eff=None):
+    """A ``SearchResult`` of a ``FastTDAMArray`` from per-cell decisions.
+
+    The scalar assembly the array used before every search became a
+    batch: the delay law ``d_tot = 2 N d_INV + N_mis d_C`` per row (or
+    with the per-cell effective adders ``d_c_eff``), the TDC count and
+    decode, the energy-table total, and the (distance, delay, row)
+    winner.  A dead row enters as an all-True row of ``mism``.
+    """
+    from repro.core.array import SearchResult
+
+    mism = np.asarray(mism, dtype=bool)
+    if mism.shape != (array.n_rows, array.config.n_stages):
+        raise ValueError(
+            f"mismatch matrix shape {mism.shape} != "
+            f"({array.n_rows}, {array.config.n_stages})"
+        )
+    mismatch_counts = mism.sum(axis=1)
+    if d_c_eff is None:
+        delays = array._base_delay + mismatch_counts * array._d_c
+    else:
+        delays = array._base_delay + (mism * d_c_eff).sum(axis=1)
+    counts = array.tdc.count_array(delays)
+    distances = array.tdc.decode_array(delays)
+    energy = float(
+        array.timing.search_energy_table()[mismatch_counts].sum()
+    )
+    return SearchResult(
+        delays_s=delays,
+        counts=counts,
+        hamming_distances=distances,
+        best_row=_resolve_best(distances, delays),
+        latency_s=float(delays.max()),
+        energy_j=energy,
+        n_stages=array.config.n_stages,
+    )
+
+
+def fast_search(array, query):
+    """One search of a ``FastTDAMArray``, cell by cell.
+
+    The scalar path :meth:`repro.core.array.FastTDAMArray.search` took
+    before it became a batch of one: each cell's conduction decision
+    from its threshold and the query's search-line voltages, then, off
+    nominal timing, each mismatching cell's delay adder modulated by
+    the conducting device's overdrive deviation from its nominal one.
+    Reads the threshold cache but no level table or count kernel.
+    """
+    array._check_written()
+    q = array.encoding.validate_vector(query)
+    if len(q) != array.config.n_stages:
+        raise ValueError(
+            f"query length {len(q)} != n_stages {array.config.n_stages}"
+        )
+    levels = array.config.levels
+    vth_a, vth_b, vth_a_nom, vth_b_nom = array._thresholds()
+    vsl_a = array._vsl[q][None, :]
+    vsl_b = array._vsl[levels - 1 - q][None, :]
+    fa_on = (vsl_a - vth_a) >= array._von
+    fb_on = (vsl_b - vth_b) >= array._von
+    mism = fa_on | fb_on
+    if array._timing_is_nominal():
+        return result_from_mismatch_matrix(array, mism)
+    vsl_a_nom = array._vsl_nom[q][None, :]
+    vsl_b_nom = array._vsl_nom[levels - 1 - q][None, :]
+    dev_a = (vsl_a_nom - vth_a_nom) - (vsl_a - vth_a)
+    dev_b = (vsl_b_nom - vth_b_nom) - (vsl_b - vth_b)
+    deviation = np.where(fa_on, dev_a, dev_b)
+    d_c_eff = array._d_c * np.maximum(
+        1.0 + array._delay_sens * deviation, 0.0
+    )
+    return result_from_mismatch_matrix(array, mism, d_c_eff=d_c_eff)
+
+
+def faulted_mismatch_matrix(faulty, query):
+    """A ``FaultyTDAMArray``'s mismatch decisions with its faults applied.
+
+    Stuck cells override the device-level decision (the last fault on
+    a cell wins); a dead row is all-True (its chain never produces an
+    edge, so the controller times out at the maximum distance).  Dead
+    rows are applied last and dominate any cell fault on the same row.
+    """
+    from repro.core.faults import FaultType
+
+    mism = faulty.array.mismatch_matrix(query).copy()
+    dead_rows = []
+    for fault in faulty.faults:
+        if fault.kind == FaultType.STUCK_MISMATCH:
+            mism[fault.row, fault.stage] = True
+        elif fault.kind == FaultType.STUCK_MATCH:
+            mism[fault.row, fault.stage] = False
+        else:
+            dead_rows.append(fault.row)
+    for row in dead_rows:
+        mism[row, :] = True
+    return mism
+
+
+def faulty_search(faulty, query):
+    """One search of a ``FaultyTDAMArray``, cell by cell.
+
+    The scalar path :meth:`repro.core.faults.FaultyTDAMArray.search`
+    took before it became a batch of one: the faulted mismatch matrix
+    through :func:`result_from_mismatch_matrix` with nominal ``d_C``
+    delays.  ``fault_free_search`` is this on a wrapper with no faults.
+    """
+    return result_from_mismatch_matrix(
+        faulty.array, faulted_mismatch_matrix(faulty, query)
+    )
+
+
+def march_bist_loop(bist, array):
+    """:meth:`repro.resilience.bist.MarchBIST.run` as one search a probe.
+
+    The march before it searched in blocks: per background, write it to
+    every row, search it, then search each single-stage perturbation
+    in stage order, each through the scalar :func:`faulty_search` (or
+    :func:`fast_search` on a bare array).  Returns the same
+    ``DiagnosisReport``.
+    """
+    from repro.core.faults import FaultyTDAMArray
+    from repro.resilience.bist import (
+        DiagnosisReport,
+        RowDiagnosis,
+        default_backgrounds,
+    )
+
+    search = faulty_search if isinstance(array, FaultyTDAMArray) else (
+        fast_search
+    )
+    config = array.config
+    n_rows = array.n_rows
+    n_stages = config.n_stages
+    levels = config.levels
+    patterns = (
+        list(bist.backgrounds)
+        if bist.backgrounds is not None
+        else default_backgrounds(n_stages, levels)
+    )
+    n_searches = 0
+    n_writes = 0
+    baseline = np.zeros(n_rows, dtype=np.int64)
+    faulty = [set() for _ in range(n_rows)]
+    always_max = np.ones(n_rows, dtype=bool)
+    for pattern in patterns:
+        pattern = np.asarray(pattern, dtype=np.int64)
+        if pattern.shape != (n_stages,):
+            raise ValueError(
+                f"background shape {pattern.shape} != ({n_stages},)"
+            )
+        array.write_all(np.tile(pattern, (n_rows, 1)))
+        n_writes += n_rows
+        d0 = search(array, pattern).hamming_distances
+        n_searches += 1
+        always_max &= d0 == n_stages
+        baseline = np.maximum(baseline, d0)
+        for stage in range(n_stages):
+            probe = pattern.copy()
+            probe[stage] = (probe[stage] + 1) % levels
+            d_s = search(array, probe).hamming_distances
+            n_searches += 1
+            always_max &= d_s == n_stages
+            unresponsive = np.flatnonzero(d_s != d0 + 1)
+            for row in unresponsive:
+                faulty[int(row)].add(stage)
+    rows = tuple(
+        RowDiagnosis(
+            row=r,
+            dead=bool(always_max[r]),
+            faulty_stages=tuple(sorted(faulty[r]))
+            if not always_max[r]
+            else (),
+            stuck_mismatch_count=int(baseline[r])
+            if not always_max[r]
+            else n_stages,
+        )
+        for r in range(n_rows)
+    )
+    return DiagnosisReport(
+        n_rows=n_rows,
+        n_stages=n_stages,
+        rows=rows,
+        n_searches=n_searches,
+        n_writes=n_writes,
+    )
+
+
 def resilient_search(array, query):
     """One logical search of a ``ResilientTDAMArray``, row by row.
 
     The scalar path :meth:`repro.resilience.resilient.ResilientTDAMArray
     .search` took before it became a batch of one: the faulted mismatch
-    matrix with the masked columns cleared,
-    :meth:`repro.core.array.FastTDAMArray.result_from_mismatch_matrix`,
-    then each live logical row read from its physical home; retired
+    matrix (:func:`faulted_mismatch_matrix`) with the masked columns
+    cleared, :func:`result_from_mismatch_matrix`, then each live logical
+    row read from its physical home; retired
     rows read the maximum distance and the controller timeout, and the
     best live row is resolved by (distance, delay, row).  Reads the
     array's state without changing it: no BIST due-check and no search
@@ -186,10 +379,10 @@ def resilient_search(array, query):
     """
     from repro.resilience.resilient import ResilientSearchResult
 
-    mism = array._backing.faulted_mismatch_matrix(query)
+    mism = faulted_mismatch_matrix(array._backing, query)
     if array._masked:
         mism[:, list(array._masked)] = False
-    raw = array._physical.result_from_mismatch_matrix(mism)
+    raw = result_from_mismatch_matrix(array._physical, mism)
     n_rows, n_stages = array.n_rows, array.config.n_stages
     n_eff = n_stages - len(array._masked)
     timeout = array._physical.timing.chain_delay(n_stages)
@@ -226,13 +419,17 @@ def resilient_search(array, query):
 def resilient_top_k(array, queries, k):
     """Per-query top-k logical rows of :func:`resilient_search` results.
 
-    Each query's rows sorted by (distance, delay, row), the ordering
-    ``ResilientBatchSearchResult.top_k`` promises, shape (Q, k).
+    Each query's rows sorted with retired rows last, then by (distance,
+    delay, row), the ordering ``ResilientBatchSearchResult.top_k``
+    promises, shape (Q, k).
     """
     rows = np.arange(array.n_rows)
     out = np.empty((len(queries), k), dtype=np.int64)
     for i, query in enumerate(queries):
         result = resilient_search(array, query)
-        order = np.lexsort((rows, result.delays_s, result.hamming_distances))
+        retired = np.isin(rows, result.retired_rows)
+        order = np.lexsort(
+            (rows, result.delays_s, result.hamming_distances, retired)
+        )
         out[i] = order[:k]
     return out

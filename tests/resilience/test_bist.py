@@ -1,17 +1,25 @@
 """Tests of the march-style BIST diagnosis."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.array import FastTDAMArray
 from repro.core.config import TDAMConfig
 from repro.core.faults import Fault, FaultType, FaultyTDAMArray
+from repro.devices.variation import VariationModel
+from repro.resilience import bist as bist_module
 from repro.resilience.bist import (
     CellFaultKind,
     DiagnosisReport,
     MarchBIST,
     default_backgrounds,
 )
+from tests.oracles import march_bist_loop
 
 
 def make_dut(faults, n_rows=5, n_stages=16):
@@ -130,3 +138,111 @@ class TestDiagnosis:
         )
         assert "1 dead rows" in report.summary()
         assert isinstance(report, DiagnosisReport)
+
+
+@st.composite
+def march_cases(draw):
+    """(make, bist, probes): a factory of identical devices under test
+    at 1-3 bits -- a fault-map wrapper with stuck cells and dead rows,
+    or a bare array, with or without variation -- a march with default
+    or custom backgrounds, and the probes per ``search_batch`` block."""
+    bits = draw(st.integers(1, 3))
+    n_stages = draw(st.integers(1, 20))
+    n_rows = draw(st.integers(1, 6))
+    levels = 2**bits
+    config = TDAMConfig(bits=bits, n_stages=n_stages)
+    cells = st.tuples(
+        st.integers(0, n_rows - 1), st.integers(0, n_stages - 1)
+    )
+    faults = [
+        Fault(kind, row, stage)
+        for kind, (row, stage) in draw(
+            st.lists(
+                st.tuples(st.sampled_from(list(FaultType)), cells),
+                max_size=8,
+            )
+        )
+    ]
+    wrapped = draw(st.booleans())
+    seed = draw(st.none() | st.integers(0, 996))
+    backgrounds = None
+    if draw(st.booleans()):
+        backgrounds = [
+            np.asarray(p, dtype=np.int64)
+            for p in draw(
+                st.lists(
+                    st.lists(
+                        st.integers(0, levels - 1),
+                        min_size=n_stages,
+                        max_size=n_stages,
+                    ),
+                    min_size=1,
+                    max_size=3,
+                )
+            )
+        ]
+
+    def make():
+        variation = None if seed is None else VariationModel(
+            sigma_mv=30.0, seed=seed
+        )
+        array = FastTDAMArray(config, n_rows, variation=variation)
+        return FaultyTDAMArray(array, faults) if wrapped else array
+
+    probes = draw(st.integers(1, n_stages + 2))
+    return make, MarchBIST(backgrounds=backgrounds), probes
+
+
+class TestBlockedMarch:
+    """``run`` searches in blocks of probes; its report equals the
+    march that searched one probe at a time."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=march_cases())
+    def test_report_is_the_probe_loop(self, case):
+        make, bist, probes = case
+        dut = make()
+        block_bytes = 8 * dut.config.n_stages * probes
+        with mock.patch.object(bist_module, "_PROBE_BLOCK_BYTES", block_bytes):
+            got = bist.run(dut)
+        assert got == march_bist_loop(bist, make())
+
+    def test_bad_background_shape_is_the_probe_loop(self):
+        bist = MarchBIST(
+            backgrounds=[np.zeros(8, dtype=np.int64), np.zeros(3, dtype=np.int64)]
+        )
+        for run in (bist.run, lambda dut: march_bist_loop(bist, dut)):
+            with pytest.raises(ValueError) as info:
+                run(make_dut([], n_stages=8))
+            assert str(info.value) == "background shape (3,) != (8,)"
+
+    def test_hdc_shard_geometry_in_bounded_memory(self):
+        # The hdc-refresh shard: 26 rows + 2 spares x 2048 stages, 2
+        # bits.  A whole background's 2049 probes in one batch peaked at
+        # 71.7 MiB under tracemalloc; in blocks of 64 probes it stays
+        # below 8 MiB.  Faults on the first and last stage make the last
+        # block, which holds stage 2047 alone, count.
+        config = TDAMConfig(bits=2, n_stages=2048, vdd=0.6)
+        faults = [
+            Fault(FaultType.STUCK_MISMATCH, row=1, stage=0),
+            Fault(FaultType.STUCK_MATCH, row=4, stage=2047),
+            Fault(FaultType.STUCK_MISMATCH, row=27, stage=2047),
+            Fault(FaultType.DEAD_ROW, row=9),
+        ]
+
+        def make():
+            return FaultyTDAMArray(FastTDAMArray(config, 28), faults)
+
+        dut = make()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            report = MarchBIST().run(dut)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, peak
+        assert report.rows[4].faulty_stages == (2047,)
+        assert report.rows[27].faulty_stages == (2047,)
+        assert report.dead_rows == (9,)
+        assert report == march_bist_loop(MarchBIST(), make())

@@ -8,6 +8,7 @@ from repro.core.config import TDAMConfig
 from repro.core.faults import Fault, FaultType
 from repro.devices.variation import VariationModel
 from repro.resilience.resilient import ResilientTDAMArray
+from tests.oracles import resilient_top_k
 
 
 @pytest.fixture
@@ -371,6 +372,29 @@ class TestTopKBatch:
         assert np.array_equal(
             result.rows, array.search_batch(queries).top_k(3)
         )
+
+    def test_retired_row_ranks_after_a_dead_live_row(self, config, stored):
+        # Row 0 is retired; row 3 then dies in service, unrepaired.  Both
+        # read the maximum distance and the timeout, yet the live row 3
+        # must rank before the retired row 0.
+        array = ResilientTDAMArray(
+            config,
+            n_rows=4,
+            n_spares=0,
+            faults=[Fault(FaultType.DEAD_ROW, row=0)],
+        )
+        array.write_all(stored[:4])
+        array.self_test_and_repair()
+        assert 0 in array.health_report().retired_rows
+        array._backing.faults.append(Fault(FaultType.DEAD_ROW, row=3))
+        queries = stored[2:3]
+        batch = array.search_batch(queries)
+        n = config.n_stages
+        assert batch.hamming_distances[0, 0] == batch.hamming_distances[0, 3] == n
+        assert batch.delays_s[0, 0] == batch.delays_s[0, 3]
+        assert batch.top_k(4).tolist() == [[2, 1, 3, 0]]
+        assert array.top_k_batch(queries, 4).rows.tolist() == [[2, 1, 3, 0]]
+        assert resilient_top_k(array, queries, 4).tolist() == [[2, 1, 3, 0]]
 
     def test_batch_result_top_k_matches_shared_rule(self, config, stored):
         array = ResilientTDAMArray(config, n_rows=6, n_spares=2)

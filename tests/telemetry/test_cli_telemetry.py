@@ -37,10 +37,11 @@ class TestCliArtifacts:
         assert code == 0
         trace = json.loads(trace_path.read_text())
         names = {e["name"] for e in trace["traceEvents"]}
-        # The retention study drives real array searches, so the trace
-        # holds the experiment span plus nested search/sense spans.
+        # The retention study drives real array searches, one batch per
+        # measurement, so the trace holds the experiment span plus
+        # nested search/sense spans.
         assert "experiment.retention" in names
-        assert "array.search" in names
+        assert "array.search_batch" in names
         assert "array.sense" in names
 
     def test_run_without_flags_stays_dark(self, tmp_path, capsys):

@@ -125,33 +125,40 @@ class TestInstrumentationRecords:
         assert margins and 0 <= margins[-1]["min_margin_lsb"] <= 0.5
 
     def test_search_probe_payloads(self, config, workload):
+        # A single search is a batch of one: it emits the batch probe
+        # with one query, and no probe of its own.
         stored, queries = workload
         array = FastTDAMArray(config, n_rows=len(stored))
         array.write_all(stored)
         telemetry.enable()
         rec = telemetry.ProbeRecorder()
-        telemetry.register_probe("array.search", rec)
         telemetry.register_probe("array.search_batch", rec)
         single = array.search(queries[0])
         batch = array.search_batch(queries)
-        assert rec.payloads("array.search") == [{
-            "rows": len(stored),
-            "stages": config.n_stages,
-            "best_row": single.best_row,
-            "min_mismatches": int(single.hamming_distances.min()),
-            "max_mismatches": int(single.hamming_distances.max()),
-            "latency_s": float(single.latency_s),
-            "energy_j": float(single.energy_j),
-        }]
-        assert rec.payloads("array.search_batch") == [{
-            "rows": len(stored),
-            "stages": config.n_stages,
-            "queries": len(queries),
-            "min_mismatches": int(batch.hamming_distances.min()),
-            "max_mismatches": int(batch.hamming_distances.max()),
-            "latency_s": float(batch.latencies_s.max()),
-            "energy_j": float(batch.energies_j.sum()),
-        }]
+        assert rec.events() == ["array.search_batch", "array.search_batch"]
+        assert rec.payloads("array.search_batch") == [
+            {
+                "rows": len(stored),
+                "stages": config.n_stages,
+                "queries": 1,
+                "min_mismatches": int(single.hamming_distances.min()),
+                "max_mismatches": int(single.hamming_distances.max()),
+                "latency_s": float(single.latency_s),
+                "energy_j": float(single.energy_j),
+            },
+            {
+                "rows": len(stored),
+                "stages": config.n_stages,
+                "queries": len(queries),
+                "min_mismatches": int(batch.hamming_distances.min()),
+                "max_mismatches": int(batch.hamming_distances.max()),
+                "latency_s": float(batch.latencies_s.max()),
+                "energy_j": float(batch.energies_j.sum()),
+            },
+        ]
+        counter = telemetry.get_registry().get("tdam_searches_total")
+        assert counter.value(mode="batch") == 2
+        assert counter.value(mode="single") == 0
 
     def test_search_payloads_are_built_only_for_a_hook(self, config, workload):
         # The payload's min/max scan every distance; with no hook
@@ -169,35 +176,30 @@ class TestInstrumentationRecords:
         stored, queries = workload
         array = FastTDAMArray(config, n_rows=len(stored))
         array.write_all(stored)
-        batch = array.search_batch(queries)
-        single = array.search(queries[0])
-        results = {
-            "batch": SimpleNamespace(
+        # A batch of queries and a batch of one, as a single search
+        # records it.
+        results = [
+            SimpleNamespace(
                 hamming_distances=batch.hamming_distances.view(Unscanned),
                 latencies_s=batch.latencies_s,
                 energies_j=batch.energies_j,
-            ),
-            "single": SimpleNamespace(
-                hamming_distances=single.hamming_distances.view(Unscanned),
-                best_row=single.best_row,
-                latency_s=single.latency_s,
-                energy_j=single.energy_j,
-            ),
-        }
+            )
+            for batch in (
+                array.search_batch(queries), array.search_batch(queries[:1])
+            )
+        ]
         telemetry.enable()
-        for mode, result in results.items():
-            _record_search_telemetry(array, result, mode, len(queries))
-        counter = telemetry.get_registry().get("tdam_searches_total")
-        assert counter.value(mode="batch") == 1
-        assert counter.value(mode="single") == 1
-        for event, mode in (
-            ("array.search_batch", "batch"), ("array.search", "single")
-        ):
-            telemetry.register_probe(event, telemetry.ProbeRecorder())
+        for result in results:
+            _record_search_telemetry(array, result)
+        searches = telemetry.get_registry().get("tdam_searches_total")
+        served = telemetry.get_registry().get("tdam_queries_total")
+        assert searches.value(mode="batch") == 2
+        assert served.value(mode="batch") == len(queries) + 1
+        assert searches.value(mode="single") == 0
+        telemetry.register_probe("array.search_batch", telemetry.ProbeRecorder())
+        for result in results:
             with pytest.raises(AssertionError, match="scanned"):
-                _record_search_telemetry(
-                    array, results[mode], mode, len(queries)
-                )
+                _record_search_telemetry(array, result)
 
     def test_resilient_loop_emits_health_telemetry(self, config, workload):
         stored, _ = workload

@@ -18,7 +18,6 @@ from repro.telemetry.profile import (
 class TestCatalog:
     def test_known_probe_points_exist(self):
         for event in (
-            "array.search",
             "array.search_batch",
             "tdc.decode",
             "cache.threshold",
@@ -29,6 +28,8 @@ class TestCatalog:
             "experiment.run",
         ):
             assert event in PROBE_EVENTS
+        # A single search is a batch of one and has no probe of its own.
+        assert "array.search" not in PROBE_EVENTS
 
     def test_register_unknown_event_raises(self):
         with pytest.raises(ValueError, match="unknown probe event"):
@@ -60,7 +61,7 @@ class TestCatalog:
 
 class TestDispatch:
     def test_emit_without_hooks_is_a_noop(self):
-        emit_probe("array.search", rows=1)  # must not raise
+        emit_probe("array.search_batch", rows=1)  # must not raise
 
     def test_probe_active_follows_registration(self):
         assert probe_active("mc.run") is False

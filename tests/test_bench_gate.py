@@ -27,7 +27,7 @@ def make_report(**overrides):
             "tile_bit_exact": True,
         },
         "topk": {"speedup": 3.6, "exact": True},
-        "resilient": {"speedup": 21.0, "bit_exact": True},
+        "resilient": {"speedup": 25.9, "bit_exact": True},
         "monte_carlo": {"speedup": 5.5, "bit_identical": True},
         "ann": {
             "speedup": 27.0,
@@ -124,12 +124,24 @@ class TestCompareToBaseline:
             bench_report.compare_to_baseline(report, make_report())
         )
         assert rows["resilient.speedup"]["status"] == "fail"
-        assert rows["resilient.speedup"]["threshold"] == 10.0
+        assert rows["resilient.speedup"]["threshold"] == 8.1
         report = make_report(**{"resilient.bit_exact": False})
         rows = rows_by_metric(
             bench_report.compare_to_baseline(report, make_report())
         )
         assert rows["resilient.bit_exact"]["status"] == "fail"
+
+    def test_resilient_batch_reverted_to_the_query_loop_fails(self):
+        # resilient.speedup is the median loop/batch ratio of alternating
+        # rounds: a batch that loops the queries reads ~1; the batch
+        # read 10.1-26.9.
+        cases = ((1.0, "fail"), (8.0, "fail"), (10.1, "pass"))
+        for speedup, status in cases:
+            report = make_report(**{"resilient.speedup": speedup})
+            rows = rows_by_metric(
+                bench_report.compare_to_baseline(report, make_report())
+            )
+            assert rows["resilient.speedup"]["status"] == status, speedup
 
     def test_ann_probe_no_faster_than_its_full_probe_fails(self):
         # ann.speedup is the index's full probe over its routed probe.

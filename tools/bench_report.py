@@ -6,8 +6,10 @@ plus two direct wall-clock studies, and writes ``BENCH_search.json``:
 
 1. **Batched search vs per-query loop** on the Fig. 8-shaped reference
    workload (26 rows x 128 stages, 256 queries): queries/s of
-   ``FastTDAMArray.search_batch`` against a Python loop of ``search()``,
-   and their ratio (the committed baseline asserts >= 10x).
+   ``FastTDAMArray.search_batch`` against a Python loop of the scalar
+   reference search ``fast_search`` in ``tests/oracles.py``
+   (``search`` itself is a batch of one), and their ratio (the
+   committed baseline asserts >= 10x), with every field compared.
 2. **Monte Carlo as rows**: one Fig. 6 cell (200 trials at sigma
    30 mV) as the trial loop, one one-row array per trial, against
    ``worst_case_delays``, which ``run_fig6`` calls and which computes
@@ -23,7 +25,8 @@ plus two direct wall-clock studies, and writes ``BENCH_search.json``:
 
 4. **Count kernel**: the packed-popcount kernel that counts every batch
    against the per-query reference loop on the same workload, with
-   bit-exactness asserted; the tracked headline is
+   bit-exactness asserted (counts, and ``search_batch`` against
+   ``fast_search``); the tracked headline is
    ``packed_speedup_vs_loop``.  At the ``scan-topk`` benchmark
    workload's geometry (8194 rows x 128 stages, 32 queries, 2 bits) the
    XOR kernel, which counts in cache-sized query tiles, is compared
@@ -40,8 +43,9 @@ plus two direct wall-clock studies, and writes ``BENCH_search.json``:
    a loop of the row-by-row reference search in ``tests/oracles.py``
    (``search`` itself is a batch of one) on the HDC classifier's array
    (26 class rows + 2 spares x 2048 stages at V_DD = 0.6 V, 32-query
-   batches), with every field of each batch slice and of ``search``
-   compared against the reference; gated at >= 10x.
+   batches), timed in alternating rounds (median ratio with its
+   quartiles), with every field of each batch slice and of ``search``
+   compared against the reference; gated at >= 8.1x.
 7. **Clustered ANN**: the memmapped ``ClusteredTDAMIndex`` routed probe
    against the same index probing every cluster, on a million-row
    clustered ``noise=0.35`` corpus (``--ann-rows`` scales it down for
@@ -119,6 +123,7 @@ from repro.experiments.fig6_montecarlo import (  # noqa: E402
 )
 from repro.spice.montecarlo import run_monte_carlo  # noqa: E402
 from tests.oracles import (  # noqa: E402
+    fast_search,
     one_shot_mismatch_counts,
     one_shot_xor_counts,
     resilient_search,
@@ -143,6 +148,9 @@ RESILIENT_ROWS = 26
 RESILIENT_SPARES = 2
 RESILIENT_STAGES = 2048
 RESILIENT_QUERIES = 32
+# Alternating rounds of its loop/batch ratio: best-of timings of the two,
+# taken apart, read 10.2-17.4 against a bound of 10 in slow host phases.
+RESILIENT_ROUNDS = 10
 # The HDC query bench runs at the ``hdc-refresh`` benchmark workload's
 # geometry: 32 ISOLET-like samples x 617 features -> D = 2048, a 2-bit
 # model, the in-fabric encoder.
@@ -168,8 +176,37 @@ def _best_of(fn, repeats: int) -> float:
     return best
 
 
+def _same_fields(got, want) -> bool:
+    """Whether every dataclass field of two search results is equal."""
+    return all(
+        np.array_equal(getattr(got, f.name), getattr(want, f.name))
+        for f in dataclasses.fields(want)
+    )
+
+
+def _alternating_ratio(slow, fast, rounds: int, repeats: int) -> tuple:
+    """Median and quartiles of ``slow``/``fast`` time ratios over
+    ``rounds`` rounds, each the best of ``repeats`` calls of both, the
+    side timed first alternating; also both sides' median times."""
+    pairs = []
+    for i in range(rounds):
+        order = (slow, fast) if i % 2 == 0 else (fast, slow)
+        times = {fn: _best_of(fn, repeats) for fn in order}
+        pairs.append((times[slow], times[fast]))
+    q25, median, q75 = np.percentile(
+        [t_slow / t_fast for t_slow, t_fast in pairs], [25, 50, 75]
+    )
+    return (
+        float(median),
+        [float(q25), float(q75)],
+        float(np.median([t for t, _ in pairs])),
+        float(np.median([t for _, t in pairs])),
+    )
+
+
 def bench_search_batch(repeats: int = 5) -> dict:
-    """Batched vs looped search on the Fig. 8 reference workload."""
+    """Batched search vs a loop of the scalar reference ``fast_search``
+    on the Fig. 8 reference workload; every field must equal it."""
     config = TDAMConfig.fig8_system()
     array = FastTDAMArray(config, n_rows=N_ROWS)
     rng = np.random.default_rng(1)
@@ -179,12 +216,11 @@ def bench_search_batch(repeats: int = 5) -> dict:
 
     t_batch = _best_of(lambda: array.search_batch(queries), repeats)
     t_loop = _best_of(
-        lambda: [array.search(q) for q in queries], max(2, repeats // 2)
+        lambda: [fast_search(array, q) for q in queries], max(2, repeats // 2)
     )
     batch = array.search_batch(queries)
     exact = all(
-        np.array_equal(batch.delays_s[i], array.search(q).delays_s)
-        and int(batch.best_rows[i]) == array.search(q).best_row
+        _same_fields(batch.result(i), fast_search(array, q))
         for i, q in enumerate(queries)
     )
     return {
@@ -204,8 +240,9 @@ def bench_kernels(repeats: int = 30) -> dict:
     Times ``_counts_packed`` and ``_counts_loop`` on the committed
     reference workload and asserts they agree bit-for-bit (counts are
     exact integers, so *any* difference is a kernel bug, not float
-    noise), as do ``search_batch`` and the scalar ``search`` loop on
-    every field.  The tracked gate is ``packed_speedup_vs_loop``.
+    noise), as do ``search_batch`` and a loop of the scalar reference
+    ``fast_search`` on every field.  The tracked gate is
+    ``packed_speedup_vs_loop``.
     """
     config = TDAMConfig.fig8_system()
     array = FastTDAMArray(config, n_rows=N_ROWS)
@@ -222,15 +259,10 @@ def bench_kernels(repeats: int = 30) -> dict:
         np.array_equal(array._counts_packed(queries), array._counts_loop(queries))
     )
     batch = array.search_batch(queries)
-    for i, query in enumerate(queries):
-        want = array.search(query)
-        exact = exact and bool(
-            np.array_equal(batch.delays_s[i], want.delays_s)
-            and np.array_equal(
-                batch.hamming_distances[i], want.hamming_distances
-            )
-            and int(batch.best_rows[i]) == want.best_row
-        )
+    exact = exact and all(
+        _same_fields(batch.result(i), fast_search(array, query))
+        for i, query in enumerate(queries)
+    )
     return {
         "workload": f"{N_ROWS} rows x {N_STAGES} stages x {N_QUERIES} queries",
         "packed_s": t_packed,
@@ -285,13 +317,8 @@ def bench_kernel_tiles(rounds: int = 10, repeats: int = 5) -> dict:
             one_shot_mismatch_counts(planes, masks),
         )
     )
-    pairs = []
-    for i in range(rounds):
-        order = (tiled, one_shot) if i % 2 == 0 else (one_shot, tiled)
-        times = {fn: _best_of(fn, repeats) for fn in order}
-        pairs.append((times[tiled], times[one_shot]))
-    q25, median, q75 = np.percentile(
-        [t_one / t_tiled for t_tiled, t_one in pairs], [25, 50, 75]
+    speedup, quartiles, t_one_shot, t_tiled = _alternating_ratio(
+        one_shot, tiled, rounds, repeats
     )
     tiled_bytes = _transient_bytes(tiled)
     one_shot_bytes = _transient_bytes(one_shot)
@@ -300,10 +327,10 @@ def bench_kernel_tiles(rounds: int = 10, repeats: int = 5) -> dict:
             f"{TILE_ROWS} rows x {N_STAGES} stages x {TOPK_QUERIES} "
             f"queries, 2 bits"
         ),
-        "tiled_s": float(np.median([t for t, _ in pairs])),
-        "one_shot_s": float(np.median([t for _, t in pairs])),
-        "tile_speedup": float(median),
-        "tile_speedup_quartiles": [float(q25), float(q75)],
+        "tiled_s": t_tiled,
+        "one_shot_s": t_one_shot,
+        "tile_speedup": speedup,
+        "tile_speedup_quartiles": quartiles,
         "tiled_transient_bytes": tiled_bytes,
         "one_shot_transient_bytes": one_shot_bytes,
         "tile_peak_ratio": one_shot_bytes / tiled_bytes,
@@ -344,12 +371,16 @@ def bench_topk(k: int = TOPK_K, repeats: int = 10) -> dict:
     }
 
 
-def bench_resilient(repeats: int = 20) -> dict:
+def bench_resilient(repeats: int = 5) -> dict:
     """Resilient batched search vs the row-by-row reference, same array.
 
     The reference is ``resilient_search`` in ``tests/oracles.py``, the
     scalar path ``search`` took before it became a batch of one; every
-    field of each batch slice and of ``search`` must equal it.
+    field of each batch slice and of ``search`` must equal it.  Each of
+    :data:`RESILIENT_ROUNDS` alternating rounds times the best of
+    ``repeats`` calls of the loop and of the batch; ``speedup`` is the
+    median of the per-round loop/batch ratios, with its quartiles.  A
+    batch reverted to the per-query loop reads ~1.
     """
     config = TDAMConfig(bits=2, n_stages=RESILIENT_STAGES, vdd=0.6)
     array = ResilientTDAMArray(
@@ -362,20 +393,18 @@ def bench_resilient(repeats: int = 20) -> dict:
     queries = rng.integers(0, 4, size=(RESILIENT_QUERIES, RESILIENT_STAGES))
     array.search_batch(queries)  # warm up
 
-    t_batch = _best_of(lambda: array.search_batch(queries), repeats)
-    t_loop = _best_of(
+    speedup, quartiles, t_loop, t_batch = _alternating_ratio(
         lambda: [resilient_search(array, q) for q in queries],
-        max(2, repeats // 4),
+        lambda: array.search_batch(queries),
+        RESILIENT_ROUNDS,
+        repeats,
     )
     batch = array.search_batch(queries)
-    exact = True
-    for i, query in enumerate(queries):
-        want = resilient_search(array, query)
-        for got in (batch.result(i), array.search(query)):
-            exact = exact and all(
-                np.array_equal(getattr(got, f.name), getattr(want, f.name))
-                for f in dataclasses.fields(want)
-            )
+    exact = all(
+        _same_fields(got, resilient_search(array, query))
+        for i, query in enumerate(queries)
+        for got in (batch.result(i), array.search(query))
+    )
     return {
         "workload": (
             f"{RESILIENT_ROWS}+{RESILIENT_SPARES} rows x "
@@ -383,7 +412,9 @@ def bench_resilient(repeats: int = 20) -> dict:
         ),
         "loop_s": t_loop,
         "batch_s": t_batch,
-        "speedup": t_loop / t_batch,
+        "speedup": speedup,
+        "speedup_quartiles": quartiles,
+        "rounds": RESILIENT_ROUNDS,
         "bit_exact": bool(exact),
     }
 
@@ -409,16 +440,15 @@ def bench_monte_carlo(n_runs: int, rounds: int = 10) -> dict:
         return worst_case_delays(config, 30.0, n_runs, 7)
 
     identical = np.array_equal(loop(), rows())
-    pairs = [(_best_of(loop, 1), _best_of(rows, 1)) for _ in range(rounds)]
-    q25, median, q75 = np.percentile(
-        [t_loop / t_rows for t_loop, t_rows in pairs], [25, 50, 75]
+    speedup, quartiles, t_loop, t_rows = _alternating_ratio(
+        loop, rows, rounds, 1
     )
     return {
         "workload": f"Fig. 6 cell, {n_runs} runs, sigma 30 mV",
-        "loop_s": float(np.median([t_loop for t_loop, _ in pairs])),
-        "rows_s": float(np.median([t_rows for _, t_rows in pairs])),
-        "speedup": float(median),
-        "speedup_quartiles": [float(q25), float(q75)],
+        "loop_s": t_loop,
+        "rows_s": t_rows,
+        "speedup": speedup,
+        "speedup_quartiles": quartiles,
         "rounds": rounds,
         "bit_identical": bool(identical),
     }
@@ -959,7 +989,15 @@ TRACKED_GATES = (
     ("kernels.tile_bit_exact", "true", None),
     ("topk.speedup", "abs_min", 3.0),
     ("topk.exact", "true", None),
-    ("resilient.speedup", "abs_min", 10.0),
+    # The row-by-row reference loop over the batch, interleaved: a
+    # batch reverted to the per-query loop reads ~1.  Best-of timings
+    # read 10.2-17.4 against the old bound of 10.  The median of
+    # alternating rounds read 22.2-26.9 in 13 full reports on a shared
+    # 2-core VM, and 10.1-13.6 in 42 calls from fresh processes, where
+    # the same batch takes 0.6-1.0 ms instead of 0.3-0.5 until the
+    # process has freed large arrays.  The bound is 0.8 of the lowest
+    # reading.
+    ("resilient.speedup", "abs_min", 8.1),
     ("resilient.bit_exact", "true", None),
     # The trial loop over the rows of one array, interleaved: a Fig. 6
     # reverted to the loop reads ~1.0.  The rows read 5.13-6.06 in 12
@@ -1134,8 +1172,10 @@ def main(argv=None) -> int:
           f"(tile_bit_exact={kern['tile_bit_exact']})")
     print(f"topk:         {topk['speedup']:.2f}x vs ranking a full search "
           f"(exact={topk['exact']})")
+    rq25, rq75 = res["speedup_quartiles"]
     print(f"resilient:    {res['batch_s'] * 1e3:.2f} ms per batch "
-          f"({res['speedup']:.1f}x vs loop, bit_exact={res['bit_exact']})")
+          f"({res['speedup']:.1f}x [{rq25:.1f}, {rq75:.1f}] vs loop, "
+          f"bit_exact={res['bit_exact']})")
     mq25, mq75 = mc["speedup_quartiles"]
     print(f"monte_carlo:  rows {mc['speedup']:.2f}x "
           f"[{mq25:.2f}, {mq75:.2f}] vs the trial loop "
